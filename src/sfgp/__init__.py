@@ -29,10 +29,9 @@ from .kernels import (
     load_pca_kernel,
     save_pca_kernel,
 )
-from .gpr import Annotation, aggregate_annotations, gpr_posterior
+from .gpr import gpr_posterior
 from .correspondence import (
     ResponsibilityInputs,
-    annotator_variance,
     closest_point_correspondence,
     get_correspondences,
     responsibilities,

@@ -9,13 +9,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io as sio
-from .core import PointSet, RegistrationConfig, SFGPError, validate_config
+from .core import ConfigError, PointSet, RegistrationConfig, SFGPError, validate_config
 from .kernels import (
     KernelSpec,
     ScaledKernel,
@@ -84,8 +84,10 @@ def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
 
 
 def registration_config_from(payload: dict) -> RegistrationConfig:
-    cfg = RegistrationConfig(**payload)
-    return validate_config(cfg)
+    unknown = sorted(set(payload) - {f.name for f in fields(RegistrationConfig)})
+    if unknown:
+        raise ConfigError(f"unknown registration keys: {', '.join(unknown)}")
+    return validate_config(RegistrationConfig(**payload))
 
 
 def grid_points(grid: dict) -> list:
@@ -212,8 +214,6 @@ def cmd_register(args) -> int:
     reference = load_reference(config["reference"])
     kernel = kernel_from_config(config["kernel"], anchor=reference)
     base = registration_config_from(config.get("registration", {}))
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
     cfg = variant_config(args.variant, base)
     out = Path(args.out)
 
@@ -238,14 +238,18 @@ def cmd_register(args) -> int:
     return 0
 
 
+def _failed_row(variant, tag, seed, runtime_ms):
+    return {
+        "variant": variant, "level": tag, "seed": seed,
+        "error_all": None, "error_missing": None, "error_nonmissing": None,
+        "success": 0, "recall": None, "precision": None,
+        "runtime_ms": runtime_ms,
+    }
+
+
 def _metric_row(variant, tag, seed, result, inst: SyntheticInstance, runtime_ms):
     if result.failed:
-        return {
-            "variant": variant, "level": tag, "seed": seed,
-            "error_all": None, "error_missing": None, "error_nonmissing": None,
-            "success": 0, "recall": None, "precision": None,
-            "runtime_ms": runtime_ms,
-        }
+        return _failed_row(variant, tag, seed, runtime_ms)
     recall, precision = missing_detection(result, inst)
     return {
         "variant": variant,
@@ -275,12 +279,10 @@ def _sweep_task(payload: dict) -> dict:
     except SFGPError as exc:
         # a broken instance is recorded, never aborts the sweep
         logger.warning("%s %s seed=%d: %s", payload["variant"], payload["level"], spec.seed, exc)
-        return {
-            "variant": payload["variant"], "level": payload["level"], "seed": spec.seed,
-            "error_all": None, "error_missing": None, "error_nonmissing": None,
-            "success": 0, "recall": None, "precision": None,
-            "runtime_ms": (time.perf_counter() - t0) * 1e3,
-        }
+        return _failed_row(
+            payload["variant"], payload["level"], spec.seed,
+            (time.perf_counter() - t0) * 1e3,
+        )
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _metric_row(
         payload["variant"], payload["level"], spec.seed, result, inst, runtime_ms
@@ -345,12 +347,7 @@ def cmd_eval(args) -> int:
         meta = sio.read_json(run_dir / "result.json")
         if meta["failed"]:
             rows.append(
-                {
-                    "variant": meta["variant"], "level": entry["level"],
-                    "seed": entry["seed"], "error_all": None, "error_missing": None,
-                    "error_nonmissing": None, "success": 0, "recall": None,
-                    "precision": None, "runtime_ms": meta["runtime_ms"],
-                }
+                _failed_row(meta["variant"], entry["level"], entry["seed"], meta["runtime_ms"])
             )
             continue
         fitted = sio.read_pointset_csv(run_dir / "deformed_reference.csv")
@@ -415,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="single target point CSV")
     p.add_argument("--dataset", help="dataset directory from `generate`")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("sweep", help="run a variant/perturbation grid")

@@ -5,7 +5,7 @@ mutated, so they can be shared freely across threads and processes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,11 +37,7 @@ class RankTooLargeError(SFGPError, ValueError):
 
 
 class NoAnnotationError(SFGPError):
-    """A reference point has no candidate correspondences to fuse."""
-
-
-class ExcludedPairError(SFGPError):
-    """A zero-probability pair must not become an annotation."""
+    """The GP posterior was asked for without any labelled reference point."""
 
 
 class AllMissingError(SFGPError):
@@ -119,7 +115,6 @@ class RegistrationConfig:
     variance_mode: str = "per_point"
     threshold_mode: str = "on"
     correspondence_mode: str = "multi_annotator"
-    seed: int = 0
 
 
 def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
@@ -158,17 +153,16 @@ def default_sigma2_init(reference: PointSet) -> float:
 class CorrespondenceState:
     """Soft correspondences and the inlier/missing partition they induce.
 
-    P:         (N_R, N_S) responsibilities, entries in [0, 1].
-    nu:        expected match count per reference point, summed over the
-               full row of P (not only above-threshold pairs).
-    corr_sets: per-reference arrays of above-threshold target indices.
-    inliers:   reference indices with nonempty corr_sets (sorted).
-    missing:   the complementary reference indices (sorted).
+    P:       (N_R, N_S) responsibilities, entries in [0, 1].
+    nu:      expected match count per reference point, summed over the
+             full row of P (not only above-threshold pairs).
+    inliers: reference indices with at least one above-threshold entry
+             in their row of P (sorted).
+    missing: the complementary reference indices (sorted).
     """
 
     P: np.ndarray
     nu: np.ndarray
-    corr_sets: tuple
     inliers: np.ndarray
     missing: np.ndarray
 
@@ -183,15 +177,13 @@ class CorrespondenceState:
 class AnnotatedDeformations:
     """Precision-fused deformation labels for the inlier reference points.
 
-    delta_hat:     (C, d) fused deformation per inlier, aligned with the
-                   inlier index order of the owning CorrespondenceState.
-    sigma2_eff:    (C,) effective noise variance per inlier.
-    annotator_var: sparse map (ref index, target index) -> per-pair variance.
+    delta_hat:  (C, d) fused deformation per inlier, aligned with the
+                inlier index order of the owning CorrespondenceState.
+    sigma2_eff: (C,) effective noise variance per inlier.
     """
 
     delta_hat: np.ndarray
     sigma2_eff: np.ndarray
-    annotator_var: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.sigma2_eff <= 0.0):
@@ -252,7 +244,6 @@ __all__ = [
     "UnsupportedKernelEvaluation",
     "RankTooLargeError",
     "NoAnnotationError",
-    "ExcludedPairError",
     "AllMissingError",
     "NoMassError",
     "DegenerateInstanceError",

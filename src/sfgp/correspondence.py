@@ -3,8 +3,8 @@
 Each target point is explained by a mixture over reference points (isotropic
 Gaussian per reference point, individual variance) plus a uniform outlier
 component with weight omega.  Responsibilities feed three consumers: the
-inlier/missing partition, per-pair annotation variances, and the expected
-match counts used by the variance update.
+inlier/missing partition, the precision-fused deformation labels, and the
+expected match counts used by the variance update.
 """
 from __future__ import annotations
 
@@ -18,10 +18,8 @@ from .core import (
     AllMissingError,
     AnnotatedDeformations,
     CorrespondenceState,
-    ExcludedPairError,
     PointSet,
 )
-from .gpr import fuse_labels
 
 logger = logging.getLogger(__name__)
 
@@ -118,12 +116,8 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
     return p
 
 
-def annotator_variance(sigma2_i: float, p_ij: float) -> float:
-    """Per-pair label variance sigma2_i / p_ij; infinite-confidence pairs keep
-    the base variance, vanishing pairs are excluded."""
-    if p_ij <= 0.0:
-        raise ExcludedPairError("pair with zero probability cannot annotate")
-    return sigma2_i / p_ij
+def _cutoff(p_min: float, mode: str) -> float:
+    return p_min if mode == "on" else 0.0
 
 
 def threshold(p: np.ndarray, p_min: float, mode: str = "on") -> CorrespondenceState:
@@ -133,14 +127,10 @@ def threshold(p: np.ndarray, p_min: float, mode: str = "on") -> CorrespondenceSt
     positive probability.  Expected match counts nu are always accumulated
     over the full row so the variance update sees the total mass.
     """
-    cutoff = p_min if mode == "on" else 0.0
     nu = p.sum(axis=1)
-    corr_sets = tuple(np.flatnonzero(row > cutoff) for row in p)
-    has_corr = np.array([cs.size > 0 for cs in corr_sets])
-    inliers = np.flatnonzero(has_corr)
-    missing = np.flatnonzero(~has_corr)
+    has_corr = (p > _cutoff(p_min, mode)).any(axis=1)
     return CorrespondenceState(
-        P=p, nu=nu, corr_sets=corr_sets, inliers=inliers, missing=missing
+        P=p, nu=nu, inliers=np.flatnonzero(has_corr), missing=np.flatnonzero(~has_corr)
     )
 
 
@@ -149,31 +139,26 @@ def get_correspondences(
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Responsibilities, partition, and fused labels in one pass.
 
-    For inlier i the candidate deformations are s_j - r_bar_i over its
-    correspondence set, each with variance sigma2_i / p_ij, fused by
-    precision weighting.
+    Every above-cutoff pair (i, j) annotates reference point i with the label
+    s_j - r_bar_i at variance sigma2_i / p_ij.  Their precision-weighted
+    fusion is the closed-form barycentre over W = P * [P > cutoff]:
+    delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
+    sigma2_eff_i = sigma2_i / sum_j W_ij.
     """
     p = responsibilities(inputs)
     state = threshold(p, p_min, mode)
-    if state.inliers.size == 0:
+    inliers = state.inliers
+    if inliers.size == 0:
         raise AllMissingError("no reference point has an above-threshold match")
 
-    s = inputs.target.points
-    r_bar = inputs.deformed_ref.points
-    d = s.shape[1]
-    n_in = state.inliers.size
-    delta_hat = np.empty((n_in, d))
-    sigma2_eff = np.empty(n_in)
-    pair_var: dict = {}
-    for k, i in enumerate(state.inliers):
-        js = state.corr_sets[i]
-        p_row = p[i, js]
-        variances = inputs.sigma2[i] / p_row
-        deltas = s[js] - r_bar[i]
-        delta_hat[k], sigma2_eff[k] = fuse_labels(deltas, variances)
-        pair_var.update(zip(zip([int(i)] * js.size, js.tolist()), variances.tolist()))
+    w = np.where(p > _cutoff(p_min, mode), p, 0.0)
+    mass = w.sum(axis=1)[inliers]
+    # fusing on the full W and indexing the (N_R, d) result avoids copying
+    # the N_R x N_S rows of W[inliers]
+    num = (w @ inputs.target.points)[inliers]
     ann = AnnotatedDeformations(
-        delta_hat=delta_hat, sigma2_eff=sigma2_eff, annotator_var=pair_var
+        delta_hat=num / mass[:, None] - inputs.deformed_ref.points[inliers],
+        sigma2_eff=inputs.sigma2[inliers] / mass,
     )
     return state, ann
 
@@ -201,16 +186,10 @@ def closest_point_correspondence(
     p = np.zeros((n_r, s.shape[0]))
     p[np.arange(n_r), nearest] = 1.0
     state = CorrespondenceState(
-        P=p,
-        nu=np.ones(n_r),
-        corr_sets=tuple(np.array([j]) for j in nearest),
-        inliers=np.arange(n_r),
-        missing=np.array([], dtype=int),
+        P=p, nu=np.ones(n_r), inliers=np.arange(n_r), missing=np.array([], dtype=int)
     )
     ann = AnnotatedDeformations(
-        delta_hat=s[nearest] - r_bar,
-        sigma2_eff=np.full(n_r, float(sigma_n2)),
-        annotator_var={(i, int(j)): float(sigma_n2) for i, j in enumerate(nearest)},
+        delta_hat=s[nearest] - r_bar, sigma2_eff=np.full(n_r, float(sigma_n2))
     )
     return state, ann
 
@@ -218,7 +197,6 @@ def closest_point_correspondence(
 __all__ = [
     "ResponsibilityInputs",
     "responsibilities",
-    "annotator_variance",
     "threshold",
     "get_correspondences",
     "closest_point_correspondence",

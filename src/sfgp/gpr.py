@@ -1,8 +1,8 @@
 """Gaussian process regression on observed deformations.
 
 Each inlier reference point carries one fused deformation label with its own
-noise variance (heteroscedastic regression).  Labels are fused from multiple
-candidate annotations by precision weighting before they reach the solver.
+noise variance (heteroscedastic regression); the correspondence layer fuses
+the candidate annotations by precision weighting before they reach the solver.
 
 With a purely scalar kernel the stacked covariance is G (x) I_d, so the
 predictive mean and variance come from a single Cholesky factorization of the
@@ -12,58 +12,11 @@ go through the matrix inversion lemma against that same scalar factorization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .core import NoAnnotationError, NumericalError, PosteriorDeformation
 from .kernels import GramMatrix
-
-
-@dataclass(frozen=True)
-class Annotation:
-    """One candidate deformation label for a reference point."""
-
-    ref_index: int
-    target_index: int
-    deformation: np.ndarray
-    variance: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.variance) or self.variance <= 0.0:
-            raise ValueError("annotation variance must be finite and positive")
-
-
-def fuse_labels(deformations: np.ndarray, variances: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Precision-weighted fusion of candidate labels for one point.
-
-    Returns (fused deformation, effective variance) with
-    1/sigma2_eff = sum_j 1/var_j.
-    """
-    deformations = np.asarray(deformations, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if variances.size == 1:
-        # singleton passes through unchanged, no reciprocal round trip
-        return deformations[0].copy(), float(variances[0])
-    w = 1.0 / variances
-    sigma2_eff = 1.0 / np.sum(w)
-    delta = sigma2_eff * (w[:, None] * deformations).sum(axis=0)
-    return delta, float(sigma2_eff)
-
-
-def aggregate_annotations(annotations: Sequence[Annotation]) -> Tuple[np.ndarray, float]:
-    """Fuse all annotations of a single reference point.
-
-    Raises NoAnnotationError on an empty list; the caller must route such a
-    point to the missing set instead.
-    """
-    if len(annotations) == 0:
-        raise NoAnnotationError("cannot aggregate an empty annotation list")
-    deltas = np.stack([a.deformation for a in annotations])
-    variances = np.array([a.variance for a in annotations])
-    return fuse_labels(deltas, variances)
 
 
 def _chol(a: np.ndarray, what: str):
@@ -173,4 +126,4 @@ def _posterior_lowrank(gram: GramMatrix, inliers, delta_hat, sigma2_eff, jitter)
     return mu, var
 
 
-__all__ = ["Annotation", "aggregate_annotations", "fuse_labels", "gpr_posterior"]
+__all__ = ["gpr_posterior"]

@@ -1,4 +1,4 @@
-"""File formats: point CSVs, JSON configs, and lossless type serialization.
+"""File formats: point CSVs, JSON configs, and metric CSV rows.
 
 Points travel as plain CSV, one point per row, d columns, with floats printed
 at 17 significant digits so that read(write(x)) == x bitwise.  JSON payloads
@@ -7,21 +7,12 @@ carry an explicit schema_version field.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    AnnotatedDeformations,
-    CorrespondenceState,
-    IterationRecord,
-    PointSet,
-    PosteriorDeformation,
-    RegistrationConfig,
-    RegistrationResult,
-)
+from .core import PointSet
 
 SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
@@ -69,105 +60,6 @@ def write_pointset_csv(path, ps: PointSet) -> None:
 
 def read_pointset_csv(path) -> PointSet:
     return PointSet(points=read_points_csv(path))
-
-
-def pointset_to_dict(ps: PointSet) -> dict:
-    return {
-        "points": [[float(v) for v in row] for row in ps.points],
-        "ids": [int(i) for i in ps.ids],
-    }
-
-
-def pointset_from_dict(payload: dict) -> PointSet:
-    return PointSet(
-        points=np.asarray(payload["points"], dtype=float),
-        ids=np.asarray(payload["ids"], dtype=int),
-    )
-
-
-def config_to_dict(cfg: RegistrationConfig) -> dict:
-    return asdict(cfg)
-
-
-def config_from_dict(payload: dict) -> RegistrationConfig:
-    return RegistrationConfig(**payload)
-
-
-def state_to_dict(state: CorrespondenceState) -> dict:
-    return {
-        "P": state.P.tolist(),
-        "nu": state.nu.tolist(),
-        "corr_sets": [cs.tolist() for cs in state.corr_sets],
-        "inliers": state.inliers.tolist(),
-        "missing": state.missing.tolist(),
-    }
-
-
-def state_from_dict(payload: dict) -> CorrespondenceState:
-    return CorrespondenceState(
-        P=np.asarray(payload["P"], dtype=float),
-        nu=np.asarray(payload["nu"], dtype=float),
-        corr_sets=tuple(np.asarray(cs, dtype=int) for cs in payload["corr_sets"]),
-        inliers=np.asarray(payload["inliers"], dtype=int),
-        missing=np.asarray(payload["missing"], dtype=int),
-    )
-
-
-def annotations_to_dict(ann: AnnotatedDeformations) -> dict:
-    return {
-        "delta_hat": ann.delta_hat.tolist(),
-        "sigma2_eff": ann.sigma2_eff.tolist(),
-        "annotator_var": [[int(i), int(j), float(v)] for (i, j), v in ann.annotator_var.items()],
-    }
-
-
-def annotations_from_dict(payload: dict) -> AnnotatedDeformations:
-    return AnnotatedDeformations(
-        delta_hat=np.asarray(payload["delta_hat"], dtype=float),
-        sigma2_eff=np.asarray(payload["sigma2_eff"], dtype=float),
-        annotator_var={(i, j): v for i, j, v in payload["annotator_var"]},
-    )
-
-
-def posterior_to_dict(post: PosteriorDeformation) -> dict:
-    return {"mu": post.mu.tolist(), "var_diag": post.var_diag.tolist()}
-
-
-def posterior_from_dict(payload: dict) -> PosteriorDeformation:
-    return PosteriorDeformation(
-        mu=np.asarray(payload["mu"], dtype=float),
-        var_diag=np.asarray(payload["var_diag"], dtype=float),
-    )
-
-
-def result_to_dict(result: RegistrationResult) -> dict:
-    return {
-        "deformed_reference": pointset_to_dict(result.deformed_reference),
-        "state": None if result.state is None else state_to_dict(result.state),
-        "posterior": None if result.posterior is None else posterior_to_dict(result.posterior),
-        "sigma2": result.sigma2.tolist(),
-        "iters": result.iters,
-        "converged": result.converged,
-        "failed": result.failed,
-        "failure_reason": result.failure_reason,
-        "trace": [asdict(rec) for rec in result.trace],
-    }
-
-
-def result_from_dict(payload: dict) -> RegistrationResult:
-    return RegistrationResult(
-        deformed_reference=pointset_from_dict(payload["deformed_reference"]),
-        state=None if payload["state"] is None else state_from_dict(payload["state"]),
-        posterior=None
-        if payload["posterior"] is None
-        else posterior_from_dict(payload["posterior"]),
-        sigma2=np.asarray(payload["sigma2"], dtype=float),
-        iters=payload["iters"],
-        converged=payload["converged"],
-        failed=payload["failed"],
-        failure_reason=payload["failure_reason"],
-        trace=tuple(IterationRecord(**rec) for rec in payload["trace"]),
-    )
 
 
 def write_json(path, payload: dict) -> None:
@@ -239,18 +131,6 @@ __all__ = [
     "read_points_csv",
     "write_pointset_csv",
     "read_pointset_csv",
-    "pointset_to_dict",
-    "pointset_from_dict",
-    "config_to_dict",
-    "config_from_dict",
-    "state_to_dict",
-    "state_from_dict",
-    "annotations_to_dict",
-    "annotations_from_dict",
-    "posterior_to_dict",
-    "posterior_from_dict",
-    "result_to_dict",
-    "result_from_dict",
     "write_json",
     "read_json",
     "write_csv_rows",

@@ -25,9 +25,6 @@ from .core import (
     UnsupportedKernelEvaluation,
 )
 
-ISOTROPIC_BLOCK = "isotropic_block"
-GENERAL_BLOCK = "general_block"
-
 
 class KernelSpec:
     """Marker base class for kernel definitions."""
@@ -111,7 +108,6 @@ class GramMatrix:
 
     g: np.ndarray
     dim: int
-    structure: str
     lowrank_u: Optional[np.ndarray] = None
     lowrank_lam: Optional[np.ndarray] = None
     jitter: float = 0.0
@@ -119,15 +115,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.g.shape[0]
-
-    def full_diag_mean(self) -> float:
-        """Mean of the full kernel's per-coordinate diagonal."""
-        total = float(np.mean(np.diag(self.g)))
-        if self.lowrank_u is not None:
-            total += float(np.sum(self.lowrank_u**2 * self.lowrank_lam)) / (
-                self.n * self.dim
-            )
-        return total
 
 
 def eval_scalar_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -225,10 +212,7 @@ def assemble_gram(
             f"(smallest pivot {smallest:.3e})"
         )
 
-    structure = ISOTROPIC_BLOCK if u is None else GENERAL_BLOCK
-    return GramMatrix(
-        g=g, dim=ref.dim, structure=structure, lowrank_u=u, lowrank_lam=lam, jitter=jitter
-    )
+    return GramMatrix(g=g, dim=ref.dim, lowrank_u=u, lowrank_lam=lam, jitter=jitter)
 
 
 def build_pca_kernel(
@@ -306,8 +290,6 @@ __all__ = [
     "SumKernel",
     "ScaledKernel",
     "GramMatrix",
-    "ISOTROPIC_BLOCK",
-    "GENERAL_BLOCK",
     "eval_scalar_kernel",
     "assemble_gram",
     "build_pca_kernel",

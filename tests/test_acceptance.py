@@ -250,7 +250,7 @@ def test_criterion_4_closed_form_correspondence_identities():
         )
         state, ann = get_correspondences(inputs, BENCH_P_MIN)
         for k, i in enumerate(state.inliers):
-            js = state.corr_sets[i]
+            js = np.flatnonzero(state.P[i] > BENCH_P_MIN)
             w = state.P[i, js]
             sig_closed = sigma2[i] / w.sum()
             bary = (w[:, None] * target.points[js]).sum(axis=0) / w.sum()

@@ -189,3 +189,17 @@ def test_eval_aggregates_dataset_results(tmp_path):
 def test_missing_config_fails_cleanly(tmp_path, capsys):
     code = main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_unknown_registration_key_fails_cleanly(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", registration={"pmin": 0.05, "seed": 3})
+    target_csv = tmp_path / "t.csv"
+    sio.write_pointset_csv(target_csv, fish_reference())
+    code = main([
+        "register", "--config", str(cfg), "--target", str(target_csv),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "pmin" in err and "seed" in err

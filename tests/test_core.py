@@ -63,7 +63,6 @@ def test_correspondence_state_partition_enforced():
         CorrespondenceState(
             P=p,
             nu=np.zeros(3),
-            corr_sets=(np.array([]),) * 3,
             inliers=np.array([0, 1]),
             missing=np.array([1, 2]),
         )
@@ -83,57 +82,3 @@ def test_pointset_csv_roundtrip_is_lossless(tmp_path):
     sio.write_pointset_csv(path, ps)
     back = sio.read_pointset_csv(path)
     assert np.array_equal(back.points, ps.points)
-
-
-def test_pointset_dict_roundtrip_is_lossless():
-    rng = np.random.default_rng(7)
-    ps = PointSet(points=rng.normal(size=(9, 2)), ids=rng.permutation(9))
-    back = sio.pointset_from_dict(sio.pointset_to_dict(ps))
-    assert np.array_equal(back.points, ps.points)
-    assert np.array_equal(back.ids, ps.ids)
-
-
-def test_all_core_types_roundtrip_through_json():
-    # a real run produces a composite of every core container
-    import json
-
-    from sfgp.kernels import SquaredExponential
-    from sfgp.registration import register
-
-    rng = np.random.default_rng(19)
-    ref = PointSet(points=rng.uniform(-1, 1, size=(8, 2)))
-    target = PointSet(points=ref.points + rng.normal(scale=0.02, size=(8, 2)))
-    cfg = RegistrationConfig(sigma2_init=0.01, max_iters=5)
-    result = register(ref, target, SquaredExponential(0.1, 0.4), cfg)
-
-    payload = json.loads(json.dumps(sio.result_to_dict(result)))
-    back = sio.result_from_dict(payload)
-    assert np.array_equal(
-        back.deformed_reference.points, result.deformed_reference.points
-    )
-    assert np.array_equal(back.sigma2, result.sigma2)
-    assert np.array_equal(back.state.P, result.state.P)
-    assert np.array_equal(back.state.nu, result.state.nu)
-    assert np.array_equal(back.posterior.mu, result.posterior.mu)
-    assert np.array_equal(back.posterior.var_diag, result.posterior.var_diag)
-    assert back.trace == result.trace
-    assert (back.iters, back.converged, back.failed) == (
-        result.iters,
-        result.converged,
-        result.failed,
-    )
-
-    cfg_back = sio.config_from_dict(json.loads(json.dumps(sio.config_to_dict(cfg))))
-    assert cfg_back == cfg
-
-    from sfgp.core import AnnotatedDeformations
-
-    ann = AnnotatedDeformations(
-        delta_hat=rng.normal(size=(3, 2)),
-        sigma2_eff=rng.uniform(0.1, 1.0, size=3),
-        annotator_var={(0, 1): 0.25, (2, 5): 1.75},
-    )
-    ann_back = sio.annotations_from_dict(json.loads(json.dumps(sio.annotations_to_dict(ann))))
-    assert np.array_equal(ann_back.delta_hat, ann.delta_hat)
-    assert np.array_equal(ann_back.sigma2_eff, ann.sigma2_eff)
-    assert ann_back.annotator_var == ann.annotator_var

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sfgp.correspondence as corr
-from sfgp.core import AllMissingError, ExcludedPairError
+from sfgp.core import AllMissingError
 from sfgp.correspondence import (
     ResponsibilityInputs,
-    annotator_variance,
     closest_point_correspondence,
     get_correspondences,
     responsibilities,
@@ -124,26 +123,51 @@ class TestResponsibilities:
 
 
 class TestAnnotatorVariance:
+    """A reference point with one annotating pair (i, j) carries that pair's
+    label variance sigma2_i / p_ij as its effective variance."""
+
     def test_direct_formula(self):
-        assert annotator_variance(0.5, 0.25) == pytest.approx(2.0, rel=1e-15)
+        state, ann = get_correspondences(
+            make_inputs([[0.3, 0.1]], [[0.0, 0.0]], [0.5], omega=0.4), 0.01
+        )
+        p = state.P[0, 0]
+        assert 0.01 < p < 1.0
+        assert ann.sigma2_eff[0] == pytest.approx(0.5 / p, rel=1e-15)
 
     def test_confident_match_keeps_base(self):
-        assert annotator_variance(0.7, 1.0) == pytest.approx(0.7, rel=1e-15)
+        state, ann = get_correspondences(make_inputs([[0.3, 0.1]], [[0.0, 0.0]], [0.7]), 0.01)
+        assert state.P[0, 0] == 1.0
+        assert ann.sigma2_eff[0] == 0.7
 
     def test_monotone_blowup_as_probability_vanishes(self):
-        values = [annotator_variance(1.0, 10.0**-k) for k in range(1, 7)]
+        values = []
+        for dist in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            state, ann = get_correspondences(
+                make_inputs([[dist, 0.0]], [[0.0, 0.0]], [1.0], omega=0.5), 0.01, "off"
+            )
+            assert state.P[0, 0] > 0.0
+            values.append(ann.sigma2_eff[0])
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_zero_probability_pair_excluded(self):
-        with pytest.raises(ExcludedPairError):
-            annotator_variance(1.0, 0.0)
+        # the far target's density is exactly zero: even with the threshold
+        # off it must not annotate, so the label comes from target 0 alone
+        inputs = make_inputs([[0.2, 0.1], [1e160, 1e160]], [[0.0, 0.0]], [0.5], omega=0.2)
+        state, ann = get_correspondences(inputs, 0.01, "off")
+        assert state.P[0, 1] == 0.0
+        assert np.all(np.isfinite(ann.delta_hat))
+        np.testing.assert_allclose(ann.delta_hat[0], [0.2, 0.1], rtol=1e-15)
+        assert ann.sigma2_eff[0] == pytest.approx(0.5 / state.P[0, 0], rel=1e-15)
 
 
 class TestThreshold:
     def test_direct(self):
-        state = threshold(np.array([[0.9, 0.001]]), 0.01, "on")
-        assert state.corr_sets[0].tolist() == [0]
+        state = threshold(np.array([[0.9, 0.001], [0.001, 0.02]]), 0.01, "on")
+        assert state.inliers.tolist() == [0, 1]
         assert state.missing.size == 0
+        state = threshold(np.array([[0.9, 0.001], [0.001, 0.009]]), 0.01, "on")
+        assert state.inliers.tolist() == [0]
+        assert state.missing.tolist() == [1]
 
     def test_all_below_threshold_goes_missing(self):
         state = threshold(np.array([[0.004, 0.001], [0.9, 0.05]]), 0.01, "on")
@@ -156,11 +180,10 @@ class TestThreshold:
         np.testing.assert_allclose(state.nu, p.sum(axis=1), rtol=1e-15)
 
     def test_mode_off_keeps_positive_pairs(self):
-        p = np.array([[0.004, 0.0], [0.9, 0.05]])
+        p = np.array([[0.004, 0.0], [0.9, 0.05], [0.0, 0.0]])
         state = threshold(p, 0.01, "off")
-        assert state.corr_sets[0].tolist() == [0]
-        assert state.corr_sets[1].tolist() == [0, 1]
-        assert state.missing.size == 0
+        assert state.inliers.tolist() == [0, 1]
+        assert state.missing.tolist() == [2]
 
     @given(
         arrays(
@@ -178,8 +201,9 @@ class TestThreshold:
         both = np.concatenate([state.inliers, state.missing])
         assert sorted(both.tolist()) == list(range(n_r))
         assert not set(state.inliers) & set(state.missing)
+        cutoff = p_min if mode == "on" else 0.0
         for i in range(n_r):
-            assert (state.corr_sets[i].size == 0) == (i in state.missing)
+            assert (not np.any(p[i] > cutoff)) == (i in state.missing)
         np.testing.assert_allclose(state.nu, p.sum(axis=1), rtol=0, atol=0)
 
     def test_fish_missing_box_detected(self):
@@ -231,7 +255,7 @@ class TestGetCorrespondences:
             state, ann = get_correspondences(inputs, 0.01)
             p = state.P
             for k, i in enumerate(state.inliers):
-                js = state.corr_sets[i]
+                js = np.flatnonzero(p[i] > 0.01)
                 w = p[i, js]
                 np.testing.assert_allclose(
                     ann.sigma2_eff[k], sigma2[i] / w.sum(), rtol=1e-12
@@ -240,17 +264,6 @@ class TestGetCorrespondences:
                 np.testing.assert_allclose(
                     ann.delta_hat[k], barycenter - rbar[i], rtol=1e-12, atol=1e-14
                 )
-
-    def test_annotator_map_matches_pair_formula(self):
-        rng = np.random.default_rng(13)
-        inputs = make_inputs(
-            rng.uniform(-1, 1, size=(6, 2)),
-            rng.uniform(-1, 1, size=(4, 2)),
-            rng.uniform(0.1, 0.5, size=4),
-        )
-        state, ann = get_correspondences(inputs, 0.01)
-        for (i, j), var in ann.annotator_var.items():
-            assert var == pytest.approx(inputs.sigma2[i] / state.P[i, j], rel=1e-12)
 
     def test_all_missing_raises(self):
         # every log-density overflows to -inf: nothing can correspond
@@ -271,7 +284,8 @@ class TestClosestPoint:
         state, ann = closest_point_correspondence(
             pointset([[2.0, 2.0]]), pointset(rng.normal(size=(5, 2))), 0.1
         )
-        assert all(cs.tolist() == [0] for cs in state.corr_sets)
+        np.testing.assert_array_equal(state.P, 1.0)
+        assert state.inliers.tolist() == list(range(5))
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(9)
@@ -280,10 +294,10 @@ class TestClosestPoint:
         state, ann = closest_point_correspondence(pointset(target), pointset(ref), 0.2)
         for i in range(10):
             dists = np.linalg.norm(target - ref[i], axis=1)
-            assert state.corr_sets[i][0] == np.argmin(dists)
+            assert np.flatnonzero(state.P[i]).tolist() == [np.argmin(dists)]
 
     def test_tie_breaks_to_lowest_index(self):
         target = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ref = np.array([[0.0, 0.0]])
         state, _ = closest_point_correspondence(pointset(target), pointset(ref), 0.1)
-        assert state.corr_sets[0][0] == 0
+        assert state.P[0].tolist() == [1.0, 0.0]

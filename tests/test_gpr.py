@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sfgp.core import NoAnnotationError
-from sfgp.gpr import Annotation, aggregate_annotations, gpr_posterior
+from sfgp.core import AllMissingError, NoAnnotationError
+from sfgp.correspondence import ResponsibilityInputs, get_correspondences
+from sfgp.gpr import gpr_posterior
 from sfgp.kernels import (
     GramMatrix,
-    ISOTROPIC_BLOCK,
     SquaredExponential,
     SumKernel,
     assemble_gram,
@@ -17,59 +18,92 @@ from sfgp.kernels import (
 from helpers import dense_gpr, pointset, random_points
 
 
-def ann(i, j, delta, var):
-    return Annotation(ref_index=i, target_index=j, deformation=np.asarray(delta, float), variance=var)
+def fuse(target_pts, rbar_pts, sigma2, omega=0.0, p_min=0.01):
+    inputs = ResponsibilityInputs(
+        target=pointset(target_pts),
+        deformed_ref=pointset(rbar_pts),
+        sigma2=np.asarray(sigma2, dtype=float),
+        post_var=np.zeros(len(rbar_pts)),
+        omega=omega,
+    )
+    return get_correspondences(inputs, p_min)
+
+
+def random_fusion(rng, n_r=5, n_s=8):
+    target = rng.uniform(-1, 1, size=(n_s, 2))
+    rbar = rng.uniform(-1, 1, size=(n_r, 2))
+    sigma2 = rng.uniform(0.05, 0.6, size=n_r)
+    state, ann = fuse(target, rbar, sigma2, omega=float(rng.uniform(0, 0.4)))
+    return target, rbar, sigma2, state, ann
 
 
 class TestAggregation:
+    """Precision-weighted fusion of the annotations of each reference point,
+    as get_correspondences computes it: pair (i, j) with p_ij above the
+    threshold annotates label s_j - r_bar_i at variance sigma2_i / p_ij."""
+
     def test_singleton_identity(self):
-        delta, var = aggregate_annotations([ann(0, 0, [1.0, 0.0], 0.3)])
-        assert np.array_equal(delta, [1.0, 0.0])
-        assert var == 0.3  # exact, no reciprocal round trip
+        _, ann = fuse([[1.0, 0.0]], [[0.0, 0.0]], [0.3])
+        assert np.array_equal(ann.delta_hat[0], [1.0, 0.0])
+        assert ann.sigma2_eff[0] == 0.3  # a certain match keeps its variance exactly
 
     def test_equal_weights_average(self):
-        delta, var = aggregate_annotations(
-            [ann(0, 0, [1.0, 0.0], 2.0), ann(0, 1, [3.0, 0.0], 2.0)]
-        )
-        np.testing.assert_allclose(delta, [2.0, 0.0], rtol=1e-15)
-        assert var == pytest.approx(1.0, rel=1e-15)
+        # one reference point and no outlier mass: both targets match it with p = 1
+        state, ann = fuse([[1.0, 0.0], [3.0, 0.0]], [[0.0, 0.0]], [2.0])
+        np.testing.assert_array_equal(state.P, 1.0)
+        np.testing.assert_allclose(ann.delta_hat[0], [2.0, 0.0], rtol=1e-15)
+        assert ann.sigma2_eff[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_precision_weighting_hand_oracle(self):
-        # 1/var = 1/1 + 1/3 = 4/3; var = 0.75; delta = 0.75*(0/1 + 4/3) = 1
-        delta, var = aggregate_annotations(
-            [ann(0, 0, [0.0, 0.0], 1.0), ann(0, 1, [4.0, 0.0], 3.0)]
-        )
-        np.testing.assert_allclose(delta, [1.0, 0.0], rtol=1e-14)
-        assert var == pytest.approx(0.75, rel=1e-14)
+        # the fused label against the per-annotation precision sums:
+        # 1/var = sum_j p_ij / sigma2_i, delta = var * sum_j (p_ij / sigma2_i) (s_j - r_bar_i)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            target, rbar, sigma2, state, ann = random_fusion(rng)
+            for k, i in enumerate(state.inliers):
+                js = np.flatnonzero(state.P[i] > 0.01)
+                precisions = 1.0 / (sigma2[i] / state.P[i, js])
+                var = 1.0 / precisions.sum()
+                delta = var * (precisions[:, None] * (target[js] - rbar[i])).sum(axis=0)
+                assert ann.sigma2_eff[k] == pytest.approx(var, rel=1e-12)
+                np.testing.assert_allclose(ann.delta_hat[k], delta, rtol=1e-12, atol=1e-14)
 
     def test_empty_list_rejected(self):
+        # a point without annotations carries no label; with no labels at
+        # all there is nothing to regress on
+        gram = GramMatrix(g=np.eye(2), dim=2)
         with pytest.raises(NoAnnotationError):
-            aggregate_annotations([])
+            gpr_posterior(gram, np.array([], dtype=int), np.zeros((0, 2)), np.zeros(0))
 
     @given(
-        st.lists(
-            st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.01, 10.0)),
-            min_size=1,
-            max_size=8,
-        )
+        arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-1, 1)),
+        arrays(np.float64, 3, elements=st.floats(0.01, 1.0)),
+        st.floats(0.0, 0.5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_effective_variance_never_exceeds_best_annotation(self, raws):
-        annotations = [ann(0, k, [dx, dy], v) for k, (dx, dy, v) in enumerate(raws)]
-        _, var = aggregate_annotations(annotations)
-        assert var <= min(v for _, _, v in raws) * (1 + 1e-12)
+    def test_effective_variance_never_exceeds_best_annotation(self, target, sigma2, omega):
+        rbar = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+        try:
+            state, ann = fuse(target, rbar, sigma2, omega)
+        except AllMissingError:
+            assume(False)
+        for k, i in enumerate(state.inliers):
+            best = sigma2[i] / state.P[i].max()
+            assert ann.sigma2_eff[k] <= best * (1 + 1e-12)
 
     def test_reciprocal_identity(self):
-        rng = np.random.default_rng(0)
-        variances = rng.uniform(0.05, 4.0, size=6)
-        annotations = [ann(0, k, rng.normal(size=2), v) for k, v in enumerate(variances)]
-        _, var = aggregate_annotations(annotations)
-        assert 1.0 / var == pytest.approx(np.sum(1.0 / variances), rel=1e-12)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            _, _, sigma2, state, ann = random_fusion(rng)
+            for k, i in enumerate(state.inliers):
+                row = state.P[i]
+                precision = np.sum(row[row > 0.01]) / sigma2[i]
+                assert 1.0 / ann.sigma2_eff[k] == pytest.approx(precision, rel=1e-12)
 
 
 class TestPosterior:
     def test_one_point_closed_form(self):
-        gram = GramMatrix(g=np.array([[1.0]]), dim=1, structure=ISOTROPIC_BLOCK)
+        gram = GramMatrix(g=np.array([[1.0]]), dim=1)
         post = gpr_posterior(gram, np.array([0]), np.array([[1.0]]), np.array([1.0]))
         assert post.mu[0, 0] == pytest.approx(0.5, rel=1e-15)
         assert post.var_diag[0] == pytest.approx(0.5, rel=1e-15)
@@ -142,15 +176,17 @@ class TestPosterior:
 
     def test_reduction_to_homoscedastic(self):
         rng = np.random.default_rng(61)
-        ref = pointset(random_points(rng, 7, 2, min_sep=0.15))
-        gram = assemble_gram(SquaredExponential(1.0, 0.6), ref, 0.0)
-        sigma_n2 = 0.37
-        annotations = [[ann(i, i, rng.normal(size=2), sigma_n2)] for i in range(7)]
-        fused = [aggregate_annotations(a) for a in annotations]
-        delta = np.stack([f[0] for f in fused])
-        variances = np.array([f[1] for f in fused])
-        assert np.all(variances == sigma_n2)  # singleton fusion is exact
-        post = gpr_posterior(gram, np.arange(7), delta, variances, jitter=0.0)
+        ref = random_points(rng, 7, 2, min_sep=0.15)
+        gram = assemble_gram(SquaredExponential(1.0, 0.6), pointset(ref), 0.0)
+        # narrow mixtures make every target a certain match of its own point:
+        # one annotation each, at the shared variance
+        sigma_n2 = 1e-4
+        target = ref + rng.normal(scale=0.002, size=ref.shape)
+        state, ann = fuse(target, ref, np.full(7, sigma_n2))
+        assert state.inliers.tolist() == list(range(7))
+        assert np.all(ann.sigma2_eff == sigma_n2)  # singleton fusion is exact
+        delta = ann.delta_hat
+        post = gpr_posterior(gram, state.inliers, delta, ann.sigma2_eff, jitter=0.0)
         uniform = gpr_posterior(gram, np.arange(7), delta, np.full(7, sigma_n2), jitter=0.0)
         np.testing.assert_array_equal(post.mu, uniform.mu)
         np.testing.assert_array_equal(post.var_diag, uniform.var_diag)

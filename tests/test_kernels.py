@@ -10,8 +10,6 @@ from sfgp.core import (
     UnsupportedKernelEvaluation,
 )
 from sfgp.kernels import (
-    GENERAL_BLOCK,
-    ISOTROPIC_BLOCK,
     PCAKernel,
     ScaledKernel,
     SquaredExponential,
@@ -72,7 +70,7 @@ def test_gram_single_point():
     gram = assemble_gram(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0]]), 0.0)
     assert gram.g.shape == (1, 1)
     assert gram.g[0, 0] == pytest.approx(1.0)
-    assert gram.structure == ISOTROPIC_BLOCK
+    assert gram.lowrank_u is None
 
 
 def test_gram_collinear_points():
@@ -187,7 +185,7 @@ def test_pca_gram_requires_anchor():
     samples = rng.normal(size=(6, 8))
     spec = build_pca_kernel(samples, rank=2, anchor=anchor)
     gram = assemble_gram(SumKernel(SquaredExponential(1.0, 1.0), spec), anchor, 1e-8)
-    assert gram.structure == GENERAL_BLOCK
+    assert gram.lowrank_u is not None
     other = pointset(rng.normal(size=(4, 2)))
     with pytest.raises(AnchorMismatchError):
         assemble_gram(spec, other, 1e-8)

@@ -15,7 +15,6 @@ def make_result(deformed_pts, missing_ids=(), n_ref=None, failed=False):
     state = CorrespondenceState(
         P=np.zeros((n, 1)),
         nu=np.zeros(n),
-        corr_sets=tuple(np.array([], dtype=int) for _ in range(n)),
         inliers=inliers,
         missing=missing,
     )

@@ -203,6 +203,19 @@ class TestRegister:
         assert not res.failed
         assert res.state.missing.size == 0  # hard assignment never drops points
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variant_raises_no_float_errors(self, variant):
+        fish = fish_reference()
+        inst = generate(
+            fish,
+            PerturbationSpec(warp_amplitude=0.03, missing_width=0.3, outlier_ratio=0.5,
+                             noise_std=0.02, seed=4),
+        )
+        cfg = variant_config(variant, RegistrationConfig(omega=0.1, p_min=0.05))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            res = register(fish, inst.target, self.kernel, cfg)
+        assert not res.failed
+
     def test_dim_mismatch_rejected(self):
         ref = pointset([[0.0, 0.0], [1.0, 1.0]])
         target = pointset([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
