@@ -25,7 +25,6 @@ from .kernels import (
     SumKernel,
     assemble_gram,
     build_pca_kernel,
-    eval_scalar_kernel,
     load_pca_kernel,
     save_pca_kernel,
 )

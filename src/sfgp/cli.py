@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import logging
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .kernels import (
     SumKernel,
     load_pca_kernel,
 )
-from .metrics import mean_sq_distance, missing_detection
+from .metrics import detection_scores, mean_sq_distance, missing_detection, subset_error
 from .registration import VARIANTS, register, variant_config
 from .synthdata import (
     DEFORMATION_AMPLITUDE_PER_LEVEL,
@@ -32,13 +31,10 @@ from .synthdata import (
     fish_reference,
     generate,
     read_instance,
-    spec_to_dict,
     write_instance,
 )
 
 logger = logging.getLogger(__name__)
-
-THREADS_ENV = "SFGP_THREADS"
 
 GRID_AXES = ("missing_width", "noise_std", "outlier_ratio", "deformation_level")
 
@@ -84,6 +80,12 @@ def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
 
 
 def registration_config_from(payload: dict) -> RegistrationConfig:
+    # the engine variant alone sets the modes; see registration.VARIANTS
+    by_variant = sorted(set(payload) & {"variance_mode", "correspondence_mode"})
+    if by_variant:
+        raise ConfigError(
+            f"registration keys set by --variant, not the config: {', '.join(by_variant)}"
+        )
     unknown = sorted(set(payload) - {f.name for f in fields(RegistrationConfig)})
     if unknown:
         raise ConfigError(f"unknown registration keys: {', '.join(unknown)}")
@@ -317,13 +319,12 @@ def cmd_sweep(args) -> int:
                         "registration": config.get("registration", {}),
                         "variant": variant,
                         "level": tag,
-                        "spec": spec_to_dict(spec),
+                        "spec": asdict(spec),
                     }
                 )
 
-    threads = args.threads or int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
@@ -353,21 +354,19 @@ def cmd_eval(args) -> int:
         fitted = sio.read_pointset_csv(run_dir / "deformed_reference.csv")
         summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
         flagged = np.array([bool(r["is_missing"]) for r in summary])
-        true_missing = inst.missing_mask
-        gt = inst.ground_truth.points
-        err = np.sum((gt - fitted.points) ** 2, axis=1)
-        tp = int(np.sum(flagged & true_missing))
+        gt, true_missing = inst.ground_truth.points, inst.missing_mask
+        recall, precision = detection_scores(flagged, true_missing)
         rows.append(
             {
                 "variant": meta["variant"],
                 "level": entry["level"],
                 "seed": entry["seed"],
-                "error_all": float(np.mean(err)),
-                "error_missing": float(np.mean(err[true_missing])) if true_missing.any() else None,
-                "error_nonmissing": float(np.mean(err[~true_missing])) if (~true_missing).any() else None,
+                "error_all": subset_error(gt, fitted.points, true_missing, "all"),
+                "error_missing": subset_error(gt, fitted.points, true_missing, "missing"),
+                "error_nonmissing": subset_error(gt, fitted.points, true_missing, "non_missing"),
                 "success": 1,
-                "recall": tp / true_missing.sum() if true_missing.any() else None,
-                "precision": tp / flagged.sum() if flagged.any() else None,
+                "recall": recall,
+                "precision": precision,
                 "runtime_ms": meta["runtime_ms"],
             }
         )
@@ -417,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a variant/perturbation grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=0,
-                   help=f"worker processes (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="aggregate registration results")

@@ -28,10 +28,6 @@ class AnchorMismatchError(SFGPError):
     """A data-driven kernel was evaluated at points other than its anchor set."""
 
 
-class UnsupportedKernelEvaluation(SFGPError):
-    """The kernel has no pointwise closed form (discrete kernels only)."""
-
-
 class RankTooLargeError(SFGPError, ValueError):
     """Requested more principal components than the data spectrum supports."""
 
@@ -54,14 +50,12 @@ class DegenerateInstanceError(SFGPError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered set of d-dimensional points with stable integer ids.
+    """An ordered set of d-dimensional points; a point's id is its row index.
 
     points: (N, d) float array, arbitrary length units.
-    ids:    permutation of 0..N-1; defaults to 0..N-1 in row order.
     """
 
     points: np.ndarray
-    ids: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -72,13 +66,6 @@ class PointSet:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
-        ids = self.ids
-        if ids is None:
-            ids = np.arange(pts.shape[0])
-        ids = np.asarray(ids, dtype=int)
-        if sorted(ids.tolist()) != list(range(pts.shape[0])):
-            raise ValueError("ids must be a permutation of 0..N-1")
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
@@ -88,12 +75,8 @@ class PointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def with_points(self, points: np.ndarray) -> "PointSet":
-        return PointSet(points=points, ids=self.ids.copy())
-
 
 VARIANCE_MODES = ("per_point", "scalar")
-THRESHOLD_MODES = ("on", "off")
 CORRESPONDENCE_MODES = ("multi_annotator", "closest_point")
 
 
@@ -103,7 +86,9 @@ class RegistrationConfig:
 
     sigma2_init and jitter may be None, meaning scale-aware defaults are
     derived from the reference shape (squared mean nearest-neighbor
-    distance) and the Gram diagonal respectively.
+    distance) and the Gram diagonal respectively.  p_min is the
+    correspondence threshold: only pairs with p_ij > p_min annotate, so
+    p_min = 0 keeps every pair of positive probability (no threshold).
     """
 
     omega: float = 0.0
@@ -113,7 +98,6 @@ class RegistrationConfig:
     rel_tol: float = 1e-5
     jitter: Optional[float] = None
     variance_mode: str = "per_point"
-    threshold_mode: str = "on"
     correspondence_mode: str = "multi_annotator"
 
 
@@ -121,8 +105,8 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
     """Return cfg unchanged if every field is in range, else raise ConfigError."""
     if not 0.0 <= cfg.omega < 1.0:
         raise ConfigError("omega must be < 1 and >= 0")
-    if not 0.0 < cfg.p_min < 1.0:
-        raise ConfigError("p_min must be in (0, 1)")
+    if not 0.0 <= cfg.p_min < 1.0:
+        raise ConfigError("p_min must be in [0, 1)")
     if cfg.sigma2_init is not None and cfg.sigma2_init <= 0.0:
         raise ConfigError("sigma2_init must be positive")
     if cfg.max_iters < 1:
@@ -133,8 +117,6 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
         raise ConfigError("jitter must be >= 0")
     if cfg.variance_mode not in VARIANCE_MODES:
         raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
-    if cfg.threshold_mode not in THRESHOLD_MODES:
-        raise ConfigError(f"threshold_mode must be one of {THRESHOLD_MODES}")
     if cfg.correspondence_mode not in CORRESPONDENCE_MODES:
         raise ConfigError(f"correspondence_mode must be one of {CORRESPONDENCE_MODES}")
     return cfg
@@ -241,7 +223,6 @@ __all__ = [
     "ConfigError",
     "NumericalError",
     "AnchorMismatchError",
-    "UnsupportedKernelEvaluation",
     "RankTooLargeError",
     "NoAnnotationError",
     "AllMissingError",

@@ -23,15 +23,6 @@ from .core import (
 
 logger = logging.getLogger(__name__)
 
-# columns whose mixture weight underflowed entirely with omega = 0
-underflow_column_count = 0
-
-
-def reset_diagnostics() -> None:
-    global underflow_column_count
-    underflow_column_count = 0
-
-
 @dataclass(frozen=True)
 class ResponsibilityInputs:
     """Inputs of one responsibility update.
@@ -64,9 +55,8 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
     alternative.  Densities are handled in log space with a per-column max
     shift; the outlier mass enters through log-add, so no column ever
     produces NaN.  A column that underflows entirely with omega = 0 is
-    returned as zeros and counted in `underflow_column_count`.
+    returned as zeros and reported in a logged warning.
     """
-    global underflow_column_count
     r_bar = inputs.deformed_ref.points
     s = inputs.target.points
     n_r, d = r_bar.shape
@@ -111,47 +101,42 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
 
     n_dead = int(np.sum(dead))
     if n_dead and omega == 0.0:
-        underflow_column_count += n_dead
         logger.warning("responsibilities: %d fully underflowed columns", n_dead)
     return p
 
 
-def _cutoff(p_min: float, mode: str) -> float:
-    return p_min if mode == "on" else 0.0
-
-
-def threshold(p: np.ndarray, p_min: float, mode: str = "on") -> CorrespondenceState:
+def threshold(p: np.ndarray, p_min: float) -> CorrespondenceState:
     """Partition reference points by their above-threshold correspondences.
 
-    mode "on" keeps pairs with p_ij > p_min; mode "off" keeps every pair with
+    Pairs with p_ij > p_min are kept, so p_min = 0 keeps every pair with
     positive probability.  Expected match counts nu are always accumulated
     over the full row so the variance update sees the total mass.
     """
     nu = p.sum(axis=1)
-    has_corr = (p > _cutoff(p_min, mode)).any(axis=1)
+    has_corr = (p > p_min).any(axis=1)
     return CorrespondenceState(
         P=p, nu=nu, inliers=np.flatnonzero(has_corr), missing=np.flatnonzero(~has_corr)
     )
 
 
 def get_correspondences(
-    inputs: ResponsibilityInputs, p_min: float, mode: str = "on"
+    inputs: ResponsibilityInputs, p_min: float
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Responsibilities, partition, and fused labels in one pass.
 
-    Every above-cutoff pair (i, j) annotates reference point i with the label
-    s_j - r_bar_i at variance sigma2_i / p_ij.  Their precision-weighted
-    fusion is the closed-form barycentre over W = P * [P > cutoff]:
+    Every pair (i, j) with p_ij > p_min annotates reference point i with the
+    label s_j - r_bar_i at variance sigma2_i / p_ij.  Their precision-weighted
+    fusion is the closed-form barycentre over W = P * [P > p_min]:
     delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
     sigma2_eff_i = sigma2_i / sum_j W_ij.
     """
     p = responsibilities(inputs)
-    state = threshold(p, p_min, mode)
+    state = threshold(p, p_min)
     inliers = state.inliers
     if inliers.size == 0:
         raise AllMissingError("no reference point has an above-threshold match")
 
-    w = np.where(p > _cutoff(p_min, mode), p, 0.0)
+    w = np.where(p > p_min, p, 0.0)
     mass = w.sum(axis=1)[inliers]
     # fusing on the full W and indexing the (N_R, d) result avoids copying
     # the N_R x N_S rows of W[inliers]
@@ -200,6 +185,4 @@ __all__ = [
     "threshold",
     "get_correspondences",
     "closest_point_correspondence",
-    "reset_diagnostics",
-    "underflow_column_count",
 ]

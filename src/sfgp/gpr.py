@@ -31,7 +31,6 @@ def gpr_posterior(
     inliers: np.ndarray,
     delta_hat: np.ndarray,
     sigma2_eff: np.ndarray,
-    jitter: float = 0.0,
 ) -> PosteriorDeformation:
     """Posterior deformation at every reference point given inlier labels.
 
@@ -42,7 +41,8 @@ def gpr_posterior(
     Returns the mean for all N_R points (missing points are predicted from
     the prior cross-covariance alone) and the per-point variance scalar
     var_diag with block covariance var_diag[i] * I_d; on the coordinate
-    coupled path var_diag[i] is the block trace divided by d.
+    coupled path var_diag[i] is the block trace divided by d.  Solves add
+    gram.jitter, the value the Gram matrix was checked with.
     """
     inliers = np.asarray(inliers, dtype=int)
     delta_hat = np.atleast_2d(np.asarray(delta_hat, dtype=float))
@@ -53,17 +53,23 @@ def gpr_posterior(
         raise ValueError("sigma2_eff must be strictly positive")
 
     if gram.lowrank_u is None:
-        mu, var = _posterior_isotropic(gram.g, inliers, delta_hat, sigma2_eff, jitter)
+        mu, var = _posterior_isotropic(gram, inliers, delta_hat, sigma2_eff)
     else:
-        mu, var = _posterior_lowrank(gram, inliers, delta_hat, sigma2_eff, jitter)
-    var = np.maximum(var, -jitter)
+        mu, var = _posterior_lowrank(gram, inliers, delta_hat, sigma2_eff)
+    var = np.maximum(var, -gram.jitter)
     return PosteriorDeformation(mu=mu, var_diag=var)
 
 
-def _posterior_isotropic(g, inliers, delta_hat, sigma2_eff, jitter):
-    a = g[np.ix_(inliers, inliers)].copy()
-    a[np.diag_indices_from(a)] += sigma2_eff + jitter
-    factor = _chol(a, "observed-block")
+def _observed_factor(gram: GramMatrix, inliers, sigma2_eff):
+    """Cholesky factor of the observed block G_CC + diag(sigma2_eff + jitter)."""
+    a = gram.g[np.ix_(inliers, inliers)].copy()
+    a[np.diag_indices_from(a)] += sigma2_eff + gram.jitter
+    return _chol(a, "observed-block")
+
+
+def _posterior_isotropic(gram: GramMatrix, inliers, delta_hat, sigma2_eff):
+    g = gram.g
+    factor = _observed_factor(gram, inliers, sigma2_eff)
     alpha = cho_solve(factor, delta_hat)
     g_xc = g[:, inliers]
     mu = g_xc @ alpha
@@ -72,15 +78,13 @@ def _posterior_isotropic(g, inliers, delta_hat, sigma2_eff, jitter):
     return mu, var
 
 
-def _posterior_lowrank(gram: GramMatrix, inliers, delta_hat, sigma2_eff, jitter):
+def _posterior_lowrank(gram: GramMatrix, inliers, delta_hat, sigma2_eff):
     g, u, lam, d = gram.g, gram.lowrank_u, gram.lowrank_lam, gram.dim
     n = gram.n
     c = inliers.size
     m = lam.size
 
-    a = g[np.ix_(inliers, inliers)].copy()
-    a[np.diag_indices_from(a)] += sigma2_eff + jitter
-    factor = _chol(a, "observed-block")
+    factor = _observed_factor(gram, inliers, sigma2_eff)
 
     coord_idx = (inliers[:, None] * d + np.arange(d)).ravel()
     u_c = u[coord_idx]  # (c*d, m)

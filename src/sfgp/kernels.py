@@ -22,7 +22,6 @@ from .core import (
     NumericalError,
     PointSet,
     RankTooLargeError,
-    UnsupportedKernelEvaluation,
 )
 
 
@@ -115,29 +114,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.g.shape[0]
-
-
-def eval_scalar_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate the scalar kernel at a pair of points.
-
-    Discrete kernels (PCA variants) have no off-anchor closed form and are
-    rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if isinstance(spec, SquaredExponential):
-        d2 = float(np.sum((x - y) ** 2))
-        return spec.amplitude2 * np.exp(-d2 / (2.0 * spec.lengthscale**2))
-    if isinstance(spec, SumKernel):
-        return float(sum(eval_scalar_kernel(p, x, y) for p in spec.parts))
-    if isinstance(spec, ScaledKernel):
-        return spec.factor * eval_scalar_kernel(spec.inner, x, y)
-    if isinstance(spec, PCAKernel):
-        raise UnsupportedKernelEvaluation(
-            "principal-component kernels are discrete and cannot be evaluated "
-            "at arbitrary points"
-        )
-    raise TypeError(f"unknown kernel spec {type(spec).__name__}")
 
 
 def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
@@ -290,7 +266,6 @@ __all__ = [
     "SumKernel",
     "ScaledKernel",
     "GramMatrix",
-    "eval_scalar_kernel",
     "assemble_gram",
     "build_pca_kernel",
     "anchor_hash",

@@ -39,18 +39,12 @@ SIGMA2_FLOOR = 1e-12
 
 # named engine variants exposed on the command line
 VARIANTS = {
-    "SFGP_Full": dict(
-        variance_mode="per_point", threshold_mode="on", correspondence_mode="multi_annotator"
-    ),
-    "SFGP_bcpdReg": dict(
-        variance_mode="scalar", threshold_mode="on", correspondence_mode="multi_annotator"
-    ),
+    "SFGP_Full": dict(variance_mode="per_point", correspondence_mode="multi_annotator"),
+    "SFGP_bcpdReg": dict(variance_mode="scalar", correspondence_mode="multi_annotator"),
     "GPReg_noTresh": dict(
-        variance_mode="per_point", threshold_mode="off", correspondence_mode="multi_annotator"
+        variance_mode="per_point", correspondence_mode="multi_annotator", p_min=0.0
     ),
-    "GPClosestPnt": dict(
-        variance_mode="per_point", threshold_mode="on", correspondence_mode="closest_point"
-    ),
+    "GPClosestPnt": dict(variance_mode="per_point", correspondence_mode="closest_point"),
 }
 
 
@@ -129,7 +123,6 @@ def register(
         raise ValueError("reference and target dimensions differ")
 
     gram = assemble_gram(kernel, reference, cfg.jitter)
-    jitter = gram.jitter
     sigma2_init = (
         cfg.sigma2_init if cfg.sigma2_init is not None else default_sigma2_init(reference)
     )
@@ -167,7 +160,6 @@ def register(
                         omega=cfg.omega,
                     ),
                     cfg.p_min,
-                    cfg.threshold_mode,
                 )
         except AllMissingError as exc:
             failed = True
@@ -176,13 +168,11 @@ def register(
             break
 
         try:
-            posterior = gpr_posterior(
-                gram, state.inliers, ann.delta_hat, ann.sigma2_eff, jitter
-            )
+            posterior = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
 
-        r_bar = reference.with_points(ref_pts + posterior.mu)
+        r_bar = PointSet(points=ref_pts + posterior.mu)
         post_var = posterior.var_diag
         sigma2 = update_sigma2(
             state.P,

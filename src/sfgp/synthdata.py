@@ -8,7 +8,7 @@ only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -92,7 +92,7 @@ def warp_rbf(
     """Smooth random displacement field from Gaussian bumps at control points
     drawn from the shape itself; amplitude 0 is the identity."""
     if amplitude == 0.0:
-        return points.with_points(points.points.copy())
+        return PointSet(points=points.points.copy())
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ def warp_rbf(
     coeff = rng.normal(0.0, amplitude, size=(centers.shape[0], d))
     sq = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     weights = np.exp(-sq / (2.0 * bandwidth**2))
-    return points.with_points(pts + weights @ coeff)
+    return PointSet(points=pts + weights @ coeff)
 
 
 def apply_structured_missing(
@@ -114,7 +114,7 @@ def apply_structured_missing(
     if not 0 <= center_index < pts.shape[0]:
         raise IndexError("center_index out of range")
     if width == 0.0:
-        return points.with_points(pts.copy()), np.zeros(pts.shape[0], dtype=bool)
+        return PointSet(points=pts.copy()), np.zeros(pts.shape[0], dtype=bool)
     center = pts[center_index]
     inside = np.all(np.abs(pts - center) < width / 2.0, axis=1)
     if np.all(inside):
@@ -133,7 +133,7 @@ def add_outliers(
     count = int(round(ratio * base))
     mask = np.zeros(pts.shape[0] + count, dtype=bool)
     if count == 0:
-        return points.with_points(pts.copy()), mask
+        return PointSet(points=pts.copy()), mask
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     half = half * OUTLIER_BOX_EXPANSION
@@ -145,14 +145,14 @@ def add_outliers(
 
 def add_noise(points: PointSet, std: float, seed: int) -> PointSet:
     if std == 0.0:
-        return points.with_points(points.points.copy())
+        return PointSet(points=points.points.copy())
     rng = np.random.default_rng(seed)
-    return points.with_points(points.points + rng.normal(0.0, std, size=points.points.shape))
+    return PointSet(points=points.points + rng.normal(0.0, std, size=points.points.shape))
 
 
 def _rotate(points: PointSet, rotation_max: float, seed: int) -> PointSet:
     if rotation_max == 0.0:
-        return points.with_points(points.points.copy())
+        return PointSet(points=points.points.copy())
     rng = np.random.default_rng(seed)
     angle = rng.uniform(-rotation_max, rotation_max)
     pts = points.points
@@ -167,7 +167,7 @@ def _rotate(points: PointSet, rotation_max: float, seed: int) -> PointSet:
             [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
         )
         rot = np.eye(3) + np.sin(angle) * kx + (1 - np.cos(angle)) * (kx @ kx)
-    return points.with_points((pts - centroid) @ rot.T + centroid)
+    return PointSet(points=(pts - centroid) @ rot.T + centroid)
 
 
 def generate(reference: PointSet, spec: PerturbationSpec) -> SyntheticInstance:
@@ -197,24 +197,6 @@ def generate(reference: PointSet, spec: PerturbationSpec) -> SyntheticInstance:
     )
 
 
-def spec_to_dict(spec: PerturbationSpec) -> dict:
-    return {
-        "warp_amplitude": spec.warp_amplitude,
-        "warp_bandwidth": spec.warp_bandwidth,
-        "warp_controls": spec.warp_controls,
-        "missing_width": spec.missing_width,
-        "missing_center": spec.missing_center,
-        "outlier_ratio": spec.outlier_ratio,
-        "noise_std": spec.noise_std,
-        "rotation_max": spec.rotation_max,
-        "seed": spec.seed,
-    }
-
-
-def spec_from_dict(payload: dict) -> PerturbationSpec:
-    return PerturbationSpec(**{k: payload[k] for k in spec_to_dict(PerturbationSpec())})
-
-
 def write_instance(directory, instance: SyntheticInstance) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -223,7 +205,7 @@ def write_instance(directory, instance: SyntheticInstance) -> None:
     sio.write_json(
         directory / "manifest.json",
         {
-            "spec": spec_to_dict(instance.spec),
+            "spec": asdict(instance.spec),
             "missing_mask": [bool(b) for b in instance.missing_mask],
             "outlier_mask": [bool(b) for b in instance.outlier_mask],
         },
@@ -238,7 +220,7 @@ def read_instance(directory) -> SyntheticInstance:
         ground_truth=sio.read_pointset_csv(directory / "ground_truth.csv"),
         missing_mask=np.asarray(manifest["missing_mask"], dtype=bool),
         outlier_mask=np.asarray(manifest["outlier_mask"], dtype=bool),
-        spec=spec_from_dict(manifest["spec"]),
+        spec=PerturbationSpec(**manifest["spec"]),
     )
 
 
@@ -253,8 +235,6 @@ __all__ = [
     "generate",
     "write_instance",
     "read_instance",
-    "spec_to_dict",
-    "spec_from_dict",
     "DEFORMATION_AMPLITUDE_PER_LEVEL",
     "NOISE_STD_PER_LEVEL",
 ]

@@ -145,7 +145,7 @@ def test_criterion_1_gpr_matches_dense_conditioning():
         inliers = np.sort(rng.choice(n, size=c, replace=False))
         delta = rng.normal(size=(c, 2))
         noise = rng.uniform(0.02, 1.0, size=c)
-        post = gpr_posterior(gram, inliers, delta, noise, jitter=0.0)
+        post = gpr_posterior(gram, inliers, delta, noise)
         mu_o, var_o = dense_gpr(gram, inliers, delta, noise, 0.0)
         scale_mu = max(np.max(np.abs(mu_o)), 1e-30)
         scale_var = max(np.max(np.abs(var_o)), 1e-30)
@@ -179,11 +179,10 @@ def test_criterion_2_single_iteration_matches_direct_update():
                 target=target, deformed_ref=ref, sigma2=sigma2,
                 post_var=post_var, omega=omega,
             ),
-            p_min=0.01,
-            mode="off",
+            p_min=0.0,
         )
         assert state.missing.size == 0
-        post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff, 0.0)
+        post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
         mu_o, var_o = direct_deformation_update(
             gram.g, 2, state.P, target.points, ref.points, sigma2
         )
@@ -210,7 +209,7 @@ def test_criterion_3_reductions():
         gram = assemble_gram(SquaredExponential(1.0, 0.5), ref, 0.0)
         sigma_n2 = float(rng.uniform(0.05, 1.0))
         delta = rng.normal(size=(n, 2))
-        het = gpr_posterior(gram, np.arange(n), delta, np.full(n, sigma_n2), 0.0)
+        het = gpr_posterior(gram, np.arange(n), delta, np.full(n, sigma_n2))
         mu_o, var_o = dense_gpr(gram, np.arange(n), delta, np.full(n, sigma_n2), 0.0)
         exact &= bool(
             np.max(np.abs(het.mu - mu_o)) <= 1e-10 * max(np.max(np.abs(mu_o)), 1e-30)
@@ -367,7 +366,7 @@ def test_criterion_10_structured_solve_speed_and_accuracy():
     inliers = np.sort(rng.choice(100, size=80, replace=False))
     delta = rng.normal(size=(80, 3))
     noise = rng.uniform(0.05, 0.5, size=80)
-    post = gpr_posterior(gram_small, inliers, delta, noise, jitter=1e-8)
+    post = gpr_posterior(gram_small, inliers, delta, noise)
     mu_o, var_o = dense_gpr(gram_small, inliers, delta, noise, 1e-8)
     acc = max(
         float(np.max(np.abs(post.mu - mu_o)) / np.max(np.abs(mu_o))),
@@ -389,7 +388,7 @@ def test_criterion_10_structured_solve_speed_and_accuracy():
             best = min(best, time.perf_counter() - t0)
         return best
 
-    t_fast = time_of(lambda: gpr_posterior(gram_big, inliers_b, delta_b, noise_b, 1e-8))
+    t_fast = time_of(lambda: gpr_posterior(gram_big, inliers_b, delta_b, noise_b))
     t_dense = time_of(lambda: dense_gpr(gram_big, inliers_b, delta_b, noise_b, 1e-8))
     speedup = t_dense / t_fast
     report(

@@ -203,3 +203,42 @@ def test_unknown_registration_key_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "pmin" in err and "seed" in err
+
+
+def test_variant_keys_in_registration_block_fail_cleanly(tmp_path, capsys):
+    # the modes belong to --variant; a registration block must not set them
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        registration={"p_min": 0.05, "variance_mode": "scalar",
+                      "correspondence_mode": "closest_point"},
+    )
+    target_csv = tmp_path / "t.csv"
+    sio.write_pointset_csv(target_csv, fish_reference())
+    code = main([
+        "register", "--config", str(cfg), "--variant", "SFGP_Full",
+        "--target", str(target_csv), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "variance_mode" in err and "correspondence_mode" in err
+    assert "--variant" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_matches_sweep_cell_for_cell(tmp_path):
+    # eval scores the CSV outputs of `register` with the same metric code the
+    # sweep applies in-process, so every deterministic cell agrees exactly
+    cfg = write_config(tmp_path / "cfg.json")
+    data, runs, report = tmp_path / "data", tmp_path / "runs", tmp_path / "report"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(report)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    evaluated = sio.read_csv_rows(report / "aggregate.csv")
+    swept = sio.read_csv_rows(tmp_path / "sweep" / "metrics.csv")
+    for rows in (evaluated, swept):
+        for row in rows:
+            del row["runtime_ms"]
+    assert evaluated == swept
+    assert any(r["error_missing"] is not None and r["recall"] is not None for r in swept)

@@ -22,7 +22,7 @@ def test_config_accepts_reference_settings():
     [
         (dict(omega=1.0), "omega"),
         (dict(omega=-0.2), "omega"),
-        (dict(p_min=0.0), "p_min"),
+        (dict(p_min=-0.1), "p_min"),
         (dict(p_min=1.0), "p_min"),
         (dict(sigma2_init=0.0), "sigma2_init"),
         (dict(sigma2_init=-1.0), "sigma2_init"),
@@ -48,13 +48,6 @@ def test_pointset_requires_valid_dim_and_finite():
         PointSet(points=np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
         PointSet(points=np.zeros((0, 2)))
-
-
-def test_pointset_ids_default_and_permutation():
-    ps = PointSet(points=np.random.default_rng(0).normal(size=(5, 2)))
-    assert np.array_equal(ps.ids, np.arange(5))
-    with pytest.raises(ValueError):
-        PointSet(points=ps.points, ids=np.array([0, 1, 2, 3, 3]))
 
 
 def test_correspondence_state_partition_enforced():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import sfgp.correspondence as corr
 from sfgp.core import AllMissingError
 from sfgp.correspondence import (
     ResponsibilityInputs,
@@ -101,25 +100,26 @@ class TestResponsibilities:
         assert p[0, 0] == pytest.approx(expected, rel=1e-9)
         assert p[0, 0] + p[1, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_dead_column_returns_zeros_and_counts(self):
-        # the log-density itself overflows to -inf for the far column
-        corr.reset_diagnostics()
+    def test_dead_column_returns_zeros_and_counts(self, caplog):
+        # the log-density itself overflows to -inf for the far column; with
+        # omega = 0 the dead columns are exactly the all-zero columns of P
         rbar = np.array([[0.0, 0.0]])
         target = np.array([[0.0, 0.0], [1e160, 1e160]])
-        p = responsibilities(make_inputs(target, rbar, [1e-12]))
+        with caplog.at_level("WARNING", logger="sfgp.correspondence"):
+            p = responsibilities(make_inputs(target, rbar, [1e-12]))
         assert np.all(np.isfinite(p))
-        assert p[0, 0] == pytest.approx(1.0)
-        assert p[0, 1] == 0.0
-        assert corr.underflow_column_count == 1
+        assert p[:, 0].sum() == pytest.approx(1.0)
+        assert p[:, 1].sum() == 0.0
+        assert "1 fully underflowed columns" in caplog.text
 
-    def test_dead_column_with_outlier_mass_is_clean(self):
-        corr.reset_diagnostics()
+    def test_dead_column_with_outlier_mass_is_clean(self, caplog):
         rbar = np.array([[0.0, 0.0]])
         target = np.array([[1e160, 1e160]])
-        p = responsibilities(make_inputs(target, rbar, [1e-12], omega=0.2))
+        with caplog.at_level("WARNING", logger="sfgp.correspondence"):
+            p = responsibilities(make_inputs(target, rbar, [1e-12], omega=0.2))
         assert np.all(np.isfinite(p))
-        assert p[0, 0] == 0.0
-        assert corr.underflow_column_count == 0
+        assert p[:, 0].sum() == 0.0
+        assert "underflowed" not in caplog.text
 
 
 class TestAnnotatorVariance:
@@ -143,7 +143,7 @@ class TestAnnotatorVariance:
         values = []
         for dist in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             state, ann = get_correspondences(
-                make_inputs([[dist, 0.0]], [[0.0, 0.0]], [1.0], omega=0.5), 0.01, "off"
+                make_inputs([[dist, 0.0]], [[0.0, 0.0]], [1.0], omega=0.5), 0.0
             )
             assert state.P[0, 0] > 0.0
             values.append(ann.sigma2_eff[0])
@@ -153,7 +153,7 @@ class TestAnnotatorVariance:
         # the far target's density is exactly zero: even with the threshold
         # off it must not annotate, so the label comes from target 0 alone
         inputs = make_inputs([[0.2, 0.1], [1e160, 1e160]], [[0.0, 0.0]], [0.5], omega=0.2)
-        state, ann = get_correspondences(inputs, 0.01, "off")
+        state, ann = get_correspondences(inputs, 0.0)
         assert state.P[0, 1] == 0.0
         assert np.all(np.isfinite(ann.delta_hat))
         np.testing.assert_allclose(ann.delta_hat[0], [0.2, 0.1], rtol=1e-15)
@@ -162,26 +162,27 @@ class TestAnnotatorVariance:
 
 class TestThreshold:
     def test_direct(self):
-        state = threshold(np.array([[0.9, 0.001], [0.001, 0.02]]), 0.01, "on")
+        state = threshold(np.array([[0.9, 0.001], [0.001, 0.02]]), 0.01)
         assert state.inliers.tolist() == [0, 1]
         assert state.missing.size == 0
-        state = threshold(np.array([[0.9, 0.001], [0.001, 0.009]]), 0.01, "on")
+        state = threshold(np.array([[0.9, 0.001], [0.001, 0.009]]), 0.01)
         assert state.inliers.tolist() == [0]
         assert state.missing.tolist() == [1]
 
     def test_all_below_threshold_goes_missing(self):
-        state = threshold(np.array([[0.004, 0.001], [0.9, 0.05]]), 0.01, "on")
+        state = threshold(np.array([[0.004, 0.001], [0.9, 0.05]]), 0.01)
         assert 0 in state.missing
         assert 1 in state.inliers
 
     def test_nu_accumulates_full_row(self):
         p = np.array([[0.4, 0.005], [0.2, 0.3]])
-        state = threshold(p, 0.01, "on")
+        state = threshold(p, 0.01)
         np.testing.assert_allclose(state.nu, p.sum(axis=1), rtol=1e-15)
 
     def test_mode_off_keeps_positive_pairs(self):
+        # p_min = 0 is the no-threshold ablation: every positive pair is kept
         p = np.array([[0.004, 0.0], [0.9, 0.05], [0.0, 0.0]])
-        state = threshold(p, 0.01, "off")
+        state = threshold(p, 0.0)
         assert state.inliers.tolist() == [0, 1]
         assert state.missing.tolist() == [2]
 
@@ -191,19 +192,17 @@ class TestThreshold:
             st.tuples(st.integers(1, 6), st.integers(1, 6)),
             elements=st.floats(0.0, 1.0),
         ),
-        st.floats(0.001, 0.999),
-        st.sampled_from(["on", "off"]),
+        st.one_of(st.just(0.0), st.floats(0.001, 0.999)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_partition_property(self, p, p_min, mode):
-        state = threshold(p, p_min, mode)
+    def test_partition_property(self, p, p_min):
+        state = threshold(p, p_min)
         n_r = p.shape[0]
         both = np.concatenate([state.inliers, state.missing])
         assert sorted(both.tolist()) == list(range(n_r))
         assert not set(state.inliers) & set(state.missing)
-        cutoff = p_min if mode == "on" else 0.0
         for i in range(n_r):
-            assert (not np.any(p[i] > cutoff)) == (i in state.missing)
+            assert (not np.any(p[i] > p_min)) == (i in state.missing)
         np.testing.assert_allclose(state.nu, p.sum(axis=1), rtol=0, atol=0)
 
     def test_fish_missing_box_detected(self):
@@ -214,7 +213,7 @@ class TestThreshold:
         assert mask.sum() > 0
         sigma2 = np.full(fish.n, 0.0005)
         p = responsibilities(make_inputs(kept.points, fish.points, sigma2))
-        state = threshold(p, 0.01, "on")
+        state = threshold(p, 0.01)
         assert state.missing.size > 0
         for i in state.missing:
             assert p[i].max() <= 0.01

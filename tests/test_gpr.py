@@ -122,7 +122,7 @@ class TestPosterior:
         gram = assemble_gram(SquaredExponential(1.2, 0.6), ref, 0.0)
         delta = rng.normal(size=(5, 2))
         noise = rng.uniform(0.05, 1.0, size=5)
-        post = gpr_posterior(gram, np.arange(5), delta, noise, jitter=0.0)
+        post = gpr_posterior(gram, np.arange(5), delta, noise)
         mu_o, var_o = dense_gpr(gram, np.arange(5), delta, noise, 0.0)
         np.testing.assert_allclose(post.mu, mu_o, rtol=1e-10)
         np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-10, atol=1e-12)
@@ -137,7 +137,7 @@ class TestPosterior:
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(size=(c, 2))
             noise = rng.uniform(0.02, 0.8, size=c)
-            post = gpr_posterior(gram, inliers, delta, noise, jitter=0.0)
+            post = gpr_posterior(gram, inliers, delta, noise)
             mu_o, var_o = dense_gpr(gram, inliers, delta, noise, 0.0)
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-9, atol=1e-13)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-9, atol=1e-13)
@@ -155,8 +155,8 @@ class TestPosterior:
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(size=(c, d))
             noise = rng.uniform(0.05, 1.0, size=c)
-            post = gpr_posterior(gram, inliers, delta, noise, jitter=0.0)
-            mu_o, var_o = dense_gpr(gram, inliers, delta, noise, 0.0)
+            post = gpr_posterior(gram, inliers, delta, noise)
+            mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-11)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-11)
 
@@ -169,8 +169,8 @@ class TestPosterior:
         inliers = np.array([0, 2, 3])
         delta = rng.normal(size=(3, d))
         noise = rng.uniform(0.1, 0.5, size=3)
-        post = gpr_posterior(gram, inliers, delta, noise, jitter=0.0)
-        mu_o, var_o = dense_gpr(gram, inliers, delta, noise, 0.0)
+        post = gpr_posterior(gram, inliers, delta, noise)
+        mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
         np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-12)
 
@@ -186,8 +186,8 @@ class TestPosterior:
         assert state.inliers.tolist() == list(range(7))
         assert np.all(ann.sigma2_eff == sigma_n2)  # singleton fusion is exact
         delta = ann.delta_hat
-        post = gpr_posterior(gram, state.inliers, delta, ann.sigma2_eff, jitter=0.0)
-        uniform = gpr_posterior(gram, np.arange(7), delta, np.full(7, sigma_n2), jitter=0.0)
+        post = gpr_posterior(gram, state.inliers, delta, ann.sigma2_eff)
+        uniform = gpr_posterior(gram, np.arange(7), delta, np.full(7, sigma_n2))
         np.testing.assert_array_equal(post.mu, uniform.mu)
         np.testing.assert_array_equal(post.var_diag, uniform.var_diag)
 
@@ -209,7 +209,7 @@ class TestPosterior:
         ref = pointset(random_points(rng, 5, 2, min_sep=0.25))
         gram = assemble_gram(SquaredExponential(1.0, 0.5), ref, 0.0)
         delta = rng.normal(size=(5, 2))
-        post = gpr_posterior(gram, np.arange(5), delta, np.full(5, 1e-12), jitter=0.0)
+        post = gpr_posterior(gram, np.arange(5), delta, np.full(5, 1e-12))
         np.testing.assert_allclose(post.mu, delta, atol=1e-6)
 
     def test_missing_point_removal_does_not_perturb_others(self):

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfgp.core import (
-    AnchorMismatchError,
-    NumericalError,
-    RankTooLargeError,
-    UnsupportedKernelEvaluation,
-)
+from sfgp.core import AnchorMismatchError, NumericalError, RankTooLargeError
 from sfgp.kernels import (
     PCAKernel,
     ScaledKernel,
@@ -16,7 +11,6 @@ from sfgp.kernels import (
     SumKernel,
     assemble_gram,
     build_pca_kernel,
-    eval_scalar_kernel,
     load_pca_kernel,
     save_pca_kernel,
 )
@@ -24,22 +18,27 @@ from sfgp.kernels import (
 from helpers import expand_kernel, pointset, random_points
 
 
+def pair_gram(spec, x, y):
+    """Scalar Gram matrix of `spec` over the two points x and y."""
+    return assemble_gram(spec, pointset([x, y])).g
+
+
 def test_se_at_zero_distance_is_amplitude():
-    x = np.array([0.3, -0.2])
-    assert eval_scalar_kernel(SquaredExponential(1.0, 1.0), x, x) == pytest.approx(1.0)
+    g = pair_gram(SquaredExponential(1.0, 1.0), [0.3, -0.2], [1.0, 0.5])
+    assert g[0, 0] == pytest.approx(1.0)
+    assert g[1, 1] == pytest.approx(1.0)
 
 
 def test_se_direct_formula():
     # squared distance 2 with unit lengthscale: 2 * exp(-1)
-    x, y = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    k = eval_scalar_kernel(SquaredExponential(2.0, 1.0), x, y)
-    assert k == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
+    g = pair_gram(SquaredExponential(2.0, 1.0), [0.0, 0.0], [1.0, 1.0])
+    assert g[0, 1] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
 
 
 def test_sum_and_scaled_at_zero_distance():
     spec = SumKernel(SquaredExponential(1.0, 1.0), ScaledKernel(0.5, SquaredExponential(1.0, 2.0)))
-    x = np.array([1.0, 2.0])
-    assert eval_scalar_kernel(spec, x, x) == pytest.approx(1.5)
+    g = pair_gram(spec, [1.0, 2.0], [0.0, 0.0])
+    assert g[0, 0] == pytest.approx(1.5)
 
 
 @given(
@@ -51,19 +50,9 @@ def test_sum_and_scaled_at_zero_distance():
 @settings(max_examples=50, deadline=None)
 def test_se_symmetry(a2, ell, xs, ys):
     spec = SquaredExponential(a2, ell)
-    x, y = np.array(xs), np.array(ys)
-    assert eval_scalar_kernel(spec, x, y) == eval_scalar_kernel(spec, y, x)
-
-
-def test_pca_has_no_pointwise_evaluation():
-    anchor = pointset([[0.0, 0.0], [1.0, 0.0]])
-    spec = PCAKernel(
-        eigenvalues=np.array([1.0]),
-        eigenvectors=np.eye(4)[:, :1],
-        anchor=anchor,
-    )
-    with pytest.raises(UnsupportedKernelEvaluation):
-        eval_scalar_kernel(spec, np.zeros(2), np.zeros(2))
+    g_xy = pair_gram(spec, xs, ys)
+    g_yx = pair_gram(spec, ys, xs)
+    assert g_xy[0, 1] == g_xy[1, 0] == g_yx[0, 1]
 
 
 def test_gram_single_point():

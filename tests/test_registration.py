@@ -110,9 +110,9 @@ class TestCoupledUpdateEquivalence:
             post_var=post_var,
             omega=omega,
         )
-        state, ann = get_correspondences(inputs, p_min=0.01, mode="off")
+        state, ann = get_correspondences(inputs, p_min=0.0)
         assert state.missing.size == 0, "equivalence needs full correspondence"
-        post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff, 0.0)
+        post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
         return gram, state.P, post
 
     def test_matches_direct_formulas(self):
@@ -160,6 +160,23 @@ class TestRegister:
         assert np.array_equal(a.deformed_reference.points, b.deformed_reference.points)
         assert np.array_equal(a.sigma2, b.sigma2)
         assert a.iters == b.iters and a.converged == b.converged
+
+    def test_full_at_zero_p_min_is_no_threshold_variant(self):
+        # GPReg_noTresh is SFGP_Full with the correspondence threshold at zero
+        fish = fish_reference()
+        inst = generate(
+            fish,
+            PerturbationSpec(warp_amplitude=0.03, missing_width=0.3, outlier_ratio=0.5,
+                             noise_std=0.02, seed=5),
+        )
+        full = register(fish, inst.target, self.kernel, variant_config(
+            "SFGP_Full", RegistrationConfig(omega=0.1, p_min=0.0, max_iters=40)))
+        no_thresh = register(fish, inst.target, self.kernel, variant_config(
+            "GPReg_noTresh", RegistrationConfig(omega=0.1, p_min=0.05, max_iters=40)))
+        assert np.array_equal(full.deformed_reference.points, no_thresh.deformed_reference.points)
+        assert np.array_equal(full.sigma2, no_thresh.sigma2)
+        assert full.iters == no_thresh.iters
+        assert np.array_equal(full.state.missing, no_thresh.state.missing)
 
     def test_trace_and_invariants(self):
         fish = fish_reference()
@@ -228,6 +245,6 @@ def test_variant_table():
     cfg = variant_config("SFGP_bcpdReg")
     assert cfg.variance_mode == "scalar"
     cfg = variant_config("GPReg_noTresh")
-    assert cfg.threshold_mode == "off"
+    assert cfg.p_min == 0.0
     with pytest.raises(ValueError, match="SFGP_Full"):
         variant_config("NoSuchThing")
