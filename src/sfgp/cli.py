@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .core import ConfigError, PointSet, RegistrationConfig, SFGPError, validate_config
+from .core import (
+    ConfigError,
+    IterationRecord,
+    PointSet,
+    RegistrationConfig,
+    SFGPError,
+    validate_config,
+)
 from .kernels import (
     KernelSpec,
     ScaledKernel,
@@ -22,12 +29,11 @@ from .kernels import (
     SumKernel,
     load_pca_kernel,
 )
-from .metrics import detection_scores, mean_sq_distance, missing_detection, subset_error
+from .metrics import SUBSETS, detection_scores, flagged_missing, subset_error
 from .registration import VARIANTS, register, variant_config
 from .synthdata import (
     DEFORMATION_AMPLITUDE_PER_LEVEL,
     PerturbationSpec,
-    SyntheticInstance,
     fish_reference,
     generate,
     read_instance,
@@ -50,6 +56,8 @@ SWEEP_FIELDS = (
     "precision",
     "runtime_ms",
 )
+
+SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
 
 
 def load_reference(name_or_path) -> PointSet:
@@ -128,29 +136,41 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
     )
 
 
-def cmd_generate(args) -> int:
-    config = sio.read_json(args.config)
-    reference = load_reference(config["reference"])
+def _instances(config: dict):
+    """Yield (tag, index, seed, spec) for every instance of a generate or
+    sweep config: `instances` draws at each point of the grid."""
     grid = config.get("grid", {})
     count = int(config["instances"])
     if count < 1:
         raise ValueError("instances must be >= 1")
     master_seed = int(config["master_seed"])
-    out = Path(args.out)
-    points = grid_points(grid)
-    entries = []
-    for level_idx, point in enumerate(points):
+    for level_idx, point in enumerate(grid_points(grid)):
         tag = level_tag(point)
         for k in range(count):
             seed = derive_seed(master_seed, level_idx, k)
-            inst = generate(reference, spec_for(point, grid, seed))
-            rel = Path("instances") / tag / str(k)
-            write_instance(out / rel, inst)
-            entries.append({"level": tag, "index": k, "seed": seed, "path": str(rel)})
+            yield tag, k, seed, spec_for(point, grid, seed)
+
+
+def _setup(config: dict):
+    """The reference, kernel and base registration config a config names."""
+    reference = load_reference(config["reference"])
+    kernel = kernel_from_config(config["kernel"], anchor=reference)
+    return reference, kernel, registration_config_from(config.get("registration", {}))
+
+
+def cmd_generate(args) -> int:
+    config = sio.read_json(args.config)
+    reference = load_reference(config["reference"])
+    out = Path(args.out)
+    entries = []
+    for tag, k, seed, spec in _instances(config):
+        rel = Path("instances") / tag / str(k)
+        write_instance(out / rel, generate(reference, spec))
+        entries.append({"level": tag, "index": k, "seed": seed, "path": str(rel)})
     sio.write_json(
         out / "dataset.json",
-        {"reference": config["reference"], "grid": grid, "instances": entries,
-         "master_seed": master_seed},
+        {"reference": config["reference"], "grid": config.get("grid", {}),
+         "instances": entries, "master_seed": int(config["master_seed"])},
     )
     logger.info("wrote %d instances under %s", len(entries), out)
     return 0
@@ -159,44 +179,23 @@ def cmd_generate(args) -> int:
 def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     sio.write_pointset_csv(out_dir / "deformed_reference.csv", result.deformed_reference)
-    rows = []
-    state = result.state
     n = result.deformed_reference.n
-    missing = set(int(i) for i in state.missing) if state is not None else set()
-    for i in range(n):
-        if state is not None and state.P.size:
-            best = int(np.argmax(state.P[i]))
-            best_p = float(state.P[i, best])
-        else:
-            best, best_p = -1, 0.0
-        rows.append(
-            {
-                "ref_index": i,
-                "is_missing": int(i in missing),
-                "best_target": best,
-                "best_p": best_p,
-                "nu": float(state.nu[i]) if state is not None else 0.0,
-            }
-        )
+    if result.state is None:  # the first iteration failed before any correspondence
+        best, best_p, nu = np.full(n, -1), np.zeros(n), np.zeros(n)
+    else:
+        P = result.state.P
+        best, best_p, nu = P.argmax(1), P.max(1), result.state.nu
+    columns = (range(n), flagged_missing(result).astype(int).tolist(), best.tolist(),
+               best_p.tolist(), nu.tolist())
     sio.write_csv_rows(
         out_dir / "correspondence_summary.csv",
-        ("ref_index", "is_missing", "best_target", "best_p", "nu"),
-        rows,
+        SUMMARY_FIELDS,
+        [dict(zip(SUMMARY_FIELDS, row)) for row in zip(*columns)],
     )
     sio.write_csv_rows(
         out_dir / "trace.csv",
-        ("iteration", "mean_disp_change", "n_inliers", "n_missing", "mean_sigma2", "elapsed_s"),
-        [
-            {
-                "iteration": r.iteration,
-                "mean_disp_change": r.mean_disp_change,
-                "n_inliers": r.n_inliers,
-                "n_missing": r.n_missing,
-                "mean_sigma2": r.mean_sigma2,
-                "elapsed_s": r.elapsed_s,
-            }
-            for r in result.trace
-        ],
+        [f.name for f in fields(IterationRecord)],
+        [asdict(r) for r in result.trace],
     )
     sio.write_json(
         out_dir / "result.json",
@@ -213,127 +212,79 @@ def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: s
 
 def cmd_register(args) -> int:
     config = sio.read_json(args.config)
-    reference = load_reference(config["reference"])
-    kernel = kernel_from_config(config["kernel"], anchor=reference)
-    base = registration_config_from(config.get("registration", {}))
+    reference, kernel, base = _setup(config)
     cfg = variant_config(args.variant, base)
     out = Path(args.out)
-
     if args.target:
-        target = sio.read_pointset_csv(args.target)
+        runs = [(out, sio.read_pointset_csv(args.target))]
+    else:
+        dataset = sio.read_json(Path(args.dataset) / "dataset.json")
+        runs = [
+            (out / entry["level"] / str(entry["index"]),
+             read_instance(Path(args.dataset) / entry["path"]).target)
+            for entry in dataset["instances"]
+        ]
+    for out_dir, target in runs:
         t0 = time.perf_counter()
         result = register(reference, target, kernel, cfg)
-        _write_register_outputs(out, result, (time.perf_counter() - t0) * 1e3, args.variant)
-        return 0
-
-    dataset = sio.read_json(Path(args.dataset) / "dataset.json")
-    for entry in dataset["instances"]:
-        inst = read_instance(Path(args.dataset) / entry["path"])
-        t0 = time.perf_counter()
-        result = register(reference, inst.target, kernel, cfg)
-        _write_register_outputs(
-            out / entry["level"] / str(entry["index"]),
-            result,
-            (time.perf_counter() - t0) * 1e3,
-            args.variant,
-        )
+        _write_register_outputs(out_dir, result, (time.perf_counter() - t0) * 1e3, args.variant)
     return 0
 
 
-def _failed_row(variant, tag, seed, runtime_ms):
-    return {
-        "variant": variant, "level": tag, "seed": seed,
-        "error_all": None, "error_missing": None, "error_nonmissing": None,
-        "success": 0, "recall": None, "precision": None,
-        "runtime_ms": runtime_ms,
-    }
+def _metrics_row(variant, tag, seed, runtime_ms, scored=None) -> dict:
+    """One SWEEP_FIELDS row.  `scored` holds the arrays of a successful run,
+    (ground truth, true missing mask, fitted points, flagged mask); None
+    marks a failed run, which has no scores."""
+    if scored is None:
+        errors, success, detection = (None,) * len(SUBSETS), 0, (None, None)
+    else:
+        gt, true_missing, fitted, flagged = scored
+        errors = tuple(subset_error(gt, fitted, true_missing, s) for s in SUBSETS)
+        success, detection = 1, detection_scores(flagged, true_missing)
+    return dict(zip(SWEEP_FIELDS, (variant, tag, seed, *errors, success, *detection, runtime_ms)))
 
 
-def _metric_row(variant, tag, seed, result, inst: SyntheticInstance, runtime_ms):
-    if result.failed:
-        return _failed_row(variant, tag, seed, runtime_ms)
-    recall, precision = missing_detection(result, inst)
-    return {
-        "variant": variant,
-        "level": tag,
-        "seed": seed,
-        "error_all": mean_sq_distance(result, inst, "all"),
-        "error_missing": mean_sq_distance(result, inst, "missing"),
-        "error_nonmissing": mean_sq_distance(result, inst, "non_missing"),
-        "success": 1,
-        "recall": recall,
-        "precision": precision,
-        "runtime_ms": runtime_ms,
-    }
+def _write_metrics(path: Path, rows: list) -> None:
+    rows.sort(key=lambda r: (r["variant"], r["level"], r["seed"]))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    sio.write_csv_rows(path, SWEEP_FIELDS, rows)
 
 
-def _sweep_task(payload: dict) -> dict:
-    reference = PointSet(points=np.asarray(payload["reference_points"]))
-    kernel = kernel_from_config(payload["kernel"], anchor=reference)
-    cfg = variant_config(
-        payload["variant"], registration_config_from(payload["registration"])
-    )
-    spec = PerturbationSpec(**payload["spec"])
+def _sweep_task(task: tuple) -> dict:
+    variant, tag, reference, kernel, cfg, spec = task
     inst = generate(reference, spec)
     t0 = time.perf_counter()
     try:
         result = register(reference, inst.target, kernel, cfg)
     except SFGPError as exc:
         # a broken instance is recorded, never aborts the sweep
-        logger.warning("%s %s seed=%d: %s", payload["variant"], payload["level"], spec.seed, exc)
-        return _failed_row(
-            payload["variant"], payload["level"], spec.seed,
-            (time.perf_counter() - t0) * 1e3,
-        )
+        logger.warning("%s %s seed=%d: %s", variant, tag, spec.seed, exc)
+        result = None
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    return _metric_row(
-        payload["variant"], payload["level"], spec.seed, result, inst, runtime_ms
-    )
+    scored = None
+    if result is not None and not result.failed:
+        scored = (inst.ground_truth.points, inst.missing_mask,
+                  result.deformed_reference.points, flagged_missing(result))
+    return _metrics_row(variant, tag, spec.seed, runtime_ms, scored)
 
 
 def cmd_sweep(args) -> int:
     config = sio.read_json(args.config)
-    reference = load_reference(config["reference"])
-    grid = config.get("grid", {})
-    count = int(config["instances"])
-    master_seed = int(config["master_seed"])
-    variants = config.get("variants", ["SFGP_Full"])
-    for name in variants:
-        if name not in VARIANTS:
-            raise ValueError(
-                f"unknown variant {name!r}; choose one of {', '.join(sorted(VARIANTS))}"
-            )
-    points = grid_points(grid)
-
-    tasks = []
-    for level_idx, point in enumerate(points):
-        tag = level_tag(point)
-        for k in range(count):
-            seed = derive_seed(master_seed, level_idx, k)
-            spec = spec_for(point, grid, seed)
-            for variant in variants:
-                tasks.append(
-                    {
-                        "reference_points": reference.points.tolist(),
-                        "kernel": config["kernel"],
-                        "registration": config.get("registration", {}),
-                        "variant": variant,
-                        "level": tag,
-                        "spec": asdict(spec),
-                    }
-                )
-
+    reference, kernel, base = _setup(config)
+    cfgs = [(name, variant_config(name, base)) for name in config.get("variants", ["SFGP_Full"])]
+    tasks = [
+        (variant, tag, reference, kernel, cfg, spec)
+        for tag, _, _, spec in _instances(config)
+        for variant, cfg in cfgs
+    ]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
-
-    rows.sort(key=lambda r: (r["variant"], r["level"], r["seed"]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sio.write_csv_rows(out / "metrics.csv", SWEEP_FIELDS, rows)
-    logger.info("wrote %d metric rows to %s", len(rows), out / "metrics.csv")
+    path = Path(args.out) / "metrics.csv"
+    _write_metrics(path, rows)
+    logger.info("wrote %d metric rows to %s", len(rows), path)
     return 0
 
 
@@ -346,34 +297,20 @@ def cmd_eval(args) -> int:
         inst = read_instance(dataset_dir / entry["path"])
         run_dir = results_dir / entry["level"] / str(entry["index"])
         meta = sio.read_json(run_dir / "result.json")
-        if meta["failed"]:
-            rows.append(
-                _failed_row(meta["variant"], entry["level"], entry["seed"], meta["runtime_ms"])
+        scored = None
+        if not meta["failed"]:
+            summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
+            scored = (
+                inst.ground_truth.points,
+                inst.missing_mask,
+                sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
+                np.array([bool(r["is_missing"]) for r in summary]),
             )
-            continue
-        fitted = sio.read_pointset_csv(run_dir / "deformed_reference.csv")
-        summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
-        flagged = np.array([bool(r["is_missing"]) for r in summary])
-        gt, true_missing = inst.ground_truth.points, inst.missing_mask
-        recall, precision = detection_scores(flagged, true_missing)
         rows.append(
-            {
-                "variant": meta["variant"],
-                "level": entry["level"],
-                "seed": entry["seed"],
-                "error_all": subset_error(gt, fitted.points, true_missing, "all"),
-                "error_missing": subset_error(gt, fitted.points, true_missing, "missing"),
-                "error_nonmissing": subset_error(gt, fitted.points, true_missing, "non_missing"),
-                "success": 1,
-                "recall": recall,
-                "precision": precision,
-                "runtime_ms": meta["runtime_ms"],
-            }
+            _metrics_row(meta["variant"], entry["level"], entry["seed"], meta["runtime_ms"], scored)
         )
-    rows.sort(key=lambda r: (r["variant"], r["level"], r["seed"]))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sio.write_csv_rows(out / "aggregate.csv", SWEEP_FIELDS, rows)
+    _write_metrics(out / "aggregate.csv", rows)
 
     lines = [f"{'level':<28} {'n':>3} {'success':>8} {'error_all':>12} {'recall':>8} {'precision':>10}"]
     for level in sorted(set(r["level"] for r in rows)):
@@ -391,6 +328,16 @@ def cmd_eval(args) -> int:
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     logger.info("wrote %s", out / "summary.txt")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a variant/perturbation grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes, >= 1 (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="aggregate registration results")

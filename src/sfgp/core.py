@@ -122,6 +122,14 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
     return cfg
 
 
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) squared Euclidean distances between the rows of a and b, as
+    |a|^2 + |b|^2 - 2ab clamped at 0 against cancellation."""
+    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def default_sigma2_init(reference: PointSet) -> float:
     """Squared mean nearest-neighbor distance of the reference points."""
     if reference.n < 2:
@@ -231,6 +239,7 @@ __all__ = [
     "PointSet",
     "RegistrationConfig",
     "validate_config",
+    "sq_dists",
     "default_sigma2_init",
     "CorrespondenceState",
     "AnnotatedDeformations",

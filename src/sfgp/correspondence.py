@@ -19,6 +19,7 @@ from .core import (
     AnnotatedDeformations,
     CorrespondenceState,
     PointSet,
+    sq_dists,
 )
 
 logger = logging.getLogger(__name__)
@@ -67,12 +68,7 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
 
     # overflow to inf is fine here: it encodes a density of exactly zero
     with np.errstate(over="ignore"):
-        sq = (
-            np.sum(r_bar**2, axis=1)[:, None]
-            + np.sum(s**2, axis=1)[None, :]
-            - 2.0 * r_bar @ s.T
-        )
-        np.maximum(sq, 0.0, out=sq)
+        sq = sq_dists(r_bar, s)
         # weighted density with the posterior-spread discount per reference point
         log_phi = (
             -0.5 * d * np.log(2.0 * np.pi * sigma2)[:, None]
@@ -160,13 +156,8 @@ def closest_point_correspondence(
     r_bar = deformed_ref.points
     s = target.points
     n_r = r_bar.shape[0]
-    # chunked argmin keeps ties at the lowest target index, unlike a kd-tree
-    s_sq = np.sum(s**2, axis=1)
-    nearest = np.empty(n_r, dtype=int)
-    for start in range(0, n_r, 1024):
-        block = r_bar[start : start + 1024]
-        sq = np.sum(block**2, axis=1)[:, None] + s_sq[None, :] - 2.0 * block @ s.T
-        nearest[start : start + 1024] = np.argmin(sq, axis=1)
+    # argmin keeps ties at the lowest target index, unlike a kd-tree
+    nearest = np.argmin(sq_dists(r_bar, s), axis=1)
 
     p = np.zeros((n_r, s.shape[0]))
     p[np.arange(n_r), nearest] = 1.0

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -22,17 +21,18 @@ def format_float(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def write_points_csv(path, points: np.ndarray, header: Optional[str] = None) -> None:
+def _write_lines(path, lines) -> None:
+    """Write newline-terminated lines through a temporary file, so a reader
+    never sees a half-written file."""
     path = Path(path)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lines = []
-    if header:
-        lines.append(header)
-    for row in points:
-        lines.append(",".join(FLOAT_FMT % v for v in row))
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("\n".join(lines) + "\n")
     tmp.replace(path)
+
+
+def write_points_csv(path, points: np.ndarray) -> None:
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    _write_lines(path, [",".join(FLOAT_FMT % v for v in row) for row in points])
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -63,12 +63,9 @@ def read_pointset_csv(path) -> PointSet:
 
 
 def write_json(path, payload: dict) -> None:
-    path = Path(path)
     payload = dict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def read_json(path) -> dict:
@@ -82,7 +79,6 @@ def read_json(path) -> dict:
 
 def write_csv_rows(path, fieldnames, rows) -> None:
     """Write dict rows; floats at 17 significant digits, None as empty."""
-    path = Path(path)
     lines = [",".join(fieldnames)]
     for row in rows:
         cells = []
@@ -95,9 +91,7 @@ def write_csv_rows(path, fieldnames, rows) -> None:
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    _write_lines(path, lines)
 
 
 def read_csv_rows(path) -> list:

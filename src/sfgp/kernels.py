@@ -22,6 +22,7 @@ from .core import (
     NumericalError,
     PointSet,
     RankTooLargeError,
+    sq_dists,
 )
 
 
@@ -131,10 +132,7 @@ def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
 
 
 def _se_gram(points: np.ndarray, spec: SquaredExponential) -> np.ndarray:
-    sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
-    np.maximum(d2, 0.0, out=d2)
-    g = spec.amplitude2 * np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    g = spec.amplitude2 * np.exp(-sq_dists(points, points) / (2.0 * spec.lengthscale**2))
     return 0.5 * (g + g.T)
 
 

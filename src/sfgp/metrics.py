@@ -66,14 +66,20 @@ def success_ratio(results: Sequence[RegistrationResult]) -> float:
     return sum(1 for r in results if not r.failed) / len(results)
 
 
+def flagged_missing(result: RegistrationResult) -> np.ndarray:
+    """Boolean mask of the reference points a registration result declared
+    missing; all False when the run ended before any correspondence."""
+    flagged = np.zeros(result.deformed_reference.n, dtype=bool)
+    if result.state is not None:
+        flagged[result.state.missing] = True
+    return flagged
+
+
 def missing_detection(
     result: RegistrationResult, instance: SyntheticInstance
 ) -> Tuple[Optional[float], Optional[float]]:
     """detection_scores of the missing set a registration result declared."""
-    flagged = np.zeros(instance.missing_mask.shape[0], dtype=bool)
-    if result.state is not None:
-        flagged[result.state.missing] = True
-    return detection_scores(flagged, instance.missing_mask)
+    return detection_scores(flagged_missing(result), instance.missing_mask)
 
 
 __all__ = [
@@ -81,6 +87,7 @@ __all__ = [
     "detection_scores",
     "mean_sq_distance",
     "success_ratio",
+    "flagged_missing",
     "missing_detection",
     "SUBSETS",
 ]

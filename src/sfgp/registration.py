@@ -23,6 +23,7 @@ from .core import (
     RegistrationConfig,
     RegistrationResult,
     default_sigma2_init,
+    sq_dists,
     validate_config,
 )
 from .correspondence import (
@@ -49,6 +50,12 @@ VARIANTS = {
 
 
 def variant_config(name: str, base: Optional[RegistrationConfig] = None) -> RegistrationConfig:
+    """`base` with the settings of the named VARIANTS entry applied on top.
+
+    A variant's own settings override `base`: GPReg_noTresh runs at
+    p_min = 0 whatever `base.p_min` says.  Raises ValueError, naming the
+    choices, for an unknown variant.
+    """
     if name not in VARIANTS:
         raise ValueError(
             f"unknown variant {name!r}; choose one of {', '.join(sorted(VARIANTS))}"
@@ -76,13 +83,7 @@ def update_sigma2(
     s = target.points
     r_bar = deformed_ref.points
     d = s.shape[1]
-    sq = (
-        np.sum(r_bar**2, axis=1)[:, None]
-        + np.sum(s**2, axis=1)[None, :]
-        - 2.0 * r_bar @ s.T
-    )
-    np.maximum(sq, 0.0, out=sq)
-    residual2 = np.sum(p * sq, axis=1)
+    residual2 = np.sum(p * sq_dists(r_bar, s), axis=1)
 
     if mode == "scalar":
         total_nu = float(np.sum(nu))
@@ -156,7 +157,7 @@ def register(
                         target=target,
                         deformed_ref=r_bar,
                         sigma2=sigma2,
-                        post_var=np.maximum(post_var, 0.0),
+                        post_var=post_var,
                         omega=cfg.omega,
                     ),
                     cfg.p_min,
@@ -173,13 +174,13 @@ def register(
             raise NumericalError(f"iteration {it}: {exc}") from exc
 
         r_bar = PointSet(points=ref_pts + posterior.mu)
-        post_var = posterior.var_diag
+        post_var = np.maximum(posterior.var_diag, 0.0)
         sigma2 = update_sigma2(
             state.P,
             state.nu,
             target,
             r_bar,
-            np.maximum(post_var, 0.0),
+            post_var,
             cfg.variance_mode,
             prev_sigma2=sigma2,
         )

@@ -3,10 +3,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sfgp import io as sio
 from sfgp.cli import main
-from sfgp.synthdata import fish_reference
+from sfgp.kernels import build_pca_kernel, save_pca_kernel
+from sfgp.synthdata import fish_reference, warp_rbf
 
 
 def write_config(path, **overrides):
@@ -242,3 +244,82 @@ def test_eval_matches_sweep_cell_for_cell(tmp_path):
             del row["runtime_ms"]
     assert evaluated == swept
     assert any(r["error_missing"] is not None and r["recall"] is not None for r in swept)
+
+
+def strip_runtime(rows):
+    return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_sweep_zero_instances_fails(tmp_path, capsys):
+    # the same check as `generate`, not a header-only metrics.csv
+    cfg = write_config(tmp_path / "cfg.json", instances=0)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "instances must be >= 1" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_pca_sum_kernel_agrees_across_sweep_and_files(tmp_path):
+    # a pca_file summand takes the low-rank posterior path, in-process, in
+    # pool workers and through register's files alike
+    fish = fish_reference()
+    deformations = [
+        (warp_rbf(fish, 0.03, 0.3, 5, seed).points - fish.points).ravel() for seed in range(6)
+    ]
+    spectrum = tmp_path / "spectrum.npz"
+    save_pca_kernel(spectrum, build_pca_kernel(deformations, 3, fish))
+    kernel = {
+        "type": "sum",
+        "parts": [
+            {"type": "squared_exponential", "amplitude2": 0.01, "lengthscale": 0.2},
+            {"type": "pca_file", "path": str(spectrum)},
+        ],
+    }
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        kernel=kernel,
+        grid={"missing_width": [0.3], "noise_std": [0.02],
+              "outlier_ratio": [0.0], "deformation_level": [1]},
+    )
+    data, runs, report = tmp_path / "data", tmp_path / "runs", tmp_path / "report"
+    for threads in ("1", "2"):
+        out = tmp_path / f"sweep{threads}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(report)]) == 0
+
+    serial = strip_runtime(sio.read_csv_rows(tmp_path / "sweep1" / "metrics.csv"))
+    assert len(serial) == 2 and all(r["success"] == 1 for r in serial)
+    assert strip_runtime(sio.read_csv_rows(tmp_path / "sweep2" / "metrics.csv")) == serial
+    assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == serial
+
+
+def test_register_first_iteration_failure_writes_placeholders(tmp_path):
+    # no correspondence state exists, so every summary row is a placeholder
+    reference_csv, target_csv = tmp_path / "ref.csv", tmp_path / "target.csv"
+    sio.write_points_csv(reference_csv, [[0.0, 0.0], [1.0, 0.0]])
+    sio.write_points_csv(target_csv, [[1e160, 1e160]])
+    cfg = write_config(
+        tmp_path / "cfg.json", reference=str(reference_csv), registration={"sigma2_init": 1e-6}
+    )
+    out = tmp_path / "run"
+    code = main(["register", "--config", str(cfg), "--target", str(target_csv), "--out", str(out)])
+    assert code == 0
+    meta = sio.read_json(out / "result.json")
+    assert meta["failed"] is True
+    assert meta["failure_reason"] == "first_iteration"
+    summary = sio.read_csv_rows(out / "correspondence_summary.csv")
+    assert [r["ref_index"] for r in summary] == [0, 1]
+    assert all(r["best_target"] == -1 and r["nu"] == 0 for r in summary)
