@@ -125,13 +125,13 @@ def derive_seed(master_seed: int, level_idx: int, instance_idx: int) -> int:
 def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
     return PerturbationSpec(
         warp_amplitude=DEFORMATION_AMPLITUDE_PER_LEVEL * float(point["deformation_level"]),
-        warp_bandwidth=float(grid.get("warp_bandwidth", 0.3)),
-        warp_controls=int(grid.get("warp_controls", 5)),
+        warp_bandwidth=float(grid.get("warp_bandwidth", PerturbationSpec.warp_bandwidth)),
+        warp_controls=int(grid.get("warp_controls", PerturbationSpec.warp_controls)),
         missing_width=float(point["missing_width"]),
-        missing_center=grid.get("missing_center", "random"),
+        missing_center=grid.get("missing_center", PerturbationSpec.missing_center),
         outlier_ratio=float(point["outlier_ratio"]),
         noise_std=float(point["noise_std"]),
-        rotation_max=float(grid.get("rotation_max", 0.0)),
+        rotation_max=float(grid.get("rotation_max", PerturbationSpec.rotation_max)),
         seed=seed,
     )
 
@@ -252,9 +252,10 @@ def _write_metrics(path: Path, rows: list) -> None:
 
 def _sweep_task(task: tuple) -> dict:
     variant, tag, reference, kernel, cfg, spec = task
-    inst = generate(reference, spec)
     t0 = time.perf_counter()
     try:
+        inst = generate(reference, spec)
+        t0 = time.perf_counter()  # runtime_ms times the registration alone
         result = register(reference, inst.target, kernel, cfg)
     except SFGPError as exc:
         # a broken instance is recorded, never aborts the sweep

@@ -121,12 +121,21 @@ def get_correspondences(
     """Responsibilities, partition, and fused labels in one pass.
 
     Every pair (i, j) with p_ij > p_min annotates reference point i with the
-    label s_j - r_bar_i at variance sigma2_i / p_ij.  Their precision-weighted
-    fusion is the closed-form barycentre over W = P * [P > p_min]:
-    delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
-    sigma2_eff_i = sigma2_i / sum_j W_ij.
+    label s_j - r_bar_i at variance sigma2_i / p_ij; see `_fuse`.
     """
     p = responsibilities(inputs)
+    return _fuse(p, inputs.target, inputs.deformed_ref, inputs.sigma2, p_min)
+
+
+def _fuse(
+    p: np.ndarray, target: PointSet, deformed_ref: PointSet, sigma2: np.ndarray, p_min: float
+) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
+    """Threshold `p` and fuse the labels of the kept pairs.
+
+    The precision-weighted fusion is the closed-form barycentre over
+    W = P * [P > p_min]: delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
+    sigma2_eff_i = sigma2_i / sum_j W_ij.
+    """
     state = threshold(p, p_min)
     inliers = state.inliers
     if inliers.size == 0:
@@ -136,10 +145,10 @@ def get_correspondences(
     mass = w.sum(axis=1)[inliers]
     # fusing on the full W and indexing the (N_R, d) result avoids copying
     # the N_R x N_S rows of W[inliers]
-    num = (w @ inputs.target.points)[inliers]
+    num = (w @ target.points)[inliers]
     ann = AnnotatedDeformations(
-        delta_hat=num / mass[:, None] - inputs.deformed_ref.points[inliers],
-        sigma2_eff=inputs.sigma2[inliers] / mass,
+        delta_hat=num / mass[:, None] - deformed_ref.points[inliers],
+        sigma2_eff=sigma2[inliers] / mass,
     )
     return state, ann
 
@@ -150,24 +159,18 @@ def closest_point_correspondence(
     """Hard assignment baseline: each reference point annotates to its
     Euclidean-nearest target point with uniform variance; nothing is ever
     declared missing.  Ties break to the lowest target index.
+
+    The one-hot P goes through the same fusion as `get_correspondences` at
+    p_min = 0, which keeps exactly the nearest pair of every row.
     """
     if sigma_n2 <= 0.0:
         raise ValueError("sigma_n2 must be positive")
-    r_bar = deformed_ref.points
-    s = target.points
-    n_r = r_bar.shape[0]
+    n_r = deformed_ref.n
     # argmin keeps ties at the lowest target index, unlike a kd-tree
-    nearest = np.argmin(sq_dists(r_bar, s), axis=1)
-
-    p = np.zeros((n_r, s.shape[0]))
+    nearest = np.argmin(sq_dists(deformed_ref.points, target.points), axis=1)
+    p = np.zeros((n_r, target.n))
     p[np.arange(n_r), nearest] = 1.0
-    state = CorrespondenceState(
-        P=p, nu=np.ones(n_r), inliers=np.arange(n_r), missing=np.array([], dtype=int)
-    )
-    ann = AnnotatedDeformations(
-        delta_hat=s[nearest] - r_bar, sigma2_eff=np.full(n_r, float(sigma_n2))
-    )
-    return state, ann
+    return _fuse(p, target, deformed_ref, np.full(n_r, float(sigma_n2)), 0.0)
 
 
 __all__ = [

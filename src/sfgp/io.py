@@ -17,10 +17,6 @@ SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
 
 
-def format_float(x: float) -> str:
-    return FLOAT_FMT % x
-
-
 def _write_lines(path, lines) -> None:
     """Write newline-terminated lines through a temporary file, so a reader
     never sees a half-written file."""
@@ -120,7 +116,6 @@ def read_csv_rows(path) -> list:
 
 __all__ = [
     "SCHEMA_VERSION",
-    "format_float",
     "write_points_csv",
     "read_points_csv",
     "write_pointset_csv",

@@ -174,7 +174,7 @@ def register(
             raise NumericalError(f"iteration {it}: {exc}") from exc
 
         r_bar = PointSet(points=ref_pts + posterior.mu)
-        post_var = np.maximum(posterior.var_diag, 0.0)
+        post_var = posterior.var_diag
         sigma2 = update_sigma2(
             state.P,
             state.nu,
@@ -192,26 +192,16 @@ def register(
             break
 
         change = mean_disp if prev_mean_disp is None else abs(mean_disp - prev_mean_disp)
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                mean_disp_change=change,
-                n_inliers=int(state.inliers.size),
-                n_missing=int(state.missing.size),
-                mean_sigma2=float(np.mean(sigma2)),
-                elapsed_s=time.perf_counter() - t0,
-            )
+        record = IterationRecord(
+            iteration=it,
+            mean_disp_change=change,
+            n_inliers=int(state.inliers.size),
+            n_missing=int(state.missing.size),
+            mean_sigma2=float(np.mean(sigma2)),
+            elapsed_s=time.perf_counter() - t0,
         )
-        logger.info(
-            "iter=%d mean_disp_change=%.6e n_inliers=%d n_missing=%d "
-            "mean_sigma2=%.6e elapsed_s=%.4f",
-            it,
-            change,
-            int(state.inliers.size),
-            int(state.missing.size),
-            float(np.mean(sigma2)),
-            trace[-1].elapsed_s,
-        )
+        trace.append(record)
+        logger.info("%s", record)
 
         if prev_mean_disp is not None:
             rel = abs(mean_disp - prev_mean_disp) / max(prev_mean_disp, 1e-30)

@@ -17,11 +17,9 @@ import numpy as np
 from .core import DegenerateInstanceError, PointSet
 from . import io as sio
 
-# documented benchmark scales for the unit-extent shapes below:
-# deformation level L warps with coefficient std 0.03 * L, noise level k
-# draws iid Normal(0, (0.01 * k)^2) per coordinate.
+# documented benchmark scale for the unit-extent shapes below:
+# deformation level L warps with coefficient std 0.03 * L.
 DEFORMATION_AMPLITUDE_PER_LEVEL = 0.03
-NOISE_STD_PER_LEVEL = 0.01
 WARP_BANDWIDTH_DEFAULT = 0.3
 WARP_CONTROLS_DEFAULT = 5
 OUTLIER_BOX_EXPANSION = 1.1
@@ -236,5 +234,4 @@ __all__ = [
     "write_instance",
     "read_instance",
     "DEFORMATION_AMPLITUDE_PER_LEVEL",
-    "NOISE_STD_PER_LEVEL",
 ]

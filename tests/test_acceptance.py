@@ -96,7 +96,7 @@ def rows_digest(rows):
             if v is None:
                 cells.append("")
             elif isinstance(v, float):
-                cells.append(sio.format_float(v))
+                cells.append(sio.FLOAT_FMT % v)
             else:
                 cells.append(str(v))
         buf.write(",".join(cells) + "\n")

@@ -270,6 +270,25 @@ def test_sweep_zero_instances_fails(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def test_sweep_records_a_degenerate_level_as_failed(tmp_path):
+    # a missing box wider than fish98 removes every point of that level; the
+    # level becomes a failed row and the other level is still scored
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"missing_width": [0.3, 3.0], "noise_std": [0.02],
+              "outlier_ratio": [0.0], "deformation_level": [1]},
+        instances=1,
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = {r["level"]: r for r in sio.read_csv_rows(out / "metrics.csv")}
+    assert sorted(rows) == ["mw0.3_ns0.02_or0_dl1", "mw3_ns0.02_or0_dl1"]
+    scored, failed = rows["mw0.3_ns0.02_or0_dl1"], rows["mw3_ns0.02_or0_dl1"]
+    assert scored["success"] == 1 and scored["error_all"] is not None
+    assert failed["success"] == 0
+    assert all(failed[k] is None for k in ("error_all", "recall", "precision"))
+
+
 def test_pca_sum_kernel_agrees_across_sweep_and_files(tmp_path):
     # a pca_file summand takes the low-rank posterior path, in-process, in
     # pool workers and through register's files alike

@@ -142,10 +142,11 @@ class TestPosterior:
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-9, atol=1e-13)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-9, atol=1e-13)
 
-    def test_lowrank_path_matches_dense_oracle(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lowrank_path_matches_dense_oracle(self, d):
         rng = np.random.default_rng(47)
         for _ in range(8):
-            n, d = 5, 2
+            n = 5
             anchor = pointset(random_points(rng, n, d, min_sep=0.15))
             samples = rng.normal(size=(9, n * d))
             pca = build_pca_kernel(samples, rank=3, anchor=anchor)
