@@ -124,8 +124,14 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) squared Euclidean distances between the rows of a and b, as
-    |a|^2 + |b|^2 - 2ab clamped at 0 against cancellation."""
-    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    |a|^2 + |b|^2 - 2ab clamped at 0 against cancellation.
+
+    The only (N, M) allocation is the product a b^T; the norms are added to
+    it in place, so callers may overwrite the result as their own buffer."""
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += np.sum(a**2, axis=1)[:, None]
+    d2 += np.sum(b**2, axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 

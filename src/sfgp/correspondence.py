@@ -57,6 +57,10 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
     shift; the outlier mass enters through log-add, so no column ever
     produces NaN.  A column that underflows entirely with omega = 0 is
     returned as zeros and reported in a logged warning.
+
+    The squared distances, the log-densities and the result share one
+    (N_R, N_S) buffer: it is shifted, exponentiated once and rescaled per
+    column in place.
     """
     r_bar = inputs.deformed_ref.points
     s = inputs.target.points
@@ -68,32 +72,29 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
 
     # overflow to inf is fine here: it encodes a density of exactly zero
     with np.errstate(over="ignore"):
-        sq = sq_dists(r_bar, s)
-        # weighted density with the posterior-spread discount per reference point
-        log_phi = (
-            -0.5 * d * np.log(2.0 * np.pi * sigma2)[:, None]
-            - (sq + d * post_var[:, None]) / (2.0 * sigma2[:, None])
-        )
+        p = sq_dists(r_bar, s)
+        # weighted log-density with the posterior-spread discount per reference point
+        p += (d * post_var)[:, None]
+        p /= (2.0 * sigma2)[:, None]
+        np.subtract((-0.5 * d * np.log(2.0 * np.pi * sigma2))[:, None], p, out=p)
 
-    col_max = np.max(log_phi, axis=0)
+    col_max = np.max(p, axis=0)
     dead = ~np.isfinite(col_max)
     col_max_safe = np.where(dead, 0.0, col_max)
-    scaled = np.exp(log_phi - col_max_safe[None, :])
-    col_sum = np.sum(scaled, axis=0)
+    p -= col_max_safe
+    np.exp(p, out=p)  # dead columns are all -inf and become exact zeros
+    col_sum = np.sum(p, axis=0)
 
-    p = np.zeros((n_r, n_s))
-    live = ~dead
     if omega == 0.0:
-        p[:, live] = scaled[:, live] / col_sum[live]
+        col_sum[dead] = 1.0
+        p /= col_sum
     else:
         with np.errstate(divide="ignore"):
             log_denom = np.logaddexp(
                 np.log(omega * n_r / n_s),
                 np.log1p(-omega) + col_max_safe + np.log(col_sum),
             )
-        p[:, live] = np.exp(
-            np.log1p(-omega) + log_phi[:, live] - log_denom[None, live]
-        )
+        p *= np.exp(np.log1p(-omega) + col_max_safe - log_denom)
 
     n_dead = int(np.sum(dead))
     if n_dead and omega == 0.0:

@@ -10,6 +10,11 @@ predictive mean and variance come from one Cholesky factorization of the
 A low-rank coordinate-coupling term U diag(lam) U^T, when present, adds a
 correction on top of that solve: the matrix inversion lemma reuses the factor
 of A and needs only an (m x m) capacitance factorization more.
+
+The dense work allocates only what it returns, besides one (C x C) and one
+(N_R x C) buffer: A is factored in place, and the variance solve
+v = L^{-1} G_Cx overwrites the gathered cross-covariance G_xC once the mean
+and the low-rank correction have used it.
 """
 from __future__ import annotations
 
@@ -21,8 +26,10 @@ from .kernels import GramMatrix
 
 
 def _chol(a: np.ndarray, what: str):
+    """Lower Cholesky factor of the symmetric `a`, overwriting it: a.T is the
+    Fortran-ordered view LAPACK factors without a copy."""
     try:
-        return cho_factor(a, lower=True)
+        return cho_factor(a.T, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         raise NumericalError(f"{what} factorization failed after jitter: {exc}") from exc
 
@@ -55,17 +62,20 @@ def gpr_posterior(
         raise ValueError("sigma2_eff must be strictly positive")
 
     g = gram.g
-    a = g[np.ix_(inliers, inliers)].copy()
+    a = g[np.ix_(inliers, inliers)]  # fancy indexing copies
     a[np.diag_indices_from(a)] += sigma2_eff + gram.jitter
     factor = _chol(a, "observed-block")
     alpha = cho_solve(factor, delta_hat)
-    g_xc = g[:, inliers]
-    v = solve_triangular(factor[0], g_xc.T, lower=True)
-    var = np.diag(g) - np.sum(v**2, axis=0)
+    # take() gathers G_xC C-ordered, so G_Cx = g_xc.T is the Fortran-ordered
+    # right-hand side the variance solve overwrites in place
+    g_xc = np.take(g, inliers, axis=1)
     mu = g_xc @ alpha
+    d_var = 0.0
     if gram.lowrank_u is not None:
         d_mu, d_var = _lowrank_correction(gram, inliers, factor, g_xc, alpha, delta_hat)
-        mu, var = mu + d_mu, var + d_var
+        mu += d_mu
+    v = solve_triangular(factor[0], g_xc.T, lower=True, overwrite_b=True)
+    var = np.diag(g) - np.einsum("ij,ij->j", v, v) + d_var
     return PosteriorDeformation(mu=mu, var_diag=np.maximum(var, 0.0))
 
 

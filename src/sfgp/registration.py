@@ -83,7 +83,7 @@ def update_sigma2(
     s = target.points
     r_bar = deformed_ref.points
     d = s.shape[1]
-    residual2 = np.sum(p * sq_dists(r_bar, s), axis=1)
+    residual2 = np.einsum("ij,ij->i", p, sq_dists(r_bar, s))
 
     if mode == "scalar":
         total_nu = float(np.sum(nu))

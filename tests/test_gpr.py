@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -229,3 +231,27 @@ class TestPosterior:
         np.testing.assert_allclose(
             post_full.var_diag[:5], post_small.var_diag, rtol=1e-12, atol=1e-15
         )
+
+    @pytest.mark.parametrize("with_pca", [False, True])
+    def test_huge_label_noise_matches_dropping_the_labels(self, with_pca):
+        # a label at variance 1e16 or 1e200 carries no information: the
+        # posterior must equal the one without it, and nothing may overflow
+        # on the way (p_min = 0 can fuse labels at such variances)
+        rng = np.random.default_rng(101)
+        n, d = 9, 3
+        ref = pointset(random_points(rng, n, d, min_sep=0.2))
+        spec = SquaredExponential(1.0, 0.6)
+        if with_pca:
+            spec = SumKernel(spec, build_pca_kernel(rng.normal(size=(8, n * d)), 3, ref))
+        gram = assemble_gram(spec, ref, 1e-10)
+        inliers = np.array([0, 2, 3, 5, 6, 8])
+        delta = rng.normal(size=(6, d))
+        noise = rng.uniform(0.05, 0.5, size=6)
+        noise[[1, 4]] = [1e16, 1e200]
+        keep = np.array([0, 2, 3, 5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = gpr_posterior(gram, inliers, delta, noise)
+            dropped = gpr_posterior(gram, inliers[keep], delta[keep], noise[keep])
+        np.testing.assert_allclose(post.mu, dropped.mu, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(post.var_diag, dropped.var_diag, rtol=1e-12, atol=0.0)
