@@ -3,8 +3,11 @@ sweeps, and evaluation.  Data goes to files, logs go to stderr."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import logging
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +61,9 @@ SWEEP_FIELDS = (
 )
 
 SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
+
+# read by the BLAS libraries once, when they load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_reference(name_or_path) -> PointSet:
@@ -269,6 +275,23 @@ def _sweep_task(task: tuple) -> dict:
     return _metrics_row(variant, tag, spec.seed, runtime_ms, scored)
 
 
+@contextlib.contextmanager
+def _one_blas_thread_per_worker():
+    """Within the block, processes started see one BLAS thread each, so a pool
+    of workers shares the cores instead of each starting a thread per core.
+    The environment is restored on exit."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def cmd_sweep(args) -> int:
     config = sio.read_json(args.config)
     reference, kernel, base = _setup(config)
@@ -279,7 +302,12 @@ def cmd_sweep(args) -> int:
         for variant, cfg in cfgs
     ]
     if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        # forked workers would inherit the parent's BLAS threads; spawned
+        # ones load BLAS afresh and read the thread variables
+        context = multiprocessing.get_context("spawn")
+        with _one_blas_thread_per_worker(), ProcessPoolExecutor(
+            max_workers=args.threads, mp_context=context
+        ) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]

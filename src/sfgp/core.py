@@ -89,13 +89,17 @@ class RegistrationConfig:
     distance) and the Gram diagonal respectively.  p_min is the
     correspondence threshold: only pairs with p_ij > p_min annotate, so
     p_min = 0 keeps every pair of positive probability (no threshold).
+    rel_tol is the stop rule: from the second iteration on, the run has
+    converged once no reference point moved by more than
+    rel_tol * sqrt(mean sigma2) in an iteration, so rel_tol = 0 runs to
+    max_iters unless the points stop moving exactly.
     """
 
     omega: float = 0.0
     p_min: float = 0.01
     sigma2_init: Optional[float] = None
     max_iters: int = 200
-    rel_tol: float = 1e-5
+    rel_tol: float = 1e-3
     jitter: Optional[float] = None
     variance_mode: str = "per_point"
     correspondence_mode: str = "multi_annotator"
@@ -204,8 +208,12 @@ class PosteriorDeformation:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration of a registration run.  max_move is the largest distance
+    a reference point moved in the iteration, the quantity the stop rule reads;
+    mean_sigma2 is taken after the variance update."""
+
     iteration: int
-    mean_disp_change: float
+    max_move: float
     n_inliers: int
     n_missing: int
     mean_sigma2: float

@@ -1,9 +1,20 @@
 """Outer fitting loop: alternate correspondence estimation with GP regression.
 
-Each iteration recomputes soft correspondences from the current deformed
-reference, fuses them into labels, fits the posterior deformation, moves the
-reference, and finally updates the per-point mixture variances from the new
-residuals.  The loop stops when the mean displacement magnitude stabilizes.
+This is an EM loop.  Each iteration recomputes soft correspondences from the
+current deformed reference (E-step), fuses them into labels, fits the GP
+posterior deformation, moves the reference, and finally updates the
+per-point mixture variances from the new residuals (M-step).
+
+The labels are total displacements of the undeformed reference (barycentre
+minus reference point, as in BCPD's x_hat - y), because the posterior mean is
+applied as the total displacement: r_bar = reference + mu.  With labels taken
+relative to the current deformed reference instead, the update would be an
+involution and the loop would cycle with period 2.
+
+From the second iteration on, the loop stops at a fixed point: when no
+reference point moved by more than rel_tol * sqrt(mean sigma2) in the last
+iteration, with sigma2 taken after its update.  It does not stop on the
+mixture log-likelihood, which per-point variances keep raising.
 """
 from __future__ import annotations
 
@@ -137,7 +148,6 @@ def register(
     state = None
     posterior = None
     trace: list = []
-    prev_mean_disp: Optional[float] = None
     converged = False
     failed = False
     failure_reason = None
@@ -168,11 +178,15 @@ def register(
             logger.warning("iter=%d correspondence collapse: %s", it, exc)
             break
 
+        # the labels are relative to r_bar; the posterior mean is the total
+        # displacement of the reference, so the labels must be as well
+        labels = ann.delta_hat + (r_bar.points - ref_pts)[state.inliers]
         try:
-            posterior = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
+            posterior = gpr_posterior(gram, state.inliers, labels, ann.sigma2_eff)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
 
+        prev_pts = r_bar.points
         r_bar = PointSet(points=ref_pts + posterior.mu)
         post_var = posterior.var_diag
         sigma2 = update_sigma2(
@@ -185,30 +199,27 @@ def register(
             prev_sigma2=sigma2,
         )
 
-        mean_disp = float(np.mean(np.linalg.norm(posterior.mu, axis=1)))
-        if it == 1 and mean_disp == 0.0:
+        if it == 1 and not np.any(posterior.mu):
             failed = True
             failure_reason = "first_iteration"
             break
 
-        change = mean_disp if prev_mean_disp is None else abs(mean_disp - prev_mean_disp)
+        max_move = float(np.max(np.linalg.norm(r_bar.points - prev_pts, axis=1)))
+        mean_sigma2 = float(np.mean(sigma2))
         record = IterationRecord(
             iteration=it,
-            mean_disp_change=change,
+            max_move=max_move,
             n_inliers=int(state.inliers.size),
             n_missing=int(state.missing.size),
-            mean_sigma2=float(np.mean(sigma2)),
+            mean_sigma2=mean_sigma2,
             elapsed_s=time.perf_counter() - t0,
         )
         trace.append(record)
         logger.info("%s", record)
 
-        if prev_mean_disp is not None:
-            rel = abs(mean_disp - prev_mean_disp) / max(prev_mean_disp, 1e-30)
-            if rel < cfg.rel_tol:
-                converged = True
-                break
-        prev_mean_disp = mean_disp
+        if it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2):
+            converged = True
+            break
 
     return RegistrationResult(
         deformed_reference=r_bar,

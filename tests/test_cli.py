@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sfgp import io as sio
-from sfgp.cli import main
+from sfgp.cli import BLAS_THREAD_VARS, _one_blas_thread_per_worker, main
+from sfgp.core import RegistrationConfig
 from sfgp.kernels import build_pca_kernel, save_pca_kernel
 from sfgp.synthdata import fish_reference, warp_rbf
 
@@ -95,6 +97,11 @@ def test_register_self_target_near_zero_error(tmp_path):
     assert meta["failed"] is False
     trace = sio.read_csv_rows(out / "trace.csv")
     assert len(trace) == meta["iters"]
+    # the run stopped on the first row whose largest move is within the tolerance
+    rel_tol = RegistrationConfig().rel_tol
+    within = [r["max_move"] <= rel_tol * np.sqrt(r["mean_sigma2"]) for r in trace]
+    assert meta["converged"] is True and meta["iters"] < 40
+    assert within[-1] and not any(within[1:-1])
 
 
 def test_register_dataset_produces_per_instance_results(tmp_path):
@@ -159,7 +166,10 @@ def test_sweep_metrics_roundtrip_and_determinism(tmp_path):
         assert row["error_all"] == float(line.split(",")[idx])
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    # the pool sets the BLAS thread variables for its workers only
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = write_config(
         tmp_path / "cfg.json",
         grid={"missing_width": [0.2], "noise_std": [0.02],
@@ -173,6 +183,17 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert strip(sio.read_csv_rows(serial / "metrics.csv")) == strip(
         sio.read_csv_rows(parallel / "metrics.csv")
     )
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_one_blas_thread_block_sets_and_restores_env(monkeypatch):
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with _one_blas_thread_per_worker():
+        assert [os.environ[name] for name in BLAS_THREAD_VARS] == ["1"] * 3
+    assert os.environ["MKL_NUM_THREADS"] == "4"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_eval_aggregates_dataset_results(tmp_path):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sfgp import registration
 from sfgp.core import (
     NoMassError,
+    PosteriorDeformation,
     RegistrationConfig,
 )
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences
@@ -15,7 +19,12 @@ from sfgp.registration import (
     update_sigma2,
     variant_config,
 )
-from sfgp.synthdata import PerturbationSpec, fish_reference, generate
+from sfgp.synthdata import (
+    DEFORMATION_AMPLITUDE_PER_LEVEL,
+    PerturbationSpec,
+    fish_reference,
+    generate,
+)
 
 from helpers import (
     direct_deformation_update,
@@ -232,6 +241,46 @@ class TestRegister:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             res = register(fish, inst.target, self.kernel, cfg)
         assert not res.failed
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_converged_run_is_a_fixed_point(self, variant):
+        # with labels relative to the deformed reference, the loop cycled
+        # with period 2 on this instance, and no variant stopped
+        fish = fish_reference()
+        inst = generate(
+            fish,
+            PerturbationSpec(warp_amplitude=DEFORMATION_AMPLITUDE_PER_LEVEL, missing_width=0.1,
+                             noise_std=0.02, seed=2),
+        )
+        cfg = variant_config(variant, RegistrationConfig(omega=0.1, p_min=0.05))
+        res = register(fish, inst.target, self.kernel, cfg)
+        assert res.converged and res.iters < cfg.max_iters
+        tol = cfg.rel_tol * np.sqrt(np.mean(res.sigma2))
+        assert res.trace[-1].max_move <= tol < res.trace[-2].max_move
+
+        more = register(fish, inst.target, self.kernel,
+                        replace(cfg, rel_tol=0.0, max_iters=res.iters + 1))
+        assert more.iters == res.iters + 1 and not more.converged
+        step = np.linalg.norm(more.deformed_reference.points - res.deformed_reference.points,
+                              axis=1)
+        assert np.max(step) <= tol
+
+    def test_zero_rel_tol_runs_to_max_iters(self):
+        fish = fish_reference()
+        inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
+        cfg = RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=25)
+        res = register(fish, inst.target, self.kernel, cfg)
+        assert res.iters == 25 and not res.converged and not res.failed
+        assert all(rec.max_move > 0.0 for rec in res.trace)
+
+    def test_zero_rel_tol_stops_when_nothing_moves(self, monkeypatch):
+        # a posterior that never changes moves the reference once, in iteration 1
+        fish = fish_reference()
+        fixed = PosteriorDeformation(mu=np.full((fish.n, 2), 0.01), var_diag=np.zeros(fish.n))
+        monkeypatch.setattr(registration, "gpr_posterior", lambda *args: fixed)
+        res = register(fish, fish, self.kernel, RegistrationConfig(rel_tol=0.0))
+        assert res.converged and res.iters == 2
+        assert [rec.max_move for rec in res.trace] == [pytest.approx(0.01 * np.sqrt(2)), 0.0]
 
     def test_dim_mismatch_rejected(self):
         ref = pointset([[0.0, 0.0], [1.0, 1.0]])
