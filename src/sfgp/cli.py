@@ -57,6 +57,9 @@ SWEEP_FIELDS = (
     "success",
     "recall",
     "precision",
+    "iters",
+    "converged",
+    "failure_reason",
     "runtime_ms",
 )
 
@@ -237,17 +240,20 @@ def cmd_register(args) -> int:
     return 0
 
 
-def _metrics_row(variant, tag, seed, runtime_ms, scored=None) -> dict:
-    """One SWEEP_FIELDS row.  `scored` holds the arrays of a successful run,
-    (ground truth, true missing mask, fitted points, flagged mask); None
-    marks a failed run, which has no scores."""
+def _metrics_row(variant, tag, seed, runtime_ms, outcome, scored=None) -> dict:
+    """One SWEEP_FIELDS row.  `outcome` is (iters, converged, failure_reason)
+    of the run.  `scored` holds the arrays of a successful run, (ground
+    truth, true missing mask, fitted points, flagged mask); None marks a
+    failed run, which has no scores."""
     if scored is None:
         errors, success, detection = (None,) * len(SUBSETS), 0, (None, None)
     else:
         gt, true_missing, fitted, flagged = scored
         errors = tuple(subset_error(gt, fitted, true_missing, s) for s in SUBSETS)
         success, detection = 1, detection_scores(flagged, true_missing)
-    return dict(zip(SWEEP_FIELDS, (variant, tag, seed, *errors, success, *detection, runtime_ms)))
+    iters, converged, failure_reason = outcome
+    return dict(zip(SWEEP_FIELDS, (variant, tag, seed, *errors, success, *detection,
+                                   int(iters), int(converged), failure_reason, runtime_ms)))
 
 
 def _write_metrics(path: Path, rows: list) -> None:
@@ -266,13 +272,15 @@ def _sweep_task(task: tuple) -> dict:
     except SFGPError as exc:
         # a broken instance is recorded, never aborts the sweep
         logger.warning("%s %s seed=%d: %s", variant, tag, spec.seed, exc)
-        result = None
+        result, outcome = None, (0, False, type(exc).__name__)
+    else:
+        outcome = (result.iters, result.converged, result.failure_reason)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     scored = None
     if result is not None and not result.failed:
         scored = (inst.ground_truth.points, inst.missing_mask,
                   result.deformed_reference.points, flagged_missing(result))
-    return _metrics_row(variant, tag, spec.seed, runtime_ms, scored)
+    return _metrics_row(variant, tag, spec.seed, runtime_ms, outcome, scored)
 
 
 @contextlib.contextmanager
@@ -301,12 +309,14 @@ def cmd_sweep(args) -> int:
         for tag, _, _, spec in _instances(config)
         for variant, cfg in cfgs
     ]
-    if args.threads > 1:
+    # an idle spawned worker would still pay for importing numpy, scipy and sfgp
+    workers = min(args.threads, len(tasks))
+    if workers > 1:
         # forked workers would inherit the parent's BLAS threads; spawned
         # ones load BLAS afresh and read the thread variables
         context = multiprocessing.get_context("spawn")
         with _one_blas_thread_per_worker(), ProcessPoolExecutor(
-            max_workers=args.threads, mp_context=context
+            max_workers=workers, mp_context=context
         ) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
@@ -335,9 +345,10 @@ def cmd_eval(args) -> int:
                 sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
                 np.array([bool(r["is_missing"]) for r in summary]),
             )
-        rows.append(
-            _metrics_row(meta["variant"], entry["level"], entry["seed"], meta["runtime_ms"], scored)
-        )
+        outcome = (meta["iters"], meta["converged"], meta["failure_reason"])
+        rows.append(_metrics_row(
+            meta["variant"], entry["level"], entry["seed"], meta["runtime_ms"], outcome, scored
+        ))
     out = Path(args.out)
     _write_metrics(out / "aggregate.csv", rows)
 

@@ -140,6 +140,17 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+# Rows per block of the dense steps that reduce an (N_R, N_S) or (N_R, C)
+# product a block at a time instead of holding a second full-size copy.
+ROW_BLOCK = 512
+
+
+def row_blocks(n: int) -> list:
+    """Consecutive slices of at most ROW_BLOCK rows covering range(n); the
+    first is the largest."""
+    return [slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
+
+
 def default_sigma2_init(reference: PointSet) -> float:
     """Squared mean nearest-neighbor distance of the reference points."""
     if reference.n < 2:
@@ -226,7 +237,10 @@ class RegistrationResult:
 
     failed is True when the first iteration finds no deformations at all;
     failure_reason distinguishes that case ("first_iteration") from a
-    mid-run correspondence collapse ("mid_run_collapse").
+    mid-run correspondence collapse ("mid_run_collapse").  state is None
+    when an E-step found no above-threshold match, in the first iteration or
+    later; after a mid-run collapse, deformed_reference, posterior and sigma2
+    are those of the last completed iteration.
     """
 
     deformed_reference: PointSet

@@ -5,6 +5,10 @@ Gaussian per reference point, individual variance) plus a uniform outlier
 component with weight omega.  Responsibilities feed three consumers: the
 inlier/missing partition, the precision-fused deformation labels, and the
 expected match counts used by the variance update.
+
+P is the one (N_R, N_S) array of a correspondence step: the thresholded
+weights W of the fusion and the distances of the closest-point baseline are
+formed one row block (core.ROW_BLOCK rows) at a time.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from .core import (
     AnnotatedDeformations,
     CorrespondenceState,
     PointSet,
+    row_blocks,
     sq_dists,
 )
 
@@ -135,20 +140,26 @@ def _fuse(
 
     The precision-weighted fusion is the closed-form barycentre over
     W = P * [P > p_min]: delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
-    sigma2_eff_i = sigma2_i / sum_j W_ij.
+    sigma2_eff_i = sigma2_i / sum_j W_ij.  W is formed one row block at a
+    time in a single block buffer, so no full-size copy of P is made.
     """
     state = threshold(p, p_min)
     inliers = state.inliers
     if inliers.size == 0:
         raise AllMissingError("no reference point has an above-threshold match")
 
-    w = np.where(p > p_min, p, 0.0)
-    mass = w.sum(axis=1)[inliers]
-    # fusing on the full W and indexing the (N_R, d) result avoids copying
-    # the N_R x N_S rows of W[inliers]
-    num = (w @ target.points)[inliers]
+    n_r, d = p.shape[0], target.dim
+    blocks = row_blocks(n_r)
+    w = np.empty((blocks[0].stop, p.shape[1]))
+    mass, num = np.empty(n_r), np.empty((n_r, d))
+    for blk in blocks:
+        # P * [P > p_min] equals np.where(P > p_min, P, 0): P is finite and >= 0
+        w_blk = np.multiply(p[blk], p[blk] > p_min, out=w[: blk.stop - blk.start])
+        mass[blk] = w_blk.sum(axis=1)
+        num[blk] = w_blk @ target.points
+    mass = mass[inliers]
     ann = AnnotatedDeformations(
-        delta_hat=num / mass[:, None] - deformed_ref.points[inliers],
+        delta_hat=num[inliers] / mass[:, None] - deformed_ref.points[inliers],
         sigma2_eff=sigma2[inliers] / mass,
     )
     return state, ann
@@ -168,7 +179,10 @@ def closest_point_correspondence(
         raise ValueError("sigma_n2 must be positive")
     n_r = deformed_ref.n
     # argmin keeps ties at the lowest target index, unlike a kd-tree
-    nearest = np.argmin(sq_dists(deformed_ref.points, target.points), axis=1)
+    nearest = np.concatenate([
+        np.argmin(sq_dists(deformed_ref.points[blk], target.points), axis=1)
+        for blk in row_blocks(n_r)
+    ])
     p = np.zeros((n_r, target.n))
     p[np.arange(n_r), nearest] = 1.0
     return _fuse(p, target, deformed_ref, np.full(n_r, float(sigma_n2)), 0.0)

@@ -11,17 +11,19 @@ A low-rank coordinate-coupling term U diag(lam) U^T, when present, adds a
 correction on top of that solve: the matrix inversion lemma reuses the factor
 of A and needs only an (m x m) capacitance factorization more.
 
-The dense work allocates only what it returns, besides one (C x C) and one
-(N_R x C) buffer: A is factored in place, and the variance solve
-v = L^{-1} G_Cx overwrites the gathered cross-covariance G_xC once the mean
-and the low-rank correction have used it.
+The dense work allocates only what it returns, besides the (C x C) block A,
+factored in place, and one row block of the cross-covariance G_xC.  The mean
+is g @ scatter(w), the weights w = A^{-1} labels placed at the inlier rows,
+so no (N_R x C) gather is made.  The variance solve v = L^{-1} G_Cx runs one
+row block of G_xC at a time (core.ROW_BLOCK rows), each gathered into the same
+block buffer and overwritten by its solve.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
-from .core import NoAnnotationError, NumericalError, PosteriorDeformation
+from .core import NoAnnotationError, NumericalError, PosteriorDeformation, row_blocks
 from .kernels import GramMatrix
 
 
@@ -61,28 +63,46 @@ def gpr_posterior(
     if np.any(sigma2_eff <= 0.0):
         raise ValueError("sigma2_eff must be strictly positive")
 
-    g = gram.g
+    g, n = gram.g, gram.n
     a = g[np.ix_(inliers, inliers)]  # fancy indexing copies
     a[np.diag_indices_from(a)] += sigma2_eff + gram.jitter
     factor = _chol(a, "observed-block")
-    alpha = cho_solve(factor, delta_hat)
-    # take() gathers G_xC C-ordered, so G_Cx = g_xc.T is the Fortran-ordered
-    # right-hand side the variance solve overwrites in place
-    g_xc = np.take(g, inliers, axis=1)
-    mu = g_xc @ alpha
-    d_var = 0.0
+    w = cho_solve(factor, delta_hat)  # A^{-1} labels, the weights of the mean
+    mu_lowrank, d_var = 0.0, 0.0
     if gram.lowrank_u is not None:
-        d_mu, d_var = _lowrank_correction(gram, inliers, factor, g_xc, alpha, delta_hat)
-        mu += d_mu
-    v = solve_triangular(factor[0], g_xc.T, lower=True, overwrite_b=True)
-    var = np.diag(g) - np.einsum("ij,ij->j", v, v) + d_var
+        w, mu_lowrank, d_var = _lowrank_correction(gram, inliers, factor, w, delta_hat)
+    mu = g @ _scatter(n, inliers, w) + mu_lowrank
+
+    # v = L^-1 G_Cx one row block of G_xC at a time: take() gathers the block
+    # C-ordered into one buffer, whose transpose is the Fortran-ordered
+    # right-hand side the solve overwrites in place
+    blocks = row_blocks(n)
+    g_bc = np.empty((blocks[0].stop, inliers.size))
+    v_sq = np.empty(n)
+    for blk in blocks:
+        # the indices were checked by the gather of A; "wrap" writes into out
+        # unbuffered
+        rhs = np.take(g[blk], inliers, axis=1, out=g_bc[: blk.stop - blk.start], mode="wrap")
+        v = solve_triangular(factor[0], rhs.T, lower=True, overwrite_b=True, check_finite=False)
+        v_sq[blk] = np.einsum("ij,ij->j", v, v)
+    var = np.diag(g) - v_sq + d_var
     return PosteriorDeformation(mu=mu, var_diag=np.maximum(var, 0.0))
 
 
-def _lowrank_correction(gram: GramMatrix, inliers, factor, g_xc, alpha, delta_hat):
-    """What the term U diag(lam) U^T adds to the scalar posterior mean and
-    variance, through the inversion lemma on the scalar factor of A."""
-    u, lam, d, n = gram.lowrank_u, gram.lowrank_lam, gram.dim, gram.n
+def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n, k) zeros with the rows of the (len(rows), k) `values` at `rows`, so
+    g @ _scatter(...) is G_xC values without gathering G_xC."""
+    out = np.zeros((n, values.shape[1]))
+    out[rows] = values
+    return out
+
+
+def _lowrank_correction(gram: GramMatrix, inliers, factor, alpha, delta_hat):
+    """What the term U diag(lam) U^T changes in the scalar posterior, through
+    the inversion lemma on the scalar factor of A: the corrected weights w of
+    the mean's scalar part g @ scatter(w), the mean's low-rank part, and the
+    variance term."""
+    g, u, lam, d, n = gram.g, gram.lowrank_u, gram.lowrank_lam, gram.dim, gram.n
     c, m = inliers.size, lam.size
     u_c = u[(inliers[:, None] * d + np.arange(d)).ravel()]  # (c*d, m)
 
@@ -95,19 +115,20 @@ def _lowrank_correction(gram: GramMatrix, inliers, factor, g_xc, alpha, delta_ha
     # capacitance term; mu = K_{R R_C} w
     corr = (z @ cho_solve(cap_factor, z.T @ delta_hat.reshape(-1))).reshape(c, d)
     w = alpha - corr
-    d_mu = (u @ (lam * (u_c.T @ w.reshape(-1)))).reshape(n, d) - g_xc @ corr
+    mu_lowrank = (u @ (lam * (u_c.T @ w.reshape(-1)))).reshape(n, d)
 
     # variance: per-point block traces of the prior, cross, middle and
     # capacitance terms of K - K_{R R_C} M^{-1} K_{R_C R}, over d
     u_r = u.reshape(n, d, m)
-    y1 = np.einsum("nc,cdm->ndm", g_xc, z.reshape(c, d, m))  # (g (x) I) A^{-1} U_C rows
+    # rows of (g (x) I) A^{-1} U_C
+    y1 = (g @ _scatter(n, inliers, z.reshape(c, d * m))).reshape(n, d, m)
     prior = np.einsum("iak,k->i", u_r**2, lam)
     cross = np.einsum("iak,k,iak->i", y1, lam, u_r)
     mid = np.einsum("iak,kl,ial->i", u_r, (lam[:, None] * ucz) * lam[None, :], u_r)
     y = y1.reshape(n * d, m) + u @ (lam[:, None] * ucz)
     t = solve_triangular(cap_factor[0], y.T, lower=True)
     capacitance = np.sum(t.reshape(m, n, d) ** 2, axis=(0, 2))
-    return d_mu, (prior - 2.0 * cross - mid + capacitance) / d
+    return w, mu_lowrank, (prior - 2.0 * cross - mid + capacitance) / d
 
 
 __all__ = ["gpr_posterior"]

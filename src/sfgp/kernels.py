@@ -22,6 +22,7 @@ from .core import (
     NumericalError,
     PointSet,
     RankTooLargeError,
+    row_blocks,
     sq_dists,
 )
 
@@ -132,8 +133,22 @@ def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
 
 
 def _se_gram(points: np.ndarray, spec: SquaredExponential) -> np.ndarray:
-    g = spec.amplitude2 * np.exp(-sq_dists(points, points) / (2.0 * spec.lengthscale**2))
-    return 0.5 * (g + g.T)
+    """a^2 exp(-D / (2 l^2)), symmetrised as 0.5 (g + g^T), built in the
+    buffer of the squared distances D with the operations in that order."""
+    g = sq_dists(points, points)
+    np.negative(g, out=g)
+    g /= 2.0 * spec.lengthscale**2
+    np.exp(g, out=g)
+    g *= spec.amplitude2
+    # 0.5 (g + g^T) one row block at a time: block I takes rows I and columns
+    # from its first row on, which no earlier block has written, and mirrors
+    # them; g_ij + g_ji == g_ji + g_ij, so both triangles get the same value
+    for blk in row_blocks(g.shape[0]):
+        sym = g[blk, blk.start:] + g[blk.start:, blk].T
+        sym *= 0.5
+        g[blk, blk.start:] = sym
+        g[blk.start:, blk] = sym.T
+    return g
 
 
 def assemble_gram(
@@ -144,16 +159,26 @@ def assemble_gram(
     jitter=None applies the default stabilization, 1e-8 times the mean of
     the full kernel diagonal.  Raises NumericalError when g + jitter*I fails
     its Cholesky check, and AnchorMismatchError when a PCA summand is
-    evaluated away from its anchor.
+    evaluated away from its anchor.  Besides the Gram, the assembly holds at
+    most one more N_R x N_R buffer: the next summand, or the jittered copy
+    the check factors in place.
     """
     scalar_parts: list = []
     lowrank_parts: list = []
     _collect(spec, 1.0, scalar_parts, lowrank_parts)
 
     n = ref.n
-    g = np.zeros((n, n))
+    g = None
     for scale, part in scalar_parts:
-        g += scale * _se_gram(ref.points, part)
+        term = _se_gram(ref.points, part)
+        term *= scale
+        if g is None:
+            g = term  # the same bits as 0 + scale * term
+        else:
+            g += term
+        del term  # the next summand is built without this one
+    if g is None:
+        g = np.zeros((n, n))
 
     u = lam = None
     for scale, part in lowrank_parts:
@@ -177,8 +202,11 @@ def assemble_gram(
             diag_mean += float(np.sum(u**2 * lam)) / (n * ref.dim)
         jitter = 1e-8 * diag_mean
 
+    check = g.copy()
+    check[np.diag_indices(n)] += jitter
     try:
-        _cholesky(g + jitter * np.eye(n), lower=True)
+        # check.T is the Fortran-ordered view of the symmetric copy: no copy
+        _cholesky(check.T, lower=True, overwrite_a=True)
     except LinAlgError:
         smallest = float(np.min(np.linalg.eigvalsh(g + jitter * np.eye(n))))
         raise NumericalError(

@@ -15,6 +15,13 @@ From the second iteration on, the loop stops at a fixed point: when no
 reference point moved by more than rel_tol * sqrt(mean sigma2) in the last
 iteration, with sigma2 taken after its update.  It does not stop on the
 mixture log-likelihood, which per-point variances keep raising.
+
+An iteration holds at most three full-size arrays at once: the Gram
+(N_R x N_R), one P (N_R x N_S) and the observed block of the posterior
+(C x C).  The previous P is released before the E-step builds the next, and
+the other full-size products (the fusion weights, the squared distances of
+the variance update, the posterior's cross-covariance) are worked in row
+blocks of core.ROW_BLOCK rows.
 """
 from __future__ import annotations
 
@@ -34,6 +41,7 @@ from .core import (
     RegistrationConfig,
     RegistrationResult,
     default_sigma2_init,
+    row_blocks,
     sq_dists,
     validate_config,
 )
@@ -89,12 +97,15 @@ def update_sigma2(
     per_point: sigma2_i = (sum_j p_ij ||s_j - rbar_i||^2 / nu_i) / d + post_var_i,
     with points of zero mass keeping their previous value.
     scalar: a single shared value from the total mass, every entry equal.
-    Output is floored at SIGMA2_FLOOR.
+    Output is floored at SIGMA2_FLOOR.  The residuals are reduced one row
+    block of squared distances at a time.
     """
     s = target.points
     r_bar = deformed_ref.points
     d = s.shape[1]
-    residual2 = np.einsum("ij,ij->i", p, sq_dists(r_bar, s))
+    residual2 = np.empty(r_bar.shape[0])
+    for blk in row_blocks(r_bar.shape[0]):
+        residual2[blk] = np.einsum("ij,ij->i", p[blk], sq_dists(r_bar[blk], s))
 
     if mode == "scalar":
         total_nu = float(np.sum(nu))
@@ -128,7 +139,10 @@ def register(
     The run is declared failed only when the very first iteration produces
     no deformation at all (empty inlier set or an exactly zero posterior
     mean).  A correspondence collapse in a later iteration also sets failed
-    but is tagged failure_reason="mid_run_collapse".
+    but is tagged failure_reason="mid_run_collapse"; that result keeps the
+    deformed reference, posterior and sigma2 of the last completed iteration
+    and has state None, because the previous P is released before each
+    E-step.
     """
     validate_config(cfg)
     if reference.dim != target.dim:
@@ -145,7 +159,6 @@ def register(
     sigma2 = np.full(n_r, float(sigma2_init))
     post_var = np.zeros(n_r)
 
-    state = None
     posterior = None
     trace: list = []
     converged = False
@@ -156,6 +169,7 @@ def register(
     for it in range(1, cfg.max_iters + 1):
         iters = it
         t0 = time.perf_counter()
+        state = None  # release the previous P before the E-step builds the next
         try:
             if cfg.correspondence_mode == "closest_point":
                 state, ann = closest_point_correspondence(

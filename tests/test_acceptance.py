@@ -77,6 +77,9 @@ def run_missing_trend(master_seed):
                         "success": int(not res.failed),
                         "recall": recall,
                         "precision": precision,
+                        "iters": res.iters,
+                        "converged": int(res.converged),
+                        "failure_reason": res.failure_reason,
                         "runtime_ms": 0.0,
                     }
                 )

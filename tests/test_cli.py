@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sfgp import cli, registration
 from sfgp import io as sio
 from sfgp.cli import BLAS_THREAD_VARS, _one_blas_thread_per_worker, main
-from sfgp.core import RegistrationConfig
+from sfgp.core import AllMissingError, RegistrationConfig
+from sfgp.correspondence import get_correspondences
 from sfgp.kernels import build_pca_kernel, save_pca_kernel
 from sfgp.synthdata import fish_reference, warp_rbf
 
@@ -306,8 +308,49 @@ def test_sweep_records_a_degenerate_level_as_failed(tmp_path):
     assert sorted(rows) == ["mw0.3_ns0.02_or0_dl1", "mw3_ns0.02_or0_dl1"]
     scored, failed = rows["mw0.3_ns0.02_or0_dl1"], rows["mw3_ns0.02_or0_dl1"]
     assert scored["success"] == 1 and scored["error_all"] is not None
+    assert scored["iters"] >= 1 and scored["converged"] in (0, 1)
+    assert scored["failure_reason"] is None
     assert failed["success"] == 0
     assert all(failed[k] is None for k in ("error_all", "recall", "precision"))
+    # the run raised: no iteration, and the exception's class as the reason
+    assert failed["iters"] == 0 and failed["converged"] == 0
+    assert failed["failure_reason"] == "DegenerateInstanceError"
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process and maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("instances, threads, sizes", [(2, "8", [2]), (1, "2", [])])
+def test_sweep_pool_is_capped_at_the_task_count(tmp_path, monkeypatch, instances, threads, sizes):
+    # one task per instance here; a single task runs without a pool
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"missing_width": [0.2], "noise_std": [0.02],
+              "outlier_ratio": [0.0], "deformation_level": [1]},
+        instances=instances,
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    assert RecordingPool.sizes == sizes
+    assert len(sio.read_csv_rows(out / "metrics.csv")) == instances
 
 
 def test_pca_sum_kernel_agrees_across_sweep_and_files(tmp_path):
@@ -344,6 +387,34 @@ def test_pca_sum_kernel_agrees_across_sweep_and_files(tmp_path):
     assert len(serial) == 2 and all(r["success"] == 1 for r in serial)
     assert strip_runtime(sio.read_csv_rows(tmp_path / "sweep2" / "metrics.csv")) == serial
     assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == serial
+
+
+def test_register_mid_run_collapse_writes_placeholders(tmp_path, monkeypatch):
+    # a collapse after iteration 1 leaves a fitted reference but no state
+    calls = []
+
+    def e_step(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise AllMissingError("collapsed")
+        return get_correspondences(*args)
+
+    monkeypatch.setattr(registration, "get_correspondences", e_step)
+    target_csv = tmp_path / "target.csv"
+    sio.write_points_csv(target_csv, warp_rbf(fish_reference(), 0.03, 0.3, 5, 1).points)
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    code = main(["register", "--config", str(cfg), "--target", str(target_csv), "--out", str(out)])
+    assert code == 0
+    meta = sio.read_json(out / "result.json")
+    assert meta["failed"] is True and meta["failure_reason"] == "mid_run_collapse"
+    assert meta["iters"] == 2
+    assert len(sio.read_csv_rows(out / "trace.csv")) == 1
+    assert sio.read_pointset_csv(out / "deformed_reference.csv").n == fish_reference().n
+    summary = sio.read_csv_rows(out / "correspondence_summary.csv")
+    assert [r["ref_index"] for r in summary] == list(range(fish_reference().n))
+    assert all(r["best_target"] == -1 and r["nu"] == 0 and r["is_missing"] == 0
+               for r in summary)
 
 
 def test_register_first_iteration_failure_writes_placeholders(tmp_path):

@@ -1,24 +1,34 @@
-"""The dense steps of one iteration work in place.
+"""The dense steps of one iteration work in place or in row blocks.
 
 Each step may allocate its output and little else: tracemalloc sees NumPy's
 buffers, so the incremental peak of one call bounds the full-size
-temporaries it makes.  In-place work must never reach the caller's arrays,
-so every input is checked bit for bit after the call.
+temporaries it makes.  The peak tests shrink the row block to BLOCK rows so
+that one block is small next to the full-size buffers.  In-place work must
+never reach the caller's arrays, so every input is checked bit for bit after
+the call; the blocked steps are checked against dense formulas at the block
+edges.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sfgp.core import sq_dists
-from sfgp.correspondence import ResponsibilityInputs, responsibilities
+from sfgp import core, correspondence
+from sfgp.core import RegistrationConfig, sq_dists
+from sfgp.correspondence import (
+    ResponsibilityInputs,
+    closest_point_correspondence,
+    get_correspondences,
+    responsibilities,
+)
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import SquaredExponential, SumKernel, assemble_gram, build_pca_kernel
-from sfgp.registration import update_sigma2
+from sfgp.registration import register, update_sigma2
 
-from helpers import pointset
+from helpers import dense_gpr, literal_variance_update, pointset, random_points
 
-N_R, N_S, C, D = 400, 410, 300, 3
+N_R, N_S, C, D, RANK = 400, 410, 300, 3, 4
+BLOCK = 64
 DOUBLE = np.dtype(float).itemsize
 
 
@@ -32,15 +42,20 @@ def dense():
     post_var = rng.uniform(0.0, 0.01, size=N_R)
     p = responsibilities(ResponsibilityInputs(target, rbar, sigma2, post_var, 0.1))
     gram = assemble_gram(SquaredExponential(0.01, 0.2), ref)
-    pca = build_pca_kernel(rng.normal(scale=0.01, size=(12, N_R * D)), 4, ref)
+    pca = build_pca_kernel(rng.normal(scale=0.01, size=(12, N_R * D)), RANK, ref)
     pca_gram = assemble_gram(SumKernel(SquaredExponential(0.01, 0.2), pca), ref)
     inliers = np.sort(rng.choice(N_R, size=C, replace=False))
     return dict(
         ref=ref, rbar=rbar, target=target, sigma2=sigma2, post_var=post_var, p=p,
-        gram=gram, pca_gram=pca_gram, inliers=inliers,
+        pca=pca, gram=gram, pca_gram=pca_gram, inliers=inliers,
         delta_hat=rng.normal(scale=0.02, size=(C, D)),
         sigma2_eff=rng.uniform(0.001, 0.01, size=C),
     )
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(core, "ROW_BLOCK", BLOCK)
 
 
 def peak_doubles(fn, *args):
@@ -66,15 +81,64 @@ def test_responsibilities_peak_is_one_buffer(dense, omega):
     assert peak_doubles(responsibilities, inputs) <= 1.5 * N_R * N_S
 
 
-def test_update_sigma2_peak_is_one_buffer(dense):
+def test_get_correspondences_peak_is_p_its_mask_and_one_block(dense, small_blocks):
+    # P, the boolean partition mask (1/8 of a double per pair) and one row
+    # block of W with its mask; no full W
+    inputs = ResponsibilityInputs(
+        dense["target"], dense["rbar"], dense["sigma2"], dense["post_var"], 0.1
+    )
+    bound = N_R * N_S * (1 + 1 / 8) + BLOCK * N_S * (1 + 1 / 8)
+    assert peak_doubles(get_correspondences, inputs, 0.01) <= bound
+
+
+def test_update_sigma2_peak_is_one_buffer(dense, small_blocks):
+    # one row block of squared distances, plus a few (N_R,) and (N_S,) vectors
     p = dense["p"]
     args = (p, p.sum(axis=1), dense["target"], dense["rbar"], dense["post_var"])
-    assert peak_doubles(update_sigma2, *args) <= 1.5 * N_R * N_S
+    assert peak_doubles(update_sigma2, *args) <= 1.5 * BLOCK * N_S
 
 
-def test_gpr_posterior_peak_is_observed_block_and_cross_covariance(dense):
+def test_gpr_posterior_peak_is_observed_block_and_cross_covariance(dense, small_blocks):
+    # the factored C x C block and one row block of the cross-covariance
     args = (dense["gram"], dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
-    assert peak_doubles(gpr_posterior, *args) <= 1.2 * (C * C + N_R * C)
+    assert peak_doubles(gpr_posterior, *args) <= 1.1 * (C * C + BLOCK * C)
+
+
+def test_lowrank_posterior_peak_adds_only_rank_sized_arrays(dense, small_blocks):
+    # the low-rank correction adds a few (N_R * d, m) arrays to the scalar peak
+    args = (dense["pca_gram"], dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
+    assert peak_doubles(gpr_posterior, *args) <= C * C + BLOCK * C + 8 * N_R * D * RANK
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+def test_assemble_gram_peak_is_gram_and_check_copy(dense, small_blocks, lowrank):
+    # the Gram, the jittered copy its SPD check factors in place and SciPy's
+    # finiteness mask over that copy (1/8 of a double per entry)
+    spec = SquaredExponential(0.01, 0.2)
+    if lowrank:
+        spec = SumKernel(spec, dense["pca"])
+    bound = (2 + 1 / 8) * N_R * N_R + BLOCK * N_R
+    assert peak_doubles(assemble_gram, spec, dense["ref"]) <= bound
+
+
+def test_register_holds_the_gram_one_p_and_the_observed_block(dense, small_blocks):
+    # the previous P is released before each E-step, and every other
+    # full-size product is worked in row blocks
+    rng = np.random.default_rng(11)
+    moved = dense["ref"].points + rng.normal(scale=0.01, size=(N_R, D))
+    kept = moved[moved[:, 0] < 0.3]  # a missing region
+    target = pointset(np.vstack([kept, rng.uniform(-0.5, 0.5, size=(N_S - len(kept), D))]))
+    cfg = RegistrationConfig(p_min=0.05, omega=0.1, max_iters=5)
+    tracemalloc.start()
+    try:
+        res = register(dense["ref"], target, SquaredExponential(0.01, 0.2), cfg)
+        peak = tracemalloc.get_traced_memory()[1] / DOUBLE
+    finally:
+        tracemalloc.stop()
+    assert not res.failed and res.iters >= 2
+    c = max(rec.n_inliers for rec in res.trace)
+    assert c < N_R
+    assert peak <= N_R * N_R + N_R * N_S + c * c + 2 * BLOCK * N_S
 
 
 def test_sq_dists_leaves_inputs_unchanged(dense):
@@ -115,3 +179,90 @@ def test_update_sigma2_leaves_inputs_unchanged(dense, mode):
     update_sigma2(p, nu, dense["target"], dense["rbar"], dense["post_var"], mode,
                   prev_sigma2=dense["sigma2"])
     assert snapshot(*arrays) == before
+
+
+# ------------------------------------------------------------ block edges
+
+EDGE_BLOCK = 8
+# (N_R, missing rows): below one block, one block plus one, and a last block
+# that is wholly or partly missing
+EDGE_CASES = [(7, ()), (9, ()), (9, (8,)), (20, (3, 17, 18, 19))]
+
+
+@pytest.fixture
+def edge_blocks(monkeypatch):
+    monkeypatch.setattr(core, "ROW_BLOCK", EDGE_BLOCK)
+
+
+def edge_instance(n_r, missing, d=2):
+    rng = np.random.default_rng(100 + n_r + len(missing))
+    ref = pointset(random_points(rng, n_r, d, min_sep=0.15))
+    target = pointset(rng.uniform(-1.0, 1.0, size=(n_r + 3, d)))
+    p = rng.uniform(0.0, 0.2, size=(n_r, n_r + 3))
+    p[list(missing)] = rng.uniform(0.0, 0.01, size=(len(missing), n_r + 3))
+    return rng, ref, target, p
+
+
+@pytest.mark.parametrize("n_r, missing", EDGE_CASES)
+def test_fusion_matches_full_w_at_block_edges(edge_blocks, n_r, missing):
+    rng, ref, target, p = edge_instance(n_r, missing)
+    sigma2 = rng.uniform(0.01, 0.1, size=n_r)
+    state, ann = correspondence._fuse(p, target, ref, sigma2, 0.01)
+    w = np.where(p > 0.01, p, 0.0)
+    inliers = np.flatnonzero(w.sum(axis=1) > 0)
+    mass = w.sum(axis=1)[inliers]
+    assert np.array_equal(state.inliers, inliers)
+    assert np.array_equal(state.missing, np.array(sorted(missing), dtype=int))
+    np.testing.assert_allclose(
+        ann.delta_hat, (w @ target.points)[inliers] / mass[:, None] - ref.points[inliers],
+        rtol=1e-12, atol=1e-15,
+    )
+    np.testing.assert_allclose(ann.sigma2_eff, sigma2[inliers] / mass, rtol=1e-12)
+
+    nearest, _ = closest_point_correspondence(target, ref, 0.1)
+    full = np.argmin(sq_dists(ref.points, target.points), axis=1)
+    assert np.array_equal(nearest.P.argmax(axis=1), full)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+@pytest.mark.parametrize("n_r, missing", EDGE_CASES)
+def test_posterior_matches_dense_oracle_at_block_edges(edge_blocks, n_r, missing, lowrank):
+    rng, ref, _, _ = edge_instance(n_r, missing)
+    spec = SquaredExponential(1.0, 0.7)
+    if lowrank:
+        spec = SumKernel(spec, build_pca_kernel(rng.normal(size=(6, n_r * 2)), 3, ref))
+    gram = assemble_gram(spec, ref, 1e-10)
+    inliers = np.setdiff1d(np.arange(n_r), missing)
+    delta = rng.normal(size=(inliers.size, 2))
+    noise = rng.uniform(0.05, 0.8, size=inliers.size)
+    post = gpr_posterior(gram, inliers, delta, noise)
+    mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
+    np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-11)
+    np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-11)
+
+
+@pytest.mark.parametrize("n_r, missing", EDGE_CASES)
+def test_update_sigma2_matches_literal_at_block_edges(edge_blocks, n_r, missing):
+    rng, ref, target, p = edge_instance(n_r, missing)
+    p[list(missing)] = 0.0  # no mass: these rows keep their previous value
+    post_var = rng.uniform(0.0, 0.05, size=n_r)
+    prev = rng.uniform(0.01, 0.1, size=n_r)
+    nu = p.sum(axis=1)
+    got = update_sigma2(p, nu, target, ref, post_var, "per_point", prev_sigma2=prev)
+    live = nu > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = literal_variance_update(p, target.points, ref.points, post_var)
+    np.testing.assert_allclose(got[live], want[live], rtol=1e-12)
+    assert np.array_equal(got[~live], prev[~live])
+
+
+@pytest.mark.parametrize("n_r", [7, 8, 9, 20])
+def test_blocked_gram_is_bit_identical_to_the_full_formula(edge_blocks, n_r):
+    rng = np.random.default_rng(n_r)
+    pts = rng.uniform(-1.0, 1.0, size=(n_r, 3))
+    spec = SumKernel(SquaredExponential(0.7, 0.4), SquaredExponential(0.2, 1.3))
+    want = np.zeros((n_r, n_r))
+    for part in spec.parts:
+        g = part.amplitude2 * np.exp(-sq_dists(pts, pts) / (2.0 * part.lengthscale**2))
+        want += 1.0 * (0.5 * (g + g.T))
+    assert np.array_equal(assemble_gram(spec, pointset(pts), 0.0).g, want)

@@ -5,6 +5,7 @@ import pytest
 
 from sfgp import registration
 from sfgp.core import (
+    AllMissingError,
     NoMassError,
     PosteriorDeformation,
     RegistrationConfig,
@@ -281,6 +282,33 @@ class TestRegister:
         res = register(fish, fish, self.kernel, RegistrationConfig(rel_tol=0.0))
         assert res.converged and res.iters == 2
         assert [rec.max_move for rec in res.trace] == [pytest.approx(0.01 * np.sqrt(2)), 0.0]
+
+    def test_mid_run_collapse_keeps_the_last_completed_iteration(self, monkeypatch):
+        # the previous P is released before each E-step, so a collapse in
+        # iteration 2 leaves no correspondence state, only iteration 1's fit
+        fish = fish_reference()
+        inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
+        calls, posteriors = [], []
+
+        def e_step(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise AllMissingError("collapsed")
+            return get_correspondences(*args)
+
+        def posterior(*args):
+            posteriors.append(gpr_posterior(*args))
+            return posteriors[-1]
+
+        monkeypatch.setattr(registration, "get_correspondences", e_step)
+        monkeypatch.setattr(registration, "gpr_posterior", posterior)
+        res = register(fish, inst.target, self.kernel, RegistrationConfig(p_min=0.05))
+        assert res.failed and res.failure_reason == "mid_run_collapse"
+        assert res.state is None
+        assert res.iters == 2 and not res.converged
+        assert len(posteriors) == 1 and res.posterior is posteriors[0]
+        assert np.array_equal(res.deformed_reference.points, fish.points + posteriors[0].mu)
+        assert len(res.trace) == 1 and res.trace[0].iteration == 1
 
     def test_dim_mismatch_rejected(self):
         ref = pointset([[0.0, 0.0], [1.0, 1.0]])
