@@ -309,7 +309,8 @@ def cmd_sweep(args) -> int:
         for tag, _, _, spec in _instances(config)
         for variant, cfg in cfgs
     ]
-    # an idle spawned worker would still pay for importing numpy, scipy and sfgp
+    # a spawned worker imports numpy, scipy.linalg and sfgp afresh before its
+    # first task; an idle one would pay for that import and do nothing
     workers = min(args.threads, len(tasks))
     if workers > 1:
         # forked workers would inherit the parent's BLAS threads; spawned

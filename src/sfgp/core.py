@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class SFGPError(Exception):
@@ -152,12 +151,25 @@ def row_blocks(n: int) -> list:
 
 
 def default_sigma2_init(reference: PointSet) -> float:
-    """Squared mean nearest-neighbor distance of the reference points."""
-    if reference.n < 2:
+    """Squared mean nearest-neighbor distance of the reference points.
+
+    Each point's nearest other point is the row argmin of a row block of
+    `sq_dists` with the self-pairs set to inf, so no (N, N) buffer is made.
+    Its distance is then taken exactly, as sqrt(sum((x_nn - x)^2)): the
+    |a|^2 + |b|^2 - 2ab form only picks the neighbor, and the scale has the
+    bits of a kd-tree query.
+    """
+    pts = reference.points
+    n = reference.n
+    if n < 2:
         raise ValueError("need at least 2 points for a nearest-neighbor scale")
-    tree = cKDTree(reference.points)
-    dist, _ = tree.query(reference.points, k=2)
-    return float(np.mean(dist[:, 1]) ** 2)
+    nearest = np.empty(n, dtype=np.intp)
+    for blk in row_blocks(n):
+        d2 = sq_dists(pts[blk], pts)
+        d2[np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)] = np.inf
+        nearest[blk] = np.argmin(d2, axis=1)
+    dist = np.sqrt(np.sum((pts[nearest] - pts) ** 2, axis=1))
+    return float(np.mean(dist) ** 2)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ component with weight omega.  Responsibilities feed three consumers: the
 inlier/missing partition, the precision-fused deformation labels, and the
 expected match counts used by the variance update.
 
-P is the one (N_R, N_S) array of a correspondence step: the thresholded
-weights W of the fusion and the distances of the closest-point baseline are
-formed one row block (core.ROW_BLOCK rows) at a time.
+P is the one (N_R, N_S) array of a correspondence step: the threshold mask,
+the thresholded weights W of the fusion and the distances of the
+closest-point baseline are formed one row block (core.ROW_BLOCK rows) at a
+time.
 """
 from __future__ import annotations
 
@@ -112,10 +113,11 @@ def threshold(p: np.ndarray, p_min: float) -> CorrespondenceState:
 
     Pairs with p_ij > p_min are kept, so p_min = 0 keeps every pair with
     positive probability.  Expected match counts nu are always accumulated
-    over the full row so the variance update sees the total mass.
+    over the full row so the variance update sees the total mass.  The
+    comparison is made one row block at a time, so no full-size mask exists.
     """
     nu = p.sum(axis=1)
-    has_corr = (p > p_min).any(axis=1)
+    has_corr = np.concatenate([(p[blk] > p_min).any(axis=1) for blk in row_blocks(p.shape[0])])
     return CorrespondenceState(
         P=p, nu=nu, inliers=np.flatnonzero(has_corr), missing=np.flatnonzero(~has_corr)
     )

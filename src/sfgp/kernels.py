@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cholesky as _cholesky
+from scipy.linalg import eigvalsh as _eigvalsh
 from scipy.linalg import LinAlgError
 
 from .core import (
@@ -161,7 +162,8 @@ def assemble_gram(
     its Cholesky check, and AnchorMismatchError when a PCA summand is
     evaluated away from its anchor.  Besides the Gram, the assembly holds at
     most one more N_R x N_R buffer: the next summand, or the jittered copy
-    the check factors in place.
+    the check factors in place and, when that fails, refills for its
+    eigenvalues.
     """
     scalar_parts: list = []
     lowrank_parts: list = []
@@ -208,7 +210,11 @@ def assemble_gram(
         # check.T is the Fortran-ordered view of the symmetric copy: no copy
         _cholesky(check.T, lower=True, overwrite_a=True)
     except LinAlgError:
-        smallest = float(np.min(np.linalg.eigvalsh(g + jitter * np.eye(n))))
+        # the failed factorization overwrote part of check: refill it and
+        # take its spectrum in place, like the factorization
+        np.copyto(check, g)
+        check[np.diag_indices(n)] += jitter
+        smallest = float(np.min(_eigvalsh(check.T, overwrite_a=True)))
         raise NumericalError(
             f"gram matrix not positive definite after jitter={jitter:g} "
             f"(smallest pivot {smallest:.3e})"

@@ -4,6 +4,7 @@ Everything here works on small dense expanded matrices and deliberately
 avoids the structured code paths it is used to check.
 """
 import numpy as np
+from scipy.spatial import cKDTree
 
 from sfgp.core import PointSet
 
@@ -89,6 +90,22 @@ def literal_variance_update(p, target_pts, rbar_pts, post_var):
         term = (np.sum(pss[blk]) - 2.0 * rbar_pts[i] @ ps[blk]) / nu[i]
         out[i] = (term + np.sum(rbar_pts[i] ** 2) + d * post_var[i]) / d
     return out
+
+
+def kdtree_sigma2_init(points):
+    """Squared mean nearest-neighbour distance from a kd-tree query; the
+    second neighbour of each point is its nearest other point."""
+    dist, _ = cKDTree(points).query(points, k=2)
+    return float(np.mean(dist[:, 1]) ** 2)
+
+
+def fibonacci_sphere(n, radius=0.5):
+    """n nearly uniform points on a sphere."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    ring = np.sqrt(1.0 - z * z)
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return radius * np.column_stack([ring * np.cos(phi), ring * np.sin(phi), z])
 
 
 def pointset(pts):

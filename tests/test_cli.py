@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,22 @@ def test_one_blas_thread_block_sets_and_restores_env(monkeypatch):
         assert [os.environ[name] for name in BLAS_THREAD_VARS] == ["1"] * 3
     assert os.environ["MKL_NUM_THREADS"] == "4"
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_cli_import_loads_only_numpy_and_scipy_linalg():
+    # every sfgp process and spawned sweep worker pays for what this imports
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, sfgp.cli; "
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.special') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_eval_aggregates_dataset_results(tmp_path):

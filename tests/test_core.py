@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfgp import core
 from sfgp.core import (
     ConfigError,
     CorrespondenceState,
@@ -10,6 +11,9 @@ from sfgp.core import (
     validate_config,
 )
 from sfgp import io as sio
+from sfgp.synthdata import fish_reference
+
+from helpers import fibonacci_sphere, kdtree_sigma2_init
 
 
 def test_config_accepts_reference_settings():
@@ -65,6 +69,39 @@ def test_default_sigma2_init_is_squared_nn_distance():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     # nearest-neighbor distances: 1, 1, 2 -> mean 4/3
     assert default_sigma2_init(PointSet(points=pts)) == pytest.approx((4.0 / 3.0) ** 2)
+
+
+def _random_set(n, d, seed=0):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d))
+
+
+def _with_duplicates():
+    pts = _random_set(40, 3, seed=1)
+    return np.vstack([pts, pts[:7]])
+
+
+NN_SETS = {
+    "random_2d": lambda: _random_set(150, 2),
+    "random_3d": lambda: _random_set(150, 3),
+    "n2_2d": lambda: _random_set(2, 2),
+    "n2_3d": lambda: _random_set(2, 3),
+    "duplicates": _with_duplicates,
+    "fish98": lambda: fish_reference().points,
+    "sphere2000": lambda: fibonacci_sphere(2000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NN_SETS))
+def test_default_sigma2_init_matches_kdtree_bit_for_bit(name):
+    pts = NN_SETS[name]()
+    assert default_sigma2_init(PointSet(points=pts)) == kdtree_sigma2_init(pts)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 20])
+def test_default_sigma2_init_matches_kdtree_at_block_edges(monkeypatch, n):
+    monkeypatch.setattr(core, "ROW_BLOCK", 8)
+    pts = _random_set(n, 3, seed=n)
+    assert default_sigma2_init(PointSet(points=pts)) == kdtree_sigma2_init(pts)
 
 
 def test_pointset_csv_roundtrip_is_lossless(tmp_path):

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from sfgp import core, correspondence
-from sfgp.core import RegistrationConfig, sq_dists
+from sfgp.core import NumericalError, RegistrationConfig, default_sigma2_init, sq_dists
 from sfgp.correspondence import (
     ResponsibilityInputs,
     closest_point_correspondence,
     get_correspondences,
     responsibilities,
+    threshold,
 )
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import SquaredExponential, SumKernel, assemble_gram, build_pca_kernel
@@ -91,6 +92,17 @@ def test_get_correspondences_peak_is_p_its_mask_and_one_block(dense, small_block
     assert peak_doubles(get_correspondences, inputs, 0.01) <= bound
 
 
+def test_threshold_peak_is_one_block_mask(dense, small_blocks):
+    # the partition compares one row block at a time: no full-size mask
+    assert peak_doubles(threshold, dense["p"], 0.01) <= 8 * N_R + BLOCK * N_S / 8
+
+
+def test_default_sigma2_init_peak_is_row_blocks(dense, small_blocks):
+    # at most two row blocks of distances (the next is built before the last
+    # is dropped) and a few (N, d) arrays; no N x N buffer
+    assert peak_doubles(default_sigma2_init, dense["ref"]) <= 2 * BLOCK * N_R + 16 * N_R * D
+
+
 def test_update_sigma2_peak_is_one_buffer(dense, small_blocks):
     # one row block of squared distances, plus a few (N_R,) and (N_S,) vectors
     p = dense["p"]
@@ -119,6 +131,21 @@ def test_assemble_gram_peak_is_gram_and_check_copy(dense, small_blocks, lowrank)
         spec = SumKernel(spec, dense["pca"])
     bound = (2 + 1 / 8) * N_R * N_R + BLOCK * N_R
     assert peak_doubles(assemble_gram, spec, dense["ref"]) <= bound
+
+
+def test_failed_gram_check_reuses_its_copy(dense, small_blocks):
+    # the eigenvalues of a failed check are taken in its own buffer: the
+    # Gram, that copy and SciPy's finiteness mask, as on the passing path
+    half = dense["ref"].points[: N_R // 2]
+    degenerate = pointset(np.vstack([half, half]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="pivot"):
+            assemble_gram(SquaredExponential(0.01, 0.2), degenerate, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] / DOUBLE
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + 1 / 8) * N_R * N_R + BLOCK * N_R
 
 
 def test_register_holds_the_gram_one_p_and_the_observed_block(dense, small_blocks):
