@@ -34,7 +34,6 @@ from .correspondence import (
     closest_point_correspondence,
     get_correspondences,
     responsibilities,
-    threshold,
 )
 from .registration import VARIANTS, register, update_sigma2, variant_config
 from .synthdata import (
@@ -47,6 +46,6 @@ from .synthdata import (
     generate,
     warp_rbf,
 )
-from .metrics import mean_sq_distance, missing_detection, success_ratio
+from .metrics import mean_sq_distance, missing_detection
 
 __version__ = "0.1.0"

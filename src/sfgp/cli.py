@@ -106,6 +106,15 @@ def registration_config_from(payload: dict) -> RegistrationConfig:
     unknown = sorted(set(payload) - {f.name for f in fields(RegistrationConfig)})
     if unknown:
         raise ConfigError(f"unknown registration keys: {', '.join(unknown)}")
+    for key, value in payload.items():  # exact types: a JSON true is no number
+        if key == "max_iters":
+            ok, kind = type(value) is int, "an integer"
+        elif key in ("sigma2_init", "jitter"):
+            ok, kind = value is None or type(value) in (int, float), "a number or null"
+        else:
+            ok, kind = type(value) in (int, float), "a number"
+        if not ok:
+            raise ConfigError(f"registration key {key} must be {kind}, got {value!r}")
     return validate_config(RegistrationConfig(**payload))
 
 
@@ -145,13 +154,18 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
     )
 
 
-def _instances(config: dict):
+def _instances(config: dict, reference: PointSet):
     """Yield (tag, index, seed, spec) for every instance of a generate or
-    sweep config: `instances` draws at each point of the grid."""
+    sweep config: `instances` draws at each point of the grid.  The config is
+    checked against the reference before the first instance is yielded."""
     grid = config.get("grid", {})
     count = int(config["instances"])
     if count < 1:
         raise ValueError("instances must be >= 1")
+    center = grid.get("missing_center", PerturbationSpec.missing_center)
+    if center != "random" and not (type(center) is int and 0 <= center < reference.n):
+        raise ConfigError(f'missing_center must be "random" or an index below '
+                          f"{reference.n}, got {center!r}")
     master_seed = int(config["master_seed"])
     for level_idx, point in enumerate(grid_points(grid)):
         tag = level_tag(point)
@@ -172,7 +186,7 @@ def cmd_generate(args) -> int:
     reference = load_reference(config["reference"])
     out = Path(args.out)
     entries = []
-    for tag, k, seed, spec in _instances(config):
+    for tag, k, seed, spec in _instances(config, reference):
         rel = Path("instances") / tag / str(k)
         write_instance(out / rel, generate(reference, spec))
         entries.append({"level": tag, "index": k, "seed": seed, "path": str(rel)})
@@ -306,7 +320,7 @@ def cmd_sweep(args) -> int:
     cfgs = [(name, variant_config(name, base)) for name in config.get("variants", ["SFGP_Full"])]
     tasks = [
         (variant, tag, reference, kernel, cfg, spec)
-        for tag, _, _, spec in _instances(config)
+        for tag, _, _, spec in _instances(config, reference)
         for variant, cfg in cfgs
     ]
     # a spawned worker imports numpy, scipy.linalg and sfgp afresh before its

@@ -36,7 +36,7 @@ class NoAnnotationError(SFGPError):
 
 
 class AllMissingError(SFGPError):
-    """Every reference point fell below the correspondence threshold."""
+    """No reference point has a label of finite fused noise."""
 
 
 class NoMassError(SFGPError):
@@ -178,9 +178,9 @@ class CorrespondenceState:
 
     P:       (N_R, N_S) responsibilities, entries in [0, 1].
     nu:      expected match count per reference point, summed over the
-             full row of P (not only above-threshold pairs).
-    inliers: reference indices with at least one above-threshold entry
-             in their row of P (sorted).
+             full row of P (not only the kept pairs, p_ij > p_min).
+    inliers: reference indices whose fused label noise, sigma2_i over the
+             kept mass of their row of P, is finite (sorted).
     missing: the complementary reference indices (sorted).
     """
 
@@ -250,7 +250,7 @@ class RegistrationResult:
     failed is True when the first iteration finds no deformations at all;
     failure_reason distinguishes that case ("first_iteration") from a
     mid-run correspondence collapse ("mid_run_collapse").  state is None
-    when an E-step found no above-threshold match, in the first iteration or
+    when an E-step found no label of finite noise, in the first iteration or
     later; after a mid-run collapse, deformed_reference, posterior and sigma2
     are those of the last completed iteration.
     """

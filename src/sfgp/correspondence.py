@@ -2,14 +2,13 @@
 
 Each target point is explained by a mixture over reference points (isotropic
 Gaussian per reference point, individual variance) plus a uniform outlier
-component with weight omega.  Responsibilities feed three consumers: the
-inlier/missing partition, the precision-fused deformation labels, and the
-expected match counts used by the variance update.
+component with weight omega.  Responsibilities feed the fusion, which forms
+the precision-fused deformation labels and the inlier/missing partition in
+one pass, and the expected match counts used by the variance update.
 
-P is the one (N_R, N_S) array of a correspondence step: the threshold mask,
-the thresholded weights W of the fusion and the distances of the
-closest-point baseline are formed one row block (core.ROW_BLOCK rows) at a
-time.
+P is the one (N_R, N_S) array of a correspondence step: the kept weights W
+of the fusion and the distances of the closest-point baseline are formed one
+row block (core.ROW_BLOCK rows) at a time.
 """
 from __future__ import annotations
 
@@ -108,21 +107,6 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
     return p
 
 
-def threshold(p: np.ndarray, p_min: float) -> CorrespondenceState:
-    """Partition reference points by their above-threshold correspondences.
-
-    Pairs with p_ij > p_min are kept, so p_min = 0 keeps every pair with
-    positive probability.  Expected match counts nu are always accumulated
-    over the full row so the variance update sees the total mass.  The
-    comparison is made one row block at a time, so no full-size mask exists.
-    """
-    nu = p.sum(axis=1)
-    has_corr = np.concatenate([(p[blk] > p_min).any(axis=1) for blk in row_blocks(p.shape[0])])
-    return CorrespondenceState(
-        P=p, nu=nu, inliers=np.flatnonzero(has_corr), missing=np.flatnonzero(~has_corr)
-    )
-
-
 def get_correspondences(
     inputs: ResponsibilityInputs, p_min: float
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
@@ -138,31 +122,37 @@ def get_correspondences(
 def _fuse(
     p: np.ndarray, target: PointSet, deformed_ref: PointSet, sigma2: np.ndarray, p_min: float
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
-    """Threshold `p` and fuse the labels of the kept pairs.
+    """Fuse the labels of the kept pairs, p_ij > p_min, and partition `p`.
 
     The precision-weighted fusion is the closed-form barycentre over
     W = P * [P > p_min]: delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
-    sigma2_eff_i = sigma2_i / sum_j W_ij.  W is formed one row block at a
-    time in a single block buffer, so no full-size copy of P is made.
+    sigma2_eff_i = sigma2_i / sum_j W_ij.  Point i is an inlier exactly when
+    sigma2_eff_i is finite; with no kept pair, or kept mass so small that the
+    division overflows, its label has infinite noise, which is no label, and
+    it is missing.  W is formed one row block at a time in a single block
+    buffer, so no full-size copy of P is made.
     """
-    state = threshold(p, p_min)
-    inliers = state.inliers
-    if inliers.size == 0:
-        raise AllMissingError("no reference point has an above-threshold match")
-
     n_r, d = p.shape[0], target.dim
     blocks = row_blocks(n_r)
     w = np.empty((blocks[0].stop, p.shape[1]))
-    mass, num = np.empty(n_r), np.empty((n_r, d))
+    nu, mass, num = np.empty(n_r), np.empty(n_r), np.empty((n_r, d))
     for blk in blocks:
         # P * [P > p_min] equals np.where(P > p_min, P, 0): P is finite and >= 0
         w_blk = np.multiply(p[blk], p[blk] > p_min, out=w[: blk.stop - blk.start])
+        nu[blk] = p[blk].sum(axis=1)
         mass[blk] = w_blk.sum(axis=1)
         num[blk] = w_blk @ target.points
-    mass = mass[inliers]
+    with np.errstate(divide="ignore", over="ignore"):
+        noise = sigma2 / mass
+    inliers = np.isfinite(noise)
+    if not inliers.any():
+        raise AllMissingError("no reference point has a label of finite noise")
+    state = CorrespondenceState(
+        P=p, nu=nu, inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers)
+    )
     ann = AnnotatedDeformations(
-        delta_hat=num[inliers] / mass[:, None] - deformed_ref.points[inliers],
-        sigma2_eff=sigma2[inliers] / mass,
+        delta_hat=num[inliers] / mass[inliers, None] - deformed_ref.points[inliers],
+        sigma2_eff=noise[inliers],
     )
     return state, ann
 
@@ -193,7 +183,6 @@ def closest_point_correspondence(
 __all__ = [
     "ResponsibilityInputs",
     "responsibilities",
-    "threshold",
     "get_correspondences",
     "closest_point_correspondence",
 ]

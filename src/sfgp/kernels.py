@@ -80,8 +80,6 @@ class SumKernel(KernelSpec):
     parts: Tuple[KernelSpec, ...]
 
     def __init__(self, *parts: KernelSpec):
-        if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
-            parts = tuple(parts[0])
         if not parts:
             raise ValueError("sum kernel needs at least one part")
         object.__setattr__(self, "parts", tuple(parts))

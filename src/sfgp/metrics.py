@@ -1,7 +1,7 @@
 """Evaluation of registration results against synthetic ground truth."""
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,12 +60,6 @@ def mean_sq_distance(
     return subset_error(gt, fitted, instance.missing_mask, subset)
 
 
-def success_ratio(results: Sequence[RegistrationResult]) -> float:
-    if len(results) == 0:
-        raise ValueError("need at least one result")
-    return sum(1 for r in results if not r.failed) / len(results)
-
-
 def flagged_missing(result: RegistrationResult) -> np.ndarray:
     """Boolean mask of the reference points a registration result declared
     missing; all False when the run ended before any correspondence."""
@@ -86,7 +80,6 @@ __all__ = [
     "subset_error",
     "detection_scores",
     "mean_sq_distance",
-    "success_ratio",
     "flagged_missing",
     "missing_detection",
     "SUBSETS",

@@ -89,13 +89,13 @@ def update_sigma2(
     target: PointSet,
     deformed_ref: PointSet,
     post_var: np.ndarray,
-    mode: str = "per_point",
-    prev_sigma2: Optional[np.ndarray] = None,
+    mode: str,
+    prev_sigma2: np.ndarray,
 ) -> np.ndarray:
     """Responsibility-weighted residual variance per reference point.
 
     per_point: sigma2_i = (sum_j p_ij ||s_j - rbar_i||^2 / nu_i) / d + post_var_i,
-    with points of zero mass keeping their previous value.
+    with points of zero mass keeping their value in prev_sigma2.
     scalar: a single shared value from the total mass, every entry equal.
     Output is floored at SIGMA2_FLOOR.  The residuals are reduced one row
     block of squared distances at a time.
@@ -121,10 +121,7 @@ def update_sigma2(
     out = np.empty(nu.shape[0])
     live = nu > 0.0
     out[live] = residual2[live] / (d * nu[live]) + post_var[live]
-    if prev_sigma2 is None:
-        out[~live] = SIGMA2_FLOOR
-    else:
-        out[~live] = prev_sigma2[~live]
+    out[~live] = prev_sigma2[~live]
     return np.maximum(out, SIGMA2_FLOOR)
 
 

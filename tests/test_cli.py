@@ -269,6 +269,43 @@ def test_variant_keys_in_registration_block_fail_cleanly(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p_min", "0.05"), ("omega", None), ("rel_tol", [1e-3]), ("max_iters", 2.5),
+    ("max_iters", True), ("sigma2_init", "1e-3"), ("jitter", False),
+])
+def test_registration_value_of_wrong_type_fails_cleanly(tmp_path, capsys, key, value):
+    # a value of the wrong type is a ConfigError naming its key, caught before
+    # any task runs, not a TypeError from inside validation or `register`
+    cfg = write_config(tmp_path / "cfg.json", registration={"p_min": 0.05, key: value})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+def test_registration_numbers_and_nulls_are_accepted():
+    cfg = cli.registration_config_from(
+        {"omega": 0, "p_min": 0.05, "rel_tol": 1, "max_iters": 5, "sigma2_init": None,
+         "jitter": None}
+    )
+    assert cfg == RegistrationConfig(omega=0, p_min=0.05, rel_tol=1, max_iters=5)
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("center", [98, 500, -1, "middle"])
+def test_missing_center_outside_the_reference_fails_cleanly(tmp_path, capsys, command, center):
+    # fish98 has indices 0..97: the center is checked before anything is
+    # generated, written or registered
+    grid = {"missing_width": [0.3], "noise_std": [0.02], "missing_center": center}
+    cfg = write_config(tmp_path / "cfg.json", grid=grid)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "missing_center" in err
+    assert not out.exists()
+
+
 def test_eval_matches_sweep_cell_for_cell(tmp_path):
     # eval scores the CSV outputs of `register` with the same metric code the
     # sweep applies in-process, so every deterministic cell agrees exactly

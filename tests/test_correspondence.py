@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sfgp import correspondence
 from sfgp.core import AllMissingError
 from sfgp.correspondence import (
     ResponsibilityInputs,
     closest_point_correspondence,
     get_correspondences,
     responsibilities,
-    threshold,
 )
 from sfgp.synthdata import apply_structured_missing, fish_reference
 
@@ -160,29 +160,43 @@ class TestAnnotatorVariance:
         assert ann.sigma2_eff[0] == pytest.approx(0.5 / state.P[0, 0], rel=1e-15)
 
 
+def partition(p, p_min, sigma2=None):
+    """The CorrespondenceState `_fuse` builds from P alone: the partition and
+    nu read only P and sigma2, so the points are placeholders."""
+    n_r, n_s = p.shape
+    sigma2 = np.ones(n_r) if sigma2 is None else sigma2
+    state, _ = correspondence._fuse(
+        p, pointset(np.zeros((n_s, 2))), pointset(np.zeros((n_r, 2))), sigma2, p_min
+    )
+    return state
+
+
 class TestThreshold:
+    """The inlier/missing partition of the fusion: a reference point is
+    missing exactly when sigma2_i / sum_j [p_ij > p_min] p_ij is not finite."""
+
     def test_direct(self):
-        state = threshold(np.array([[0.9, 0.001], [0.001, 0.02]]), 0.01)
+        state = partition(np.array([[0.9, 0.001], [0.001, 0.02]]), 0.01)
         assert state.inliers.tolist() == [0, 1]
         assert state.missing.size == 0
-        state = threshold(np.array([[0.9, 0.001], [0.001, 0.009]]), 0.01)
+        state = partition(np.array([[0.9, 0.001], [0.001, 0.009]]), 0.01)
         assert state.inliers.tolist() == [0]
         assert state.missing.tolist() == [1]
 
     def test_all_below_threshold_goes_missing(self):
-        state = threshold(np.array([[0.004, 0.001], [0.9, 0.05]]), 0.01)
+        state = partition(np.array([[0.004, 0.001], [0.9, 0.05]]), 0.01)
         assert 0 in state.missing
         assert 1 in state.inliers
 
     def test_nu_accumulates_full_row(self):
         p = np.array([[0.4, 0.005], [0.2, 0.3]])
-        state = threshold(p, 0.01)
+        state = partition(p, 0.01)
         np.testing.assert_allclose(state.nu, p.sum(axis=1), rtol=1e-15)
 
     def test_mode_off_keeps_positive_pairs(self):
         # p_min = 0 is the no-threshold ablation: every positive pair is kept
         p = np.array([[0.004, 0.0], [0.9, 0.05], [0.0, 0.0]])
-        state = threshold(p, 0.0)
+        state = partition(p, 0.0)
         assert state.inliers.tolist() == [0, 1]
         assert state.missing.tolist() == [2]
 
@@ -193,17 +207,28 @@ class TestThreshold:
             elements=st.floats(0.0, 1.0),
         ),
         st.one_of(st.just(0.0), st.floats(0.001, 0.999)),
+        st.floats(1e-12, 1e3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_partition_property(self, p, p_min):
-        state = threshold(p, p_min)
+    def test_partition_property(self, p, p_min, s2):
+        # p = [[5e-324]] at p_min = 0 is kept but its noise overflows: missing
         n_r = p.shape[0]
+        sigma2 = np.full(n_r, s2)
+        kept_mass = np.where(p > p_min, p, 0.0).sum(axis=1)
+        with np.errstate(divide="ignore", over="ignore"):
+            finite = np.isfinite(sigma2 / kept_mass)
+        if not finite.any():
+            with pytest.raises(AllMissingError):
+                partition(p, p_min, sigma2)
+            return
+        state = partition(p, p_min, sigma2)
         both = np.concatenate([state.inliers, state.missing])
         assert sorted(both.tolist()) == list(range(n_r))
         assert not set(state.inliers) & set(state.missing)
         for i in range(n_r):
-            assert (not np.any(p[i] > p_min)) == (i in state.missing)
-        np.testing.assert_allclose(state.nu, p.sum(axis=1), rtol=0, atol=0)
+            assert (not finite[i]) == (i in state.missing)
+            assert np.any(p[i] > p_min) or i in state.missing
+        assert np.array_equal(state.nu, p.sum(axis=1))
 
     def test_fish_missing_box_detected(self):
         # carve a wide box from the fish and check that the removed region
@@ -213,7 +238,7 @@ class TestThreshold:
         assert mask.sum() > 0
         sigma2 = np.full(fish.n, 0.0005)
         p = responsibilities(make_inputs(kept.points, fish.points, sigma2))
-        state = threshold(p, 0.01)
+        state = partition(p, 0.01, sigma2)
         assert state.missing.size > 0
         for i in state.missing:
             assert p[i].max() <= 0.01
@@ -269,6 +294,20 @@ class TestGetCorrespondences:
         inputs = make_inputs([[1e160, 1e160]], [[0.0, 0.0]], [1e-10])
         with pytest.raises(AllMissingError):
             get_correspondences(inputs, 0.01)
+
+    def test_subnormal_row_is_missing_without_warnings(self):
+        # reference point 1 keeps only subnormal pairs at p_min = 0: its fused
+        # noise sigma2 / mass overflows to inf, so it has no label and is
+        # missing, and no overflow warning escapes (pytest.ini makes it an error)
+        inputs = make_inputs(
+            [[0.0, 0.0], [0.0, 0.05]], [[0.0, 0.0], [1.2166, 0.0], [0.0, 0.05]], [1e-3] * 3
+        )
+        state, ann = get_correspondences(inputs, 0.0)
+        assert 0.0 < state.P[1].max() < np.finfo(float).tiny
+        assert state.missing.tolist() == [1]
+        assert state.inliers.tolist() == [0, 2]
+        assert np.all(np.isfinite(ann.sigma2_eff))
+        assert np.all(np.isfinite(ann.delta_hat))
 
 
 class TestClosestPoint:

@@ -20,7 +20,6 @@ from sfgp.correspondence import (
     closest_point_correspondence,
     get_correspondences,
     responsibilities,
-    threshold,
 )
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import SquaredExponential, SumKernel, assemble_gram, build_pca_kernel
@@ -82,19 +81,15 @@ def test_responsibilities_peak_is_one_buffer(dense, omega):
     assert peak_doubles(responsibilities, inputs) <= 1.5 * N_R * N_S
 
 
-def test_get_correspondences_peak_is_p_its_mask_and_one_block(dense, small_blocks):
-    # P, the boolean partition mask (1/8 of a double per pair) and one row
-    # block of W with its mask; no full W
+def test_get_correspondences_peak_is_p_and_one_block(dense, small_blocks):
+    # P, one row block of W with its boolean mask (1/8 of a double per pair),
+    # the 8192-element buffer NumPy casts that mask through, and a few
+    # (N_R,) and (N_R, d) vectors; no full-size W or mask
     inputs = ResponsibilityInputs(
         dense["target"], dense["rbar"], dense["sigma2"], dense["post_var"], 0.1
     )
-    bound = N_R * N_S * (1 + 1 / 8) + BLOCK * N_S * (1 + 1 / 8)
+    bound = N_R * N_S + BLOCK * N_S * (1 + 1 / 8) + 8192 + 12 * N_R
     assert peak_doubles(get_correspondences, inputs, 0.01) <= bound
-
-
-def test_threshold_peak_is_one_block_mask(dense, small_blocks):
-    # the partition compares one row block at a time: no full-size mask
-    assert peak_doubles(threshold, dense["p"], 0.01) <= 8 * N_R + BLOCK * N_S / 8
 
 
 def test_default_sigma2_init_peak_is_row_blocks(dense, small_blocks):
@@ -106,7 +101,8 @@ def test_default_sigma2_init_peak_is_row_blocks(dense, small_blocks):
 def test_update_sigma2_peak_is_one_buffer(dense, small_blocks):
     # one row block of squared distances, plus a few (N_R,) and (N_S,) vectors
     p = dense["p"]
-    args = (p, p.sum(axis=1), dense["target"], dense["rbar"], dense["post_var"])
+    args = (p, p.sum(axis=1), dense["target"], dense["rbar"], dense["post_var"],
+            "per_point", dense["sigma2"])
     assert peak_doubles(update_sigma2, *args) <= 1.5 * BLOCK * N_S
 
 

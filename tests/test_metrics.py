@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfgp.core import CorrespondenceState, RegistrationResult
-from sfgp.metrics import mean_sq_distance, missing_detection, success_ratio
+from sfgp.metrics import mean_sq_distance, missing_detection
 from sfgp.synthdata import PerturbationSpec, SyntheticInstance
 
 from helpers import pointset
@@ -111,15 +111,6 @@ class TestMeanSqDistance:
                 res, shuffled, subset
             )
         assert missing_detection(res, inst) == missing_detection(res, shuffled)
-
-
-class TestSuccessRatio:
-    def test_counting(self):
-        ok = make_result([[0.0, 0.0]])
-        bad = make_result([[0.0, 0.0]], failed=True)
-        assert success_ratio([bad, bad]) == 0.0
-        assert success_ratio([ok, ok, ok]) == 1.0
-        assert success_ratio([ok, ok, ok, bad]) == 0.75
 
 
 class TestMissingDetection:

@@ -39,7 +39,7 @@ class TestUpdateSigma2:
     def test_zero_residual_hits_floor(self):
         s = pointset([[1.0, 2.0]])
         out = update_sigma2(
-            np.array([[1.0]]), np.array([1.0]), s, s, np.zeros(1), "per_point"
+            np.array([[1.0]]), np.array([1.0]), s, s, np.zeros(1), "per_point", np.ones(1)
         )
         assert out[0] == SIGMA2_FLOOR
 
@@ -48,7 +48,8 @@ class TestUpdateSigma2:
         target = pointset([[2.0, 2.0]])
         rbar = pointset([[0.0, 0.0]])
         out = update_sigma2(
-            np.array([[1.0]]), np.array([1.0]), target, rbar, np.zeros(1), "per_point"
+            np.array([[1.0]]), np.array([1.0]), target, rbar, np.zeros(1), "per_point",
+            np.ones(1),
         )
         assert out[0] == pytest.approx(4.0, rel=1e-14)
 
@@ -58,7 +59,7 @@ class TestUpdateSigma2:
         target = pointset(rng.uniform(-1, 1, size=(6, 2)))
         rbar = pointset(rng.uniform(-1, 1, size=(4, 2)))
         post_var = rng.uniform(0.0, 0.2, size=4)
-        got = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "per_point")
+        got = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "per_point", np.ones(4))
         expected = literal_variance_update(p, target.points, rbar.points, post_var)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
@@ -69,7 +70,7 @@ class TestUpdateSigma2:
         rbar = pointset(rng.uniform(-1, 1, size=(3, 2)))
         post_var = rng.uniform(0.0, 0.1, size=3)
         nu = p.sum(axis=1)
-        got = update_sigma2(p, nu, target, rbar, post_var, "scalar")
+        got = update_sigma2(p, nu, target, rbar, post_var, "scalar", np.ones(3))
         sq = np.sum(
             (target.points[None, :, :] - rbar.points[:, None, :]) ** 2, axis=2
         )
@@ -92,9 +93,9 @@ class TestUpdateSigma2:
         p = np.zeros((2, 2))
         s = pointset([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(NoMassError):
-            update_sigma2(p, p.sum(axis=1), s, s, np.zeros(2), "per_point")
+            update_sigma2(p, p.sum(axis=1), s, s, np.zeros(2), "per_point", np.ones(2))
         with pytest.raises(NoMassError):
-            update_sigma2(p, p.sum(axis=1), s, s, np.zeros(2), "scalar")
+            update_sigma2(p, p.sum(axis=1), s, s, np.zeros(2), "scalar", np.ones(2))
 
     def test_variance_modes_agree_on_symmetric_instance(self):
         # cross geometry: both rows have identical mass and residual profile
@@ -102,8 +103,9 @@ class TestUpdateSigma2:
         rbar = pointset([[1.0, 0.0], [-1.0, 0.0]])
         p = np.full((2, 2), 0.5)
         post_var = np.full(2, 0.05)
-        per_point = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "per_point")
-        scalar = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "scalar")
+        prev = np.ones(2)
+        per_point = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "per_point", prev)
+        scalar = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "scalar", prev)
         np.testing.assert_allclose(per_point, scalar, atol=1e-10)
 
 
@@ -187,6 +189,18 @@ class TestRegister:
         assert np.array_equal(full.sigma2, no_thresh.sigma2)
         assert full.iters == no_thresh.iters
         assert np.array_equal(full.state.missing, no_thresh.state.missing)
+
+    def test_subnormal_kept_mass_is_missing_not_a_crash(self):
+        # at p_min = 0 the first E-step leaves reference point 1 only
+        # subnormal pairs; its fused noise overflows, so it is missing and
+        # the prior predicts it, instead of an inf label reaching the posterior
+        ref = pointset([[0.0, 0.0], [1.2166, 0.0], [0.0, 0.05]])
+        target = pointset([[0.0, 0.0], [0.0, 0.05]])
+        cfg = variant_config("GPReg_noTresh", RegistrationConfig(sigma2_init=1e-3, max_iters=3))
+        res = register(ref, target, self.kernel, cfg)
+        assert not res.failed
+        assert res.trace[0].n_missing == 1
+        assert np.all(np.isfinite(res.deformed_reference.points))
 
     def test_trace_and_invariants(self):
         fish = fish_reference()
