@@ -154,19 +154,29 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
     )
 
 
+def _config_int(config: dict, key: str, minimum: int) -> int:
+    """config[key], which must be an int, not a bool or a float, >= minimum."""
+    value = config[key]
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _instances(config: dict, reference: PointSet):
     """Yield (tag, index, seed, spec) for every instance of a generate or
     sweep config: `instances` draws at each point of the grid.  The config is
-    checked against the reference before the first instance is yielded."""
+    checked against the reference before the first instance is yielded, so
+    config["instances"] and config["master_seed"] are exact ints once the
+    first one is."""
     grid = config.get("grid", {})
-    count = int(config["instances"])
-    if count < 1:
-        raise ValueError("instances must be >= 1")
+    count = _config_int(config, "instances", 1)
+    master_seed = _config_int(config, "master_seed", 0)  # as SeedSequence needs
     center = grid.get("missing_center", PerturbationSpec.missing_center)
     if center != "random" and not (type(center) is int and 0 <= center < reference.n):
         raise ConfigError(f'missing_center must be "random" or an index below '
                           f"{reference.n}, got {center!r}")
-    master_seed = int(config["master_seed"])
     for level_idx, point in enumerate(grid_points(grid)):
         tag = level_tag(point)
         for k in range(count):
@@ -193,7 +203,7 @@ def cmd_generate(args) -> int:
     sio.write_json(
         out / "dataset.json",
         {"reference": config["reference"], "grid": config.get("grid", {}),
-         "instances": entries, "master_seed": int(config["master_seed"])},
+         "instances": entries, "master_seed": config["master_seed"]},
     )
     logger.info("wrote %d instances under %s", len(entries), out)
     return 0

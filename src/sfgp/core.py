@@ -125,13 +125,15 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
     return cfg
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(N, M) squared Euclidean distances between the rows of a and b, as
     |a|^2 + |b|^2 - 2ab clamped at 0 against cancellation.
 
-    The only (N, M) allocation is the product a b^T; the norms are added to
-    it in place, so callers may overwrite the result as their own buffer."""
-    d2 = a @ b.T
+    The product a b^T is written to `out`, a C-ordered (N, M) array, or to a
+    new one when out is None; the norms are added to it in place, so callers
+    may overwrite the result as their own buffer.  A registration passes a
+    view of its workspace, and no (N, M) array is allocated."""
+    d2 = np.matmul(a, b.T, out=out)
     d2 *= -2.0
     d2 += np.sum(a**2, axis=1)[:, None]
     d2 += np.sum(b**2, axis=1)[None, :]
@@ -148,6 +150,14 @@ def row_blocks(n: int) -> list:
     """Consecutive slices of at most ROW_BLOCK rows covering range(n); the
     first is the largest."""
     return [slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
+
+
+def buffer_view(work: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """The first prod(shape) entries of the flat float buffer `work` as a
+    C-ordered array of `shape`, or a new array when work is None."""
+    if work is None:
+        return np.empty(shape)
+    return work[: int(np.prod(shape))].reshape(shape)
 
 
 def default_sigma2_init(reference: PointSet) -> float:
@@ -179,13 +189,22 @@ class CorrespondenceState:
     P:       (N_R, N_S) responsibilities, entries in [0, 1].
     nu:      expected match count per reference point, summed over the
              full row of P (not only the kept pairs, p_ij > p_min).
+    ps:      (N_R, d) row moments P S of the target points S.
+    pss:     (N_R,) row moments P |s|^2 of their squared norms.
     inliers: reference indices whose fused label noise, sigma2_i over the
              kept mass of their row of P, is finite (sorted).
     missing: the complementary reference indices (sorted).
+
+    nu, ps and pss are all the variance update reads of P.  Inside a
+    registration, P is a view of the run's workspace, which the posterior
+    overwrites: an intermediate state's P is garbage once its iteration's
+    posterior starts, and only the state `register` returns owns its P.
     """
 
     P: np.ndarray
     nu: np.ndarray
+    ps: np.ndarray
+    pss: np.ndarray
     inliers: np.ndarray
     missing: np.ndarray
 
@@ -252,7 +271,10 @@ class RegistrationResult:
     mid-run correspondence collapse ("mid_run_collapse").  state is None
     when an E-step found no label of finite noise, in the first iteration or
     later; after a mid-run collapse, deformed_reference, posterior and sigma2
-    are those of the last completed iteration.
+    are those of the last completed iteration.  Otherwise state is the last
+    iteration's E-step, recomputed once the loop ends so that its P holds
+    the responsibilities again (the posterior reused P's buffer); its P is a
+    view of the run's workspace.
     """
 
     deformed_reference: PointSet

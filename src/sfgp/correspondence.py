@@ -6,15 +6,17 @@ component with weight omega.  Responsibilities feed the fusion, which forms
 the precision-fused deformation labels and the inlier/missing partition in
 one pass, and the expected match counts used by the variance update.
 
-P is the one (N_R, N_S) array of a correspondence step: the kept weights W
-of the fusion and the distances of the closest-point baseline are formed one
+P is the one (N_R, N_S) array of a correspondence step, written to the
+caller's `out` buffer (a view of the registration workspace) when one is
+given: the kept weights W of the fusion, the row moments of P the variance
+update reads, and the distances of the closest-point baseline are formed one
 row block (core.ROW_BLOCK rows) at a time.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +55,9 @@ class ResponsibilityInputs:
             raise ValueError("omega must be in [0, 1)")
 
 
-def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
+def responsibilities(
+    inputs: ResponsibilityInputs, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """(N_R, N_S) matrix of correspondence probabilities.
 
     Column j holds the posterior probabilities that target point j was
@@ -64,8 +68,8 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
     returned as zeros and reported in a logged warning.
 
     The squared distances, the log-densities and the result share one
-    (N_R, N_S) buffer: it is shifted, exponentiated once and rescaled per
-    column in place.
+    (N_R, N_S) buffer, `out` (C-ordered) or a new array when out is None: it
+    is shifted, exponentiated once and rescaled per column in place.
     """
     r_bar = inputs.deformed_ref.points
     s = inputs.target.points
@@ -77,7 +81,7 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
 
     # overflow to inf is fine here: it encodes a density of exactly zero
     with np.errstate(over="ignore"):
-        p = sq_dists(r_bar, s)
+        p = sq_dists(r_bar, s, out=out)
         # weighted log-density with the posterior-spread discount per reference point
         p += (d * post_var)[:, None]
         p /= (2.0 * sigma2)[:, None]
@@ -108,14 +112,15 @@ def responsibilities(inputs: ResponsibilityInputs) -> np.ndarray:
 
 
 def get_correspondences(
-    inputs: ResponsibilityInputs, p_min: float
+    inputs: ResponsibilityInputs, p_min: float, *, out: Optional[np.ndarray] = None
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Responsibilities, partition, and fused labels in one pass.
 
     Every pair (i, j) with p_ij > p_min annotates reference point i with the
-    label s_j - r_bar_i at variance sigma2_i / p_ij; see `_fuse`.
+    label s_j - r_bar_i at variance sigma2_i / p_ij; see `_fuse`.  P is
+    formed in `out` as by `responsibilities`.
     """
-    p = responsibilities(inputs)
+    p = responsibilities(inputs, out=out)
     return _fuse(p, inputs.target, inputs.deformed_ref, inputs.sigma2, p_min)
 
 
@@ -131,6 +136,11 @@ def _fuse(
     division overflows, its label has infinite noise, which is no label, and
     it is missing.  W is formed one row block at a time in a single block
     buffer, so no full-size copy of P is made.
+
+    The state also carries the row moments ps = P S and pss = P |s|^2, one
+    (block, N_S) @ (N_S, d + 1) product per row block, so the variance update
+    needs no P.  They are formed under errstate: a squared norm that
+    overflows gives an infinite moment, not a warning.
     """
     n_r, d = p.shape[0], target.dim
     blocks = row_blocks(n_r)
@@ -147,8 +157,14 @@ def _fuse(
     inliers = np.isfinite(noise)
     if not inliers.any():
         raise AllMissingError("no reference point has a label of finite noise")
+    moments = np.empty((n_r, d + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_aug = np.column_stack([target.points, np.sum(target.points**2, axis=1)])
+        for blk in blocks:
+            np.matmul(p[blk], s_aug, out=moments[blk])
     state = CorrespondenceState(
-        P=p, nu=nu, inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers)
+        P=p, nu=nu, ps=moments[:, :d], pss=moments[:, d],
+        inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers),
     )
     ann = AnnotatedDeformations(
         delta_hat=num[inliers] / mass[inliers, None] - deformed_ref.points[inliers],
@@ -158,14 +174,16 @@ def _fuse(
 
 
 def closest_point_correspondence(
-    target: PointSet, deformed_ref: PointSet, sigma_n2: float
+    target: PointSet, deformed_ref: PointSet, sigma_n2: float, *,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Hard assignment baseline: each reference point annotates to its
     Euclidean-nearest target point with uniform variance; nothing is ever
     declared missing.  Ties break to the lowest target index.
 
-    The one-hot P goes through the same fusion as `get_correspondences` at
-    p_min = 0, which keeps exactly the nearest pair of every row.
+    The one-hot P, written to `out` when one is given, goes through the same
+    fusion as `get_correspondences` at p_min = 0, which keeps exactly the
+    nearest pair of every row.
     """
     if sigma_n2 <= 0.0:
         raise ValueError("sigma_n2 must be positive")
@@ -175,7 +193,8 @@ def closest_point_correspondence(
         np.argmin(sq_dists(deformed_ref.points[blk], target.points), axis=1)
         for blk in row_blocks(n_r)
     ])
-    p = np.zeros((n_r, target.n))
+    p = np.empty((n_r, target.n)) if out is None else out
+    p.fill(0.0)
     p[np.arange(n_r), nearest] = 1.0
     return _fuse(p, target, deformed_ref, np.full(n_r, float(sigma_n2)), 0.0)
 

@@ -11,19 +11,22 @@ A low-rank coordinate-coupling term U diag(lam) U^T, when present, adds a
 correction on top of that solve: the matrix inversion lemma reuses the factor
 of A and needs only an (m x m) capacitance factorization more.
 
-The dense work allocates only what it returns, besides the (C x C) block A,
-factored in place, and one row block of the cross-covariance G_xC.  The mean
-is g @ scatter(w), the weights w = A^{-1} labels placed at the inlier rows,
-so no (N_R x C) gather is made.  The variance solve v = L^{-1} G_Cx runs one
-row block of G_xC at a time (core.ROW_BLOCK rows), each gathered into the same
-block buffer and overwritten by its solve.
+The dense work allocates only what it returns, besides row blocks of
+core.ROW_BLOCK rows: the (C x C) block A is gathered a row block at a time
+into the caller's workspace (a registration passes the buffer its P used) and
+factored there in place.  The mean is g @ scatter(w), the weights
+w = A^{-1} labels placed at the inlier rows, so no (N_R x C) gather is made.
+The variance solve v = L^{-1} G_Cx runs one row block of G_xC at a time, each
+gathered into the same block buffer and overwritten by its solve.
 """
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
-from .core import NoAnnotationError, NumericalError, PosteriorDeformation, row_blocks
+from .core import NoAnnotationError, NumericalError, PosteriorDeformation, buffer_view, row_blocks
 from .kernels import GramMatrix
 
 
@@ -41,12 +44,17 @@ def gpr_posterior(
     inliers: np.ndarray,
     delta_hat: np.ndarray,
     sigma2_eff: np.ndarray,
+    *,
+    work: Optional[np.ndarray] = None,
 ) -> PosteriorDeformation:
     """Posterior deformation at every reference point given inlier labels.
 
     inliers:    (C,) reference indices carrying labels.
     delta_hat:  (C, d) fused deformations, aligned with `inliers`.
     sigma2_eff: (C,) per-label noise variances, strictly positive.
+    work:       flat float buffer of at least C*C entries that A is gathered
+                into and factored in; a new one when None.  Its contents are
+                overwritten.
 
     Returns the mean for all N_R points (missing points are predicted from
     the prior cross-covariance alone) and the per-point variance scalar
@@ -63,8 +71,19 @@ def gpr_posterior(
     if np.any(sigma2_eff <= 0.0):
         raise ValueError("sigma2_eff must be strictly positive")
 
-    g, n = gram.g, gram.n
-    a = g[np.ix_(inliers, inliers)]  # fancy indexing copies
+    g, n, c = gram.g, gram.n, inliers.size
+    if inliers.min() < 0 or inliers.max() >= n:
+        raise IndexError("inliers must index the reference points")
+
+    # A = G_CC one row block at a time: the block's rows of g are gathered
+    # into one (block, N_R) buffer, then their inlier columns into A; "wrap"
+    # writes into out unbuffered
+    a = buffer_view(work, (c, c))
+    g_rows = np.empty((row_blocks(c)[0].stop, n))
+    for blk in row_blocks(c):
+        rows = np.take(g, inliers[blk], axis=0, out=g_rows[: blk.stop - blk.start], mode="wrap")
+        np.take(rows, inliers, axis=1, out=a[blk], mode="wrap")
+    del g_rows, rows
     a[np.diag_indices_from(a)] += sigma2_eff + gram.jitter
     factor = _chol(a, "observed-block")
     w = cho_solve(factor, delta_hat)  # A^{-1} labels, the weights of the mean
@@ -77,11 +96,10 @@ def gpr_posterior(
     # C-ordered into one buffer, whose transpose is the Fortran-ordered
     # right-hand side the solve overwrites in place
     blocks = row_blocks(n)
-    g_bc = np.empty((blocks[0].stop, inliers.size))
+    g_bc = np.empty((blocks[0].stop, c))
     v_sq = np.empty(n)
     for blk in blocks:
-        # the indices were checked by the gather of A; "wrap" writes into out
-        # unbuffered
+        # the indices were checked above; "wrap" writes into out unbuffered
         rhs = np.take(g[blk], inliers, axis=1, out=g_bc[: blk.stop - blk.start], mode="wrap")
         v = solve_triangular(factor[0], rhs.T, lower=True, overwrite_b=True, check_finite=False)
         v_sq[blk] = np.einsum("ij,ij->j", v, v)

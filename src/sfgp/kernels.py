@@ -23,6 +23,7 @@ from .core import (
     NumericalError,
     PointSet,
     RankTooLargeError,
+    buffer_view,
     row_blocks,
     sq_dists,
 )
@@ -131,10 +132,13 @@ def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
         raise TypeError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def _se_gram(points: np.ndarray, spec: SquaredExponential) -> np.ndarray:
+def _se_gram(
+    points: np.ndarray, spec: SquaredExponential, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """a^2 exp(-D / (2 l^2)), symmetrised as 0.5 (g + g^T), built in the
-    buffer of the squared distances D with the operations in that order."""
-    g = sq_dists(points, points)
+    buffer of the squared distances D (`out`, or a new array when None) with
+    the operations in that order."""
+    g = sq_dists(points, points, out=out)
     np.negative(g, out=g)
     g /= 2.0 * spec.lengthscale**2
     np.exp(g, out=g)
@@ -151,7 +155,8 @@ def _se_gram(points: np.ndarray, spec: SquaredExponential) -> np.ndarray:
 
 
 def assemble_gram(
-    spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None
+    spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None, *,
+    work: Optional[np.ndarray] = None,
 ) -> GramMatrix:
     """Assemble the scalar Gram matrix of `spec` over `ref`.
 
@@ -159,9 +164,11 @@ def assemble_gram(
     the full kernel diagonal.  Raises NumericalError when g + jitter*I fails
     its Cholesky check, and AnchorMismatchError when a PCA summand is
     evaluated away from its anchor.  Besides the Gram, the assembly holds at
-    most one more N_R x N_R buffer: the next summand, or the jittered copy
-    the check factors in place and, when that fails, refills for its
-    eigenvalues.
+    most one more N_R x N_R buffer: `work`, a flat float buffer of at least
+    N_R^2 entries (a new one when None), which holds in turn each summand
+    after the first and the jittered copy the check factors in place and,
+    when that fails, refills for its eigenvalues.  Its contents are
+    overwritten.
     """
     scalar_parts: list = []
     lowrank_parts: list = []
@@ -170,7 +177,8 @@ def assemble_gram(
     n = ref.n
     g = None
     for scale, part in scalar_parts:
-        term = _se_gram(ref.points, part)
+        # the first summand becomes the Gram, the others are built in work
+        term = _se_gram(ref.points, part, out=None if g is None else buffer_view(work, (n, n)))
         term *= scale
         if g is None:
             g = term  # the same bits as 0 + scale * term
@@ -202,7 +210,8 @@ def assemble_gram(
             diag_mean += float(np.sum(u**2 * lam)) / (n * ref.dim)
         jitter = 1e-8 * diag_mean
 
-    check = g.copy()
+    check = buffer_view(work, (n, n))
+    np.copyto(check, g)
     check[np.diag_indices(n)] += jitter
     try:
         # check.T is the Fortran-ordered view of the symmetric copy: no copy

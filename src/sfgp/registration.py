@@ -16,18 +16,23 @@ reference point moved by more than rel_tol * sqrt(mean sigma2) in the last
 iteration, with sigma2 taken after its update.  It does not stop on the
 mixture log-likelihood, which per-point variances keep raising.
 
-An iteration holds at most three full-size arrays at once: the Gram
-(N_R x N_R), one P (N_R x N_S) and the observed block of the posterior
-(C x C).  The previous P is released before the E-step builds the next, and
-the other full-size products (the fusion weights, the squared distances of
-the variance update, the posterior's cross-covariance) are worked in row
-blocks of core.ROW_BLOCK rows.
+A run holds two full-size arrays: the Gram (N_R x N_R) and one workspace of
+N_R * max(N_R, N_S) doubles, allocated before the Gram is assembled.  The
+workspace holds in turn the jittered copy the Gram's SPD check factors, each
+iteration's P (N_R x N_S) and each iteration's observed block of the
+posterior (C x C).  P is used up before the posterior starts: the fusion
+also takes the row moments of P the variance update reads.  The other
+full-size products (the fusion weights, the posterior's cross-covariance)
+are worked in row blocks of core.ROW_BLOCK rows.  Once the loop ends, the
+last E-step is run again on its inputs, so the returned state's P holds the
+responsibilities.
 """
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -40,9 +45,8 @@ from .core import (
     PointSet,
     RegistrationConfig,
     RegistrationResult,
+    buffer_view,
     default_sigma2_init,
-    row_blocks,
-    sq_dists,
     validate_config,
 )
 from .correspondence import (
@@ -84,9 +88,9 @@ def variant_config(name: str, base: Optional[RegistrationConfig] = None) -> Regi
 
 
 def update_sigma2(
-    p: np.ndarray,
     nu: np.ndarray,
-    target: PointSet,
+    ps: np.ndarray,
+    pss: np.ndarray,
     deformed_ref: PointSet,
     post_var: np.ndarray,
     mode: str,
@@ -97,15 +101,16 @@ def update_sigma2(
     per_point: sigma2_i = (sum_j p_ij ||s_j - rbar_i||^2 / nu_i) / d + post_var_i,
     with points of zero mass keeping their value in prev_sigma2.
     scalar: a single shared value from the total mass, every entry equal.
-    Output is floored at SIGMA2_FLOOR.  The residuals are reduced one row
-    block of squared distances at a time.
+    Output is floored at SIGMA2_FLOOR.  The residuals are taken from the row
+    moments of P (see CorrespondenceState), nu = P 1, ps = P S and
+    pss = P |s|^2, as pss_i - 2 rbar_i . ps_i + nu_i |rbar_i|^2 clamped at 0
+    against cancellation: O(N_R d) work, no P.
     """
-    s = target.points
     r_bar = deformed_ref.points
-    d = s.shape[1]
-    residual2 = np.empty(r_bar.shape[0])
-    for blk in row_blocks(r_bar.shape[0]):
-        residual2[blk] = np.einsum("ij,ij->i", p[blk], sq_dists(r_bar[blk], s))
+    d = r_bar.shape[1]
+    residual2 = pss - 2.0 * np.einsum("ij,ij->i", r_bar, ps)
+    residual2 += nu * np.einsum("ij,ij->i", r_bar, r_bar)
+    np.maximum(residual2, 0.0, out=residual2)
 
     if mode == "scalar":
         total_nu = float(np.sum(nu))
@@ -138,14 +143,16 @@ def register(
     mean).  A correspondence collapse in a later iteration also sets failed
     but is tagged failure_reason="mid_run_collapse"; that result keeps the
     deformed reference, posterior and sigma2 of the last completed iteration
-    and has state None, because the previous P is released before each
-    E-step.
+    and has state None, because each E-step overwrites the previous P.
     """
     validate_config(cfg)
     if reference.dim != target.dim:
         raise ValueError("reference and target dimensions differ")
 
-    gram = assemble_gram(kernel, reference, cfg.jitter)
+    # the Gram check, each P and each observed block share this one buffer
+    work = np.empty(reference.n * max(reference.n, target.n))
+    p_buf = buffer_view(work, (reference.n, target.n))
+    gram = assemble_gram(kernel, reference, cfg.jitter, work=work)
     sigma2_init = (
         cfg.sigma2_init if cfg.sigma2_init is not None else default_sigma2_init(reference)
     )
@@ -166,14 +173,16 @@ def register(
     for it in range(1, cfg.max_iters + 1):
         iters = it
         t0 = time.perf_counter()
-        state = None  # release the previous P before the E-step builds the next
+        state = None  # stays None when the E-step collapses
         try:
             if cfg.correspondence_mode == "closest_point":
-                state, ann = closest_point_correspondence(
-                    target, r_bar, float(np.mean(sigma2))
+                e_step = partial(
+                    closest_point_correspondence, target, r_bar, float(np.mean(sigma2)),
+                    out=p_buf,
                 )
             else:
-                state, ann = get_correspondences(
+                e_step = partial(
+                    get_correspondences,
                     ResponsibilityInputs(
                         target=target,
                         deformed_ref=r_bar,
@@ -182,7 +191,9 @@ def register(
                         omega=cfg.omega,
                     ),
                     cfg.p_min,
+                    out=p_buf,
                 )
+            state, ann = e_step()
         except AllMissingError as exc:
             failed = True
             failure_reason = "first_iteration" if it == 1 else "mid_run_collapse"
@@ -193,7 +204,8 @@ def register(
         # displacement of the reference, so the labels must be as well
         labels = ann.delta_hat + (r_bar.points - ref_pts)[state.inliers]
         try:
-            posterior = gpr_posterior(gram, state.inliers, labels, ann.sigma2_eff)
+            # the observed block is factored in work, over state.P
+            posterior = gpr_posterior(gram, state.inliers, labels, ann.sigma2_eff, work=work)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
 
@@ -201,9 +213,9 @@ def register(
         r_bar = PointSet(points=ref_pts + posterior.mu)
         post_var = posterior.var_diag
         sigma2 = update_sigma2(
-            state.P,
             state.nu,
-            target,
+            state.ps,
+            state.pss,
             r_bar,
             post_var,
             cfg.variance_mode,
@@ -231,6 +243,11 @@ def register(
         if it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2):
             converged = True
             break
+
+    if state is not None:
+        # the posterior overwrote P: the same E-step on the same inputs
+        # gives it back for the result
+        state, _ = e_step()
 
     return RegistrationResult(
         deformed_reference=r_bar,

@@ -92,6 +92,12 @@ def literal_variance_update(p, target_pts, rbar_pts, post_var):
     return out
 
 
+def row_moments(p, target_pts):
+    """(nu, ps, pss): the row sums of P, P S and P |s|^2, dense, the inputs
+    of the variance update."""
+    return p.sum(axis=1), p @ target_pts, p @ np.sum(target_pts**2, axis=1)
+
+
 def kdtree_sigma2_init(points):
     """Squared mean nearest-neighbour distance from a kd-tree query; the
     second neighbour of each point is its nearest other point."""

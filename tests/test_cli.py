@@ -339,6 +339,28 @@ def test_sweep_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("key", ["instances", "master_seed"])
+@pytest.mark.parametrize("value", [2.5, 7.9, True, "3"])
+def test_instances_and_master_seed_must_be_exact_ints(tmp_path, capsys, command, key, value):
+    # int() would run 2.5 as 2 and "3" as 3; a ConfigError names the key
+    # before anything is generated, written or registered
+    cfg = write_config(tmp_path / "cfg.json", **{key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+def test_negative_master_seed_fails_cleanly(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", master_seed=-1)
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_zero_instances_fails(tmp_path, capsys):
     # the same check as `generate`, not a header-only metrics.csv
     cfg = write_config(tmp_path / "cfg.json", instances=0)
@@ -448,11 +470,11 @@ def test_register_mid_run_collapse_writes_placeholders(tmp_path, monkeypatch):
     # a collapse after iteration 1 leaves a fitted reference but no state
     calls = []
 
-    def e_step(*args):
+    def e_step(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise AllMissingError("collapsed")
-        return get_correspondences(*args)
+        return get_correspondences(*args, **kwargs)
 
     monkeypatch.setattr(registration, "get_correspondences", e_step)
     target_csv = tmp_path / "target.csv"

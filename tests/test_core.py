@@ -60,6 +60,8 @@ def test_correspondence_state_partition_enforced():
         CorrespondenceState(
             P=p,
             nu=np.zeros(3),
+            ps=np.zeros((3, 2)),
+            pss=np.zeros(3),
             inliers=np.array([0, 1]),
             missing=np.array([1, 2]),
         )

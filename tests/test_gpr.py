@@ -77,6 +77,13 @@ class TestAggregation:
         with pytest.raises(NoAnnotationError):
             gpr_posterior(gram, np.array([], dtype=int), np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_inlier_outside_the_reference_rejected(self, bad):
+        # the gathers of A and G_xC wrap indices, so the range is checked first
+        gram = GramMatrix(g=np.eye(2), dim=2)
+        with pytest.raises(IndexError):
+            gpr_posterior(gram, np.array([0, bad]), np.zeros((2, 2)), np.ones(2))
+
     @given(
         arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-1, 1)),
         arrays(np.float64, 3, elements=st.floats(0.01, 1.0)),

@@ -1,4 +1,5 @@
-"""The dense steps of one iteration work in place or in row blocks.
+"""The dense steps of one iteration work in place, in row blocks or in the
+registration's one workspace.
 
 Each step may allocate its output and little else: tracemalloc sees NumPy's
 buffers, so the incremental peak of one call bounds the full-size
@@ -6,15 +7,22 @@ temporaries it makes.  The peak tests shrink the row block to BLOCK rows so
 that one block is small next to the full-size buffers.  In-place work must
 never reach the caller's arrays, so every input is checked bit for bit after
 the call; the blocked steps are checked against dense formulas at the block
-edges.
+edges.  A step given a workspace returns the same bits as without one.
 """
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sfgp import core, correspondence
-from sfgp.core import NumericalError, RegistrationConfig, default_sigma2_init, sq_dists
+from sfgp import core, correspondence, registration
+from sfgp.core import (
+    NumericalError,
+    PosteriorDeformation,
+    RegistrationConfig,
+    default_sigma2_init,
+    sq_dists,
+)
 from sfgp.correspondence import (
     ResponsibilityInputs,
     closest_point_correspondence,
@@ -23,9 +31,10 @@ from sfgp.correspondence import (
 )
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import SquaredExponential, SumKernel, assemble_gram, build_pca_kernel
-from sfgp.registration import register, update_sigma2
+from sfgp.registration import VARIANTS, register, update_sigma2, variant_config
+from sfgp.synthdata import PerturbationSpec, fish_reference, generate
 
-from helpers import dense_gpr, literal_variance_update, pointset, random_points
+from helpers import dense_gpr, literal_variance_update, pointset, random_points, row_moments
 
 N_R, N_S, C, D, RANK = 400, 410, 300, 3, 4
 BLOCK = 64
@@ -98,12 +107,12 @@ def test_default_sigma2_init_peak_is_row_blocks(dense, small_blocks):
     assert peak_doubles(default_sigma2_init, dense["ref"]) <= 2 * BLOCK * N_R + 16 * N_R * D
 
 
-def test_update_sigma2_peak_is_one_buffer(dense, small_blocks):
-    # one row block of squared distances, plus a few (N_R,) and (N_S,) vectors
-    p = dense["p"]
-    args = (p, p.sum(axis=1), dense["target"], dense["rbar"], dense["post_var"],
-            "per_point", dense["sigma2"])
-    assert peak_doubles(update_sigma2, *args) <= 1.5 * BLOCK * N_S
+def test_update_sigma2_peak_is_a_few_vectors(dense, small_blocks):
+    # the row moments of P replace its row blocks of squared distances: a few
+    # (N_R,) vectors and nothing of size N_S
+    args = (*row_moments(dense["p"], dense["target"].points), dense["rbar"],
+            dense["post_var"], "per_point", dense["sigma2"])
+    assert peak_doubles(update_sigma2, *args) <= 8 * N_R
 
 
 def test_gpr_posterior_peak_is_observed_block_and_cross_covariance(dense, small_blocks):
@@ -144,9 +153,10 @@ def test_failed_gram_check_reuses_its_copy(dense, small_blocks):
     assert peak <= (2 + 1 / 8) * N_R * N_R + BLOCK * N_R
 
 
-def test_register_holds_the_gram_one_p_and_the_observed_block(dense, small_blocks):
-    # the previous P is released before each E-step, and every other
-    # full-size product is worked in row blocks
+def test_register_holds_the_gram_and_one_workspace(dense, small_blocks):
+    # the Gram check, each P and each observed block share one workspace of
+    # N_R * max(N_R, N_S) doubles, and every other full-size product is
+    # worked in row blocks
     rng = np.random.default_rng(11)
     moved = dense["ref"].points + rng.normal(scale=0.01, size=(N_R, D))
     kept = moved[moved[:, 0] < 0.3]  # a missing region
@@ -161,7 +171,7 @@ def test_register_holds_the_gram_one_p_and_the_observed_block(dense, small_block
     assert not res.failed and res.iters >= 2
     c = max(rec.n_inliers for rec in res.trace)
     assert c < N_R
-    assert peak <= N_R * N_R + N_R * N_S + c * c + 2 * BLOCK * N_S
+    assert peak <= N_R * N_R + N_R * max(N_R, N_S) + 3 * BLOCK * N_S
 
 
 def test_sq_dists_leaves_inputs_unchanged(dense):
@@ -194,12 +204,10 @@ def test_gpr_posterior_leaves_inputs_unchanged(dense, kernel):
 
 @pytest.mark.parametrize("mode", ["per_point", "scalar"])
 def test_update_sigma2_leaves_inputs_unchanged(dense, mode):
-    p = dense["p"]
-    nu = p.sum(axis=1)
-    arrays = (p, nu, dense["target"].points, dense["rbar"].points, dense["post_var"],
-              dense["sigma2"])
+    moments = row_moments(dense["p"], dense["target"].points)
+    arrays = (*moments, dense["rbar"].points, dense["post_var"], dense["sigma2"])
     before = snapshot(*arrays)
-    update_sigma2(p, nu, dense["target"], dense["rbar"], dense["post_var"], mode,
+    update_sigma2(*moments, dense["rbar"], dense["post_var"], mode,
                   prev_sigma2=dense["sigma2"])
     assert snapshot(*arrays) == before
 
@@ -266,17 +274,24 @@ def test_posterior_matches_dense_oracle_at_block_edges(edge_blocks, n_r, missing
 
 @pytest.mark.parametrize("n_r, missing", EDGE_CASES)
 def test_update_sigma2_matches_literal_at_block_edges(edge_blocks, n_r, missing):
+    # the row moments come from the fusion's blocked product
     rng, ref, target, p = edge_instance(n_r, missing)
     p[list(missing)] = 0.0  # no mass: these rows keep their previous value
     post_var = rng.uniform(0.0, 0.05, size=n_r)
     prev = rng.uniform(0.01, 0.1, size=n_r)
-    nu = p.sum(axis=1)
-    got = update_sigma2(p, nu, target, ref, post_var, "per_point", prev_sigma2=prev)
-    live = nu > 0.0
+    state, _ = correspondence._fuse(p, target, ref, prev, 0.01)
+    moments = (state.nu, state.ps, state.pss)
+    got = update_sigma2(*moments, ref, post_var, "per_point", prev_sigma2=prev)
+    live = state.nu > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         want = literal_variance_update(p, target.points, ref.points, post_var)
     np.testing.assert_allclose(got[live], want[live], rtol=1e-12)
     assert np.array_equal(got[~live], prev[~live])
+
+    # scalar: the mass-weighted mean of the per-point values of live rows
+    scalar = update_sigma2(*moments, ref, post_var, "scalar", prev_sigma2=prev)
+    pooled = np.sum(state.nu[live] * want[live]) / np.sum(state.nu)
+    np.testing.assert_allclose(scalar, np.full(n_r, pooled), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_r", [7, 8, 9, 20])
@@ -289,3 +304,105 @@ def test_blocked_gram_is_bit_identical_to_the_full_formula(edge_blocks, n_r):
         g = part.amplitude2 * np.exp(-sq_dists(pts, pts) / (2.0 * part.lengthscale**2))
         want += 1.0 * (0.5 * (g + g.T))
     assert np.array_equal(assemble_gram(spec, pointset(pts), 0.0).g, want)
+
+
+# -------------------------------------------------------------- workspace
+
+@pytest.mark.parametrize("kernel", ["gram", "pca_gram"])
+def test_gpr_posterior_bits_do_not_depend_on_its_workspace(dense, kernel):
+    args = (dense[kernel], dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
+    plain = gpr_posterior(*args)
+    shared = gpr_posterior(*args, work=np.full(N_R * N_S, np.nan))  # stale contents
+    assert snapshot(shared.mu, shared.var_diag) == snapshot(plain.mu, plain.var_diag)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+def test_assemble_gram_bits_do_not_depend_on_its_workspace(dense, lowrank):
+    # two scalar summands: the second is built in the workspace
+    spec = SumKernel(SquaredExponential(0.01, 0.2), SquaredExponential(0.003, 0.5))
+    if lowrank:
+        spec = SumKernel(spec, dense["pca"])
+    plain = assemble_gram(spec, dense["ref"])
+    shared = assemble_gram(spec, dense["ref"], work=np.full(N_R * N_S, np.nan))
+    assert shared.g.tobytes() == plain.g.tobytes() and shared.jitter == plain.jitter
+    if lowrank:
+        assert snapshot(shared.lowrank_u, shared.lowrank_lam) == snapshot(
+            plain.lowrank_u, plain.lowrank_lam)
+
+
+def test_failed_gram_check_reports_the_same_pivot_in_a_workspace(dense):
+    half = dense["ref"].points[: N_R // 2]
+    degenerate = pointset(np.vstack([half, half]))
+    messages = []
+    for work in (None, np.full(N_R * N_S, np.nan)):
+        with pytest.raises(NumericalError, match="pivot") as exc:
+            assemble_gram(SquaredExponential(0.01, 0.2), degenerate, 0.0, work=work)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def record_e_steps(monkeypatch, variant):
+    """Replace the E-step `register` calls for `variant` by one that records
+    its positional inputs; returns (the original, the list of inputs)."""
+    name = ("closest_point_correspondence" if VARIANTS[variant].get("correspondence_mode")
+            == "closest_point" else "get_correspondences")
+    original, calls = getattr(registration, name), []
+
+    def e_step(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(registration, name, e_step)
+    return original, calls
+
+
+def assert_state_is_a_fresh_e_step(state, original, args):
+    fresh, _ = original(*args)  # no workspace: a P of its own
+    assert state.P.tobytes() == fresh.P.tobytes()
+    assert snapshot(state.nu, state.ps, state.pss, state.inliers) == snapshot(
+        fresh.nu, fresh.ps, fresh.pss, fresh.inliers)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_register_returns_the_p_of_its_last_e_step(monkeypatch, variant):
+    # the posterior factors its observed block over P in the workspace; the
+    # last E-step, run again on its inputs, gives P back bit for bit
+    fish = fish_reference()
+    inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, missing_width=0.3,
+                                           noise_std=0.02, seed=4))
+    original, calls = record_e_steps(monkeypatch, variant)
+    cfg = variant_config(variant, RegistrationConfig(p_min=0.05, omega=0.1, max_iters=6))
+    res = register(fish, inst.target, SquaredExponential(0.01, 0.2), cfg)
+    assert not res.failed and res.iters >= 2 and len(calls) == res.iters + 1
+    assert all(a is b for a, b in zip(calls[-1], calls[-2]))
+    assert_state_is_a_fresh_e_step(res.state, original, calls[-2])
+
+
+def test_first_iteration_failure_returns_the_p_of_its_e_step(monkeypatch):
+    # a zero posterior mean fails the run after a successful E-step; the
+    # posterior stand-in scribbles over the workspace as a real one would
+    fish = fish_reference()
+    zero = PosteriorDeformation(mu=np.zeros((fish.n, 2)), var_diag=np.zeros(fish.n))
+
+    def posterior(*args, work):
+        work.fill(np.nan)
+        return zero
+
+    original, calls = record_e_steps(monkeypatch, "SFGP_Full")
+    monkeypatch.setattr(registration, "gpr_posterior", posterior)
+    res = register(fish, fish, SquaredExponential(0.01, 0.2), RegistrationConfig())
+    assert res.failed and res.failure_reason == "first_iteration" and len(calls) == 2
+    assert_state_is_a_fresh_e_step(res.state, original, calls[0])
+
+
+def test_buffer_parameters_are_keyword_only():
+    # perfbench's span hooks read p_min and inliers as positional argument 1,
+    # and a `mode` as positional argument 2 of get_correspondences: a buffer
+    # passed positionally there would be read as that mode
+    for fn, name in [(sq_dists, "out"), (responsibilities, "out"),
+                     (get_correspondences, "out"), (closest_point_correspondence, "out"),
+                     (gpr_posterior, "work"), (assemble_gram, "work")]:
+        kind = inspect.signature(fn).parameters[name].kind
+        assert kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
+    assert list(inspect.signature(get_correspondences).parameters).index("p_min") == 1
+    assert list(inspect.signature(gpr_posterior).parameters).index("inliers") == 1

@@ -15,6 +15,8 @@ def make_result(deformed_pts, missing_ids=(), n_ref=None, failed=False):
     state = CorrespondenceState(
         P=np.zeros((n, 1)),
         nu=np.zeros(n),
+        ps=np.zeros((n, np.shape(deformed_pts)[1])),
+        pss=np.zeros(n),
         inliers=inliers,
         missing=missing,
     )

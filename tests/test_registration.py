@@ -32,6 +32,7 @@ from helpers import (
     literal_variance_update,
     pointset,
     random_points,
+    row_moments,
 )
 
 
@@ -39,7 +40,7 @@ class TestUpdateSigma2:
     def test_zero_residual_hits_floor(self):
         s = pointset([[1.0, 2.0]])
         out = update_sigma2(
-            np.array([[1.0]]), np.array([1.0]), s, s, np.zeros(1), "per_point", np.ones(1)
+            *row_moments(np.array([[1.0]]), s.points), s, np.zeros(1), "per_point", np.ones(1)
         )
         assert out[0] == SIGMA2_FLOOR
 
@@ -48,7 +49,7 @@ class TestUpdateSigma2:
         target = pointset([[2.0, 2.0]])
         rbar = pointset([[0.0, 0.0]])
         out = update_sigma2(
-            np.array([[1.0]]), np.array([1.0]), target, rbar, np.zeros(1), "per_point",
+            *row_moments(np.array([[1.0]]), target.points), rbar, np.zeros(1), "per_point",
             np.ones(1),
         )
         assert out[0] == pytest.approx(4.0, rel=1e-14)
@@ -59,7 +60,8 @@ class TestUpdateSigma2:
         target = pointset(rng.uniform(-1, 1, size=(6, 2)))
         rbar = pointset(rng.uniform(-1, 1, size=(4, 2)))
         post_var = rng.uniform(0.0, 0.2, size=4)
-        got = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "per_point", np.ones(4))
+        got = update_sigma2(*row_moments(p, target.points), rbar, post_var, "per_point",
+                            np.ones(4))
         expected = literal_variance_update(p, target.points, rbar.points, post_var)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
@@ -70,7 +72,7 @@ class TestUpdateSigma2:
         rbar = pointset(rng.uniform(-1, 1, size=(3, 2)))
         post_var = rng.uniform(0.0, 0.1, size=3)
         nu = p.sum(axis=1)
-        got = update_sigma2(p, nu, target, rbar, post_var, "scalar", np.ones(3))
+        got = update_sigma2(*row_moments(p, target.points), rbar, post_var, "scalar", np.ones(3))
         sq = np.sum(
             (target.points[None, :, :] - rbar.points[:, None, :]) ** 2, axis=2
         )
@@ -85,7 +87,7 @@ class TestUpdateSigma2:
         rbar = pointset([[0.0, 0.0], [0.1, 0.1]])
         prev = np.array([0.123, 0.456])
         out = update_sigma2(
-            p, p.sum(axis=1), target, rbar, np.zeros(2), "per_point", prev_sigma2=prev
+            *row_moments(p, target.points), rbar, np.zeros(2), "per_point", prev_sigma2=prev
         )
         assert out[0] == prev[0]
 
@@ -93,9 +95,9 @@ class TestUpdateSigma2:
         p = np.zeros((2, 2))
         s = pointset([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(NoMassError):
-            update_sigma2(p, p.sum(axis=1), s, s, np.zeros(2), "per_point", np.ones(2))
+            update_sigma2(*row_moments(p, s.points), s, np.zeros(2), "per_point", np.ones(2))
         with pytest.raises(NoMassError):
-            update_sigma2(p, p.sum(axis=1), s, s, np.zeros(2), "scalar", np.ones(2))
+            update_sigma2(*row_moments(p, s.points), s, np.zeros(2), "scalar", np.ones(2))
 
     def test_variance_modes_agree_on_symmetric_instance(self):
         # cross geometry: both rows have identical mass and residual profile
@@ -104,8 +106,9 @@ class TestUpdateSigma2:
         p = np.full((2, 2), 0.5)
         post_var = np.full(2, 0.05)
         prev = np.ones(2)
-        per_point = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "per_point", prev)
-        scalar = update_sigma2(p, p.sum(axis=1), target, rbar, post_var, "scalar", prev)
+        moments = row_moments(p, target.points)
+        per_point = update_sigma2(*moments, rbar, post_var, "per_point", prev)
+        scalar = update_sigma2(*moments, rbar, post_var, "scalar", prev)
         np.testing.assert_allclose(per_point, scalar, atol=1e-10)
 
 
@@ -292,26 +295,26 @@ class TestRegister:
         # a posterior that never changes moves the reference once, in iteration 1
         fish = fish_reference()
         fixed = PosteriorDeformation(mu=np.full((fish.n, 2), 0.01), var_diag=np.zeros(fish.n))
-        monkeypatch.setattr(registration, "gpr_posterior", lambda *args: fixed)
+        monkeypatch.setattr(registration, "gpr_posterior", lambda *args, **kwargs: fixed)
         res = register(fish, fish, self.kernel, RegistrationConfig(rel_tol=0.0))
         assert res.converged and res.iters == 2
         assert [rec.max_move for rec in res.trace] == [pytest.approx(0.01 * np.sqrt(2)), 0.0]
 
     def test_mid_run_collapse_keeps_the_last_completed_iteration(self, monkeypatch):
-        # the previous P is released before each E-step, so a collapse in
-        # iteration 2 leaves no correspondence state, only iteration 1's fit
+        # each E-step overwrites the previous P, so a collapse in iteration 2
+        # leaves no correspondence state, only iteration 1's fit
         fish = fish_reference()
         inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
         calls, posteriors = [], []
 
-        def e_step(*args):
+        def e_step(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 raise AllMissingError("collapsed")
-            return get_correspondences(*args)
+            return get_correspondences(*args, **kwargs)
 
-        def posterior(*args):
-            posteriors.append(gpr_posterior(*args))
+        def posterior(*args, **kwargs):
+            posteriors.append(gpr_posterior(*args, **kwargs))
             return posteriors[-1]
 
         monkeypatch.setattr(registration, "get_correspondences", e_step)
