@@ -18,6 +18,7 @@ import numpy as np
 
 from . import io as sio
 from .core import (
+    FAILED_STOPS,
     ConfigError,
     IterationRecord,
     PointSet,
@@ -58,12 +59,15 @@ SWEEP_FIELDS = (
     "recall",
     "precision",
     "iters",
-    "converged",
-    "failure_reason",
+    "stop_reason",
     "runtime_ms",
 )
 
 SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
+
+# the exact types each kind of config value admits: a JSON true is no number
+CONFIG_KINDS = {"an integer": (int,), "a number": (int, float),
+                "a number or null": (int, float, type(None))}
 
 # read by the BLAS libraries once, when they load
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -75,20 +79,25 @@ def load_reference(name_or_path) -> PointSet:
     return sio.read_pointset_csv(name_or_path)
 
 
+def _config_value(block: dict, key: str, kind: str = "a number"):
+    """block[key], whose exact type must be one CONFIG_KINDS[kind] admits;
+    the error names the key."""
+    value = block[key]
+    if type(value) not in CONFIG_KINDS[kind]:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
     kind = payload.get("type")
     if kind == "squared_exponential":
-        return SquaredExponential(
-            amplitude2=float(payload["amplitude2"]),
-            lengthscale=float(payload["lengthscale"]),
-        )
+        return SquaredExponential(amplitude2=float(_config_value(payload, "amplitude2")),
+                                  lengthscale=float(_config_value(payload, "lengthscale")))
     if kind == "sum":
         return SumKernel(*[kernel_from_config(p, anchor) for p in payload["parts"]])
     if kind == "scaled":
-        return ScaledKernel(
-            factor=float(payload["factor"]),
-            inner=kernel_from_config(payload["inner"], anchor),
-        )
+        return ScaledKernel(factor=float(_config_value(payload, "factor")),
+                            inner=kernel_from_config(payload["inner"], anchor))
     if kind == "pca_file":
         if anchor is None:
             raise ValueError("pca_file kernel needs the reference as anchor")
@@ -106,15 +115,10 @@ def registration_config_from(payload: dict) -> RegistrationConfig:
     unknown = sorted(set(payload) - {f.name for f in fields(RegistrationConfig)})
     if unknown:
         raise ConfigError(f"unknown registration keys: {', '.join(unknown)}")
-    for key, value in payload.items():  # exact types: a JSON true is no number
-        if key == "max_iters":
-            ok, kind = type(value) is int, "an integer"
-        elif key in ("sigma2_init", "jitter"):
-            ok, kind = value is None or type(value) in (int, float), "a number or null"
-        else:
-            ok, kind = type(value) in (int, float), "a number"
-        if not ok:
-            raise ConfigError(f"registration key {key} must be {kind}, got {value!r}")
+    for key in payload:
+        kind = ("an integer" if key == "max_iters" else
+                "a number or null" if key in ("sigma2_init", "jitter") else "a number")
+        _config_value(payload, key, kind)
     return validate_config(RegistrationConfig(**payload))
 
 
@@ -156,9 +160,7 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
 
 def _config_int(config: dict, key: str, minimum: int) -> int:
     """config[key], which must be an int, not a bool or a float, >= minimum."""
-    value = config[key]
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    value = _config_value(config, key, "an integer")
     if value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
@@ -213,7 +215,7 @@ def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: s
     out_dir.mkdir(parents=True, exist_ok=True)
     sio.write_pointset_csv(out_dir / "deformed_reference.csv", result.deformed_reference)
     n = result.deformed_reference.n
-    if result.state is None:  # the first iteration failed before any correspondence
+    if result.state is None:  # the run failed: no correspondence state
         best, best_p, nu = np.full(n, -1), np.zeros(n), np.zeros(n)
     else:
         P = result.state.P
@@ -235,9 +237,7 @@ def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: s
         {
             "variant": variant,
             "iters": result.iters,
-            "converged": result.converged,
-            "failed": result.failed,
-            "failure_reason": result.failure_reason,
+            "stop_reason": result.stop_reason,
             "runtime_ms": runtime_ms,
         },
     )
@@ -264,9 +264,10 @@ def cmd_register(args) -> int:
     return 0
 
 
-def _metrics_row(variant, tag, seed, runtime_ms, outcome, scored=None) -> dict:
-    """One SWEEP_FIELDS row.  `outcome` is (iters, converged, failure_reason)
-    of the run.  `scored` holds the arrays of a successful run, (ground
+def _metrics_row(variant, tag, seed, runtime_ms, iters, stop_reason, scored=None) -> dict:
+    """One SWEEP_FIELDS row of a run that ended after `iters` iterations
+    with `stop_reason`: the result's, or the class name of the SFGPError the
+    run raised.  `scored` holds the arrays of a successful run, (ground
     truth, true missing mask, fitted points, flagged mask); None marks a
     failed run, which has no scores."""
     if scored is None:
@@ -275,9 +276,8 @@ def _metrics_row(variant, tag, seed, runtime_ms, outcome, scored=None) -> dict:
         gt, true_missing, fitted, flagged = scored
         errors = tuple(subset_error(gt, fitted, true_missing, s) for s in SUBSETS)
         success, detection = 1, detection_scores(flagged, true_missing)
-    iters, converged, failure_reason = outcome
     return dict(zip(SWEEP_FIELDS, (variant, tag, seed, *errors, success, *detection,
-                                   int(iters), int(converged), failure_reason, runtime_ms)))
+                                   int(iters), stop_reason, runtime_ms)))
 
 
 def _write_metrics(path: Path, rows: list) -> None:
@@ -296,15 +296,15 @@ def _sweep_task(task: tuple) -> dict:
     except SFGPError as exc:
         # a broken instance is recorded, never aborts the sweep
         logger.warning("%s %s seed=%d: %s", variant, tag, spec.seed, exc)
-        result, outcome = None, (0, False, type(exc).__name__)
+        result, iters, stop_reason = None, 0, type(exc).__name__
     else:
-        outcome = (result.iters, result.converged, result.failure_reason)
+        iters, stop_reason = result.iters, result.stop_reason
     runtime_ms = (time.perf_counter() - t0) * 1e3
     scored = None
-    if result is not None and not result.failed:
+    if result is not None and stop_reason not in FAILED_STOPS:
         scored = (inst.ground_truth.points, inst.missing_mask,
                   result.deformed_reference.points, flagged_missing(result))
-    return _metrics_row(variant, tag, spec.seed, runtime_ms, outcome, scored)
+    return _metrics_row(variant, tag, spec.seed, runtime_ms, iters, stop_reason, scored)
 
 
 @contextlib.contextmanager
@@ -362,7 +362,7 @@ def cmd_eval(args) -> int:
         run_dir = results_dir / entry["level"] / str(entry["index"])
         meta = sio.read_json(run_dir / "result.json")
         scored = None
-        if not meta["failed"]:
+        if meta["stop_reason"] not in FAILED_STOPS:
             summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
             scored = (
                 inst.ground_truth.points,
@@ -370,10 +370,8 @@ def cmd_eval(args) -> int:
                 sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
                 np.array([bool(r["is_missing"]) for r in summary]),
             )
-        outcome = (meta["iters"], meta["converged"], meta["failure_reason"])
-        rows.append(_metrics_row(
-            meta["variant"], entry["level"], entry["seed"], meta["runtime_ms"], outcome, scored
-        ))
+        rows.append(_metrics_row(meta["variant"], entry["level"], entry["seed"],
+                                 meta["runtime_ms"], meta["iters"], meta["stop_reason"], scored))
     out = Path(args.out)
     _write_metrics(out / "aggregate.csv", rows)
 

@@ -110,14 +110,15 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
         raise ConfigError("omega must be < 1 and >= 0")
     if not 0.0 <= cfg.p_min < 1.0:
         raise ConfigError("p_min must be in [0, 1)")
-    if cfg.sigma2_init is not None and cfg.sigma2_init <= 0.0:
-        raise ConfigError("sigma2_init must be positive")
+    # chained comparisons are False for NaN, so these also reject it
+    if cfg.sigma2_init is not None and not 0.0 < cfg.sigma2_init < np.inf:
+        raise ConfigError("sigma2_init must be positive and finite")
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if cfg.rel_tol < 0.0:
-        raise ConfigError("rel_tol must be >= 0")
-    if cfg.jitter is not None and cfg.jitter < 0.0:
-        raise ConfigError("jitter must be >= 0")
+    if not 0.0 <= cfg.rel_tol < np.inf:
+        raise ConfigError("rel_tol must be finite and >= 0")
+    if cfg.jitter is not None and not 0.0 <= cfg.jitter < np.inf:
+        raise ConfigError("jitter must be finite and >= 0")
     if cfg.variance_mode not in VARIANCE_MODES:
         raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
     if cfg.correspondence_mode not in CORRESPONDENCE_MODES:
@@ -262,19 +263,22 @@ class IterationRecord:
     elapsed_s: float
 
 
+STOP_REASONS = ("converged", "max_iters", "first_iteration", "mid_run_collapse")
+FAILED_STOPS = ("first_iteration", "mid_run_collapse")
+
+
 @dataclass(frozen=True)
 class RegistrationResult:
     """Output of a registration run.
 
-    failed is True when the first iteration finds no deformations at all;
-    failure_reason distinguishes that case ("first_iteration") from a
-    mid-run correspondence collapse ("mid_run_collapse").  state is None
-    when an E-step found no label of finite noise, in the first iteration or
-    later; after a mid-run collapse, deformed_reference, posterior and sigma2
-    are those of the last completed iteration.  Otherwise state is the last
-    iteration's E-step, recomputed once the loop ends so that its P holds
-    the responsibilities again (the posterior reused P's buffer); its P is a
-    view of the run's workspace.
+    stop_reason is one of STOP_REASONS: the stop rule fired ("converged"),
+    it had not by max_iters ("max_iters"), or, in FAILED_STOPS, an E-step
+    found no label of finite noise in the first iteration or a later one.
+    A failed run has state None; after a mid-run collapse, deformed_reference,
+    posterior and sigma2 are those of the last completed iteration.
+    Otherwise state is the last iteration's E-step, recomputed once the loop
+    ends so that its P holds the responsibilities again (the posterior
+    reused P's buffer); its P is a view of the run's workspace.
     """
 
     deformed_reference: PointSet
@@ -282,10 +286,20 @@ class RegistrationResult:
     posterior: Optional[PosteriorDeformation]
     sigma2: np.ndarray
     iters: int
-    converged: bool
-    failed: bool
-    failure_reason: Optional[str] = None
+    stop_reason: str
     trace: tuple = ()
+
+    def __post_init__(self):
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def failed(self) -> bool:
+        return self.stop_reason in FAILED_STOPS
 
 
 __all__ = [
@@ -307,5 +321,7 @@ __all__ = [
     "AnnotatedDeformations",
     "PosteriorDeformation",
     "IterationRecord",
+    "STOP_REASONS",
+    "FAILED_STOPS",
     "RegistrationResult",
 ]

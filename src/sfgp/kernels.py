@@ -41,10 +41,10 @@ class SquaredExponential(KernelSpec):
     lengthscale: float = 1.0
 
     def __post_init__(self):
-        if self.amplitude2 <= 0.0:
-            raise ValueError("amplitude2 must be positive")
-        if self.lengthscale <= 0.0:
-            raise ValueError("lengthscale must be positive")
+        if not 0.0 < self.amplitude2 < np.inf:
+            raise ValueError("amplitude2 must be positive and finite")
+        if not 0.0 < self.lengthscale < np.inf:
+            raise ValueError("lengthscale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class ScaledKernel(KernelSpec):
     inner: KernelSpec
 
     def __post_init__(self):
-        if self.factor <= 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < self.factor < np.inf:
+            raise ValueError("scale factor must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import RegistrationResult
+from .core import FAILED_STOPS, RegistrationResult
 from .synthdata import SyntheticInstance
 
 SUBSETS = ("all", "missing", "non_missing")
@@ -54,7 +54,7 @@ def mean_sq_distance(
 ) -> Optional[float]:
     """subset_error of a registration result; failed results carry no
     geometry worth scoring and are rejected."""
-    if result.failed:
+    if result.stop_reason in FAILED_STOPS:
         raise ValueError("failed registrations are excluded from distance metrics")
     gt, fitted = instance.ground_truth.points, result.deformed_reference.points
     return subset_error(gt, fitted, instance.missing_mask, subset)

@@ -136,14 +136,11 @@ def register(
     kernel: KernelSpec,
     cfg: RegistrationConfig,
 ) -> RegistrationResult:
-    """Fit the reference to the target; see RegistrationConfig for knobs.
-
-    The run is declared failed only when the very first iteration produces
-    no deformation at all (empty inlier set or an exactly zero posterior
-    mean).  A correspondence collapse in a later iteration also sets failed
-    but is tagged failure_reason="mid_run_collapse"; that result keeps the
-    deformed reference, posterior and sigma2 of the last completed iteration
-    and has state None, because each E-step overwrites the previous P.
+    """Fit the reference to the target; see RegistrationConfig for knobs and
+    RegistrationResult.stop_reason for how a run ends.  A collapse has state
+    None because each E-step overwrites the previous P.  An exact fit, whose
+    labels and posterior mean are all zero, is no failure but a fixed point,
+    which the stop rule ends as "converged" in the second iteration.
     """
     validate_config(cfg)
     if reference.dim != target.dim:
@@ -165,13 +162,8 @@ def register(
 
     posterior = None
     trace: list = []
-    converged = False
-    failed = False
-    failure_reason = None
-    iters = 0
-
-    for it in range(1, cfg.max_iters + 1):
-        iters = it
+    stop_reason = "max_iters"
+    for it in range(1, cfg.max_iters + 1):  # max_iters >= 1, so it is bound
         t0 = time.perf_counter()
         state = None  # stays None when the E-step collapses
         try:
@@ -195,8 +187,7 @@ def register(
                 )
             state, ann = e_step()
         except AllMissingError as exc:
-            failed = True
-            failure_reason = "first_iteration" if it == 1 else "mid_run_collapse"
+            stop_reason = "first_iteration" if it == 1 else "mid_run_collapse"
             logger.warning("iter=%d correspondence collapse: %s", it, exc)
             break
 
@@ -222,11 +213,6 @@ def register(
             prev_sigma2=sigma2,
         )
 
-        if it == 1 and not np.any(posterior.mu):
-            failed = True
-            failure_reason = "first_iteration"
-            break
-
         max_move = float(np.max(np.linalg.norm(r_bar.points - prev_pts, axis=1)))
         mean_sigma2 = float(np.mean(sigma2))
         record = IterationRecord(
@@ -241,7 +227,7 @@ def register(
         logger.info("%s", record)
 
         if it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2):
-            converged = True
+            stop_reason = "converged"
             break
 
     if state is not None:
@@ -254,10 +240,8 @@ def register(
         state=state,
         posterior=posterior,
         sigma2=sigma2,
-        iters=iters,
-        converged=converged,
-        failed=failed,
-        failure_reason=failure_reason,
+        iters=it,
+        stop_reason=stop_reason,
         trace=tuple(trace),
     )
 

@@ -78,8 +78,7 @@ def run_missing_trend(master_seed):
                         "recall": recall,
                         "precision": precision,
                         "iters": res.iters,
-                        "converged": int(res.converged),
-                        "failure_reason": res.failure_reason,
+                        "stop_reason": res.stop_reason,
                         "runtime_ms": 0.0,
                     }
                 )

@@ -98,13 +98,13 @@ def test_register_self_target_near_zero_error(tmp_path):
     fitted = sio.read_pointset_csv(out / "deformed_reference.csv")
     assert np.mean(np.linalg.norm(fitted.points - fish.points, axis=1)) < 1e-3
     meta = sio.read_json(out / "result.json")
-    assert meta["failed"] is False
+    assert set(meta) == {"schema_version", "variant", "iters", "stop_reason", "runtime_ms"}
     trace = sio.read_csv_rows(out / "trace.csv")
     assert len(trace) == meta["iters"]
     # the run stopped on the first row whose largest move is within the tolerance
     rel_tol = RegistrationConfig().rel_tol
     within = [r["max_move"] <= rel_tol * np.sqrt(r["mean_sigma2"]) for r in trace]
-    assert meta["converged"] is True and meta["iters"] < 40
+    assert meta["stop_reason"] == "converged" and meta["iters"] < 40
     assert within[-1] and not any(within[1:-1])
 
 
@@ -272,11 +272,32 @@ def test_variant_keys_in_registration_block_fail_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("p_min", "0.05"), ("omega", None), ("rel_tol", [1e-3]), ("max_iters", 2.5),
     ("max_iters", True), ("sigma2_init", "1e-3"), ("jitter", False),
+    ("sigma2_init", float("nan")), ("sigma2_init", float("inf")), ("rel_tol", float("nan")),
+    ("rel_tol", float("inf")), ("jitter", float("nan")), ("jitter", float("inf")),
 ])
 def test_registration_value_of_wrong_type_fails_cleanly(tmp_path, capsys, key, value):
-    # a value of the wrong type is a ConfigError naming its key, caught before
-    # any task runs, not a TypeError from inside validation or `register`
+    # a value of the wrong type, or a NaN or Infinity (which JSON parses), is
+    # a ConfigError naming its key, caught before any task runs, not an error
+    # from inside validation or `register`
     cfg = write_config(tmp_path / "cfg.json", registration={"p_min": 0.05, key: value})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("amplitude2", True), ("amplitude2", "0.01"), ("lengthscale", None),
+    ("amplitude2", float("nan")), ("lengthscale", float("inf")), ("factor", False),
+    ("factor", float("nan")),
+])
+def test_kernel_value_of_wrong_type_fails_cleanly(tmp_path, capsys, key, value):
+    # float() would run true as 1.0; NaN and Infinity would reach the Gram
+    se = {"type": "squared_exponential", "amplitude2": 0.01, "lengthscale": 0.2}
+    kernel = {"type": "scaled", "factor": 2.0, "inner": se}
+    (kernel if key == "factor" else se)[key] = value
+    cfg = write_config(tmp_path / "cfg.json", kernel=kernel)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -385,13 +406,23 @@ def test_sweep_records_a_degenerate_level_as_failed(tmp_path):
     assert sorted(rows) == ["mw0.3_ns0.02_or0_dl1", "mw3_ns0.02_or0_dl1"]
     scored, failed = rows["mw0.3_ns0.02_or0_dl1"], rows["mw3_ns0.02_or0_dl1"]
     assert scored["success"] == 1 and scored["error_all"] is not None
-    assert scored["iters"] >= 1 and scored["converged"] in (0, 1)
-    assert scored["failure_reason"] is None
+    assert scored["iters"] >= 1 and scored["stop_reason"] in ("converged", "max_iters")
     assert failed["success"] == 0
     assert all(failed[k] is None for k in ("error_all", "recall", "precision"))
     # the run raised: no iteration, and the exception's class as the reason
-    assert failed["iters"] == 0 and failed["converged"] == 0
-    assert failed["failure_reason"] == "DegenerateInstanceError"
+    assert failed["iters"] == 0
+    assert failed["stop_reason"] == "DegenerateInstanceError"
+
+
+def test_sweep_scores_an_unperturbed_level(tmp_path):
+    # every grid axis at its default of 0 leaves the target equal to the
+    # reference: closest points fit it exactly, which is no failure
+    cfg = write_config(tmp_path / "cfg.json", grid={}, variants=["GPClosestPnt"], instances=1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    [row] = sio.read_csv_rows(out / "metrics.csv")
+    assert row["success"] == 1 and row["error_all"] == 0.0
+    assert row["iters"] == 2 and row["stop_reason"] == "converged"
 
 
 class RecordingPool:
@@ -484,7 +515,7 @@ def test_register_mid_run_collapse_writes_placeholders(tmp_path, monkeypatch):
     code = main(["register", "--config", str(cfg), "--target", str(target_csv), "--out", str(out)])
     assert code == 0
     meta = sio.read_json(out / "result.json")
-    assert meta["failed"] is True and meta["failure_reason"] == "mid_run_collapse"
+    assert meta["stop_reason"] == "mid_run_collapse"
     assert meta["iters"] == 2
     assert len(sio.read_csv_rows(out / "trace.csv")) == 1
     assert sio.read_pointset_csv(out / "deformed_reference.csv").n == fish_reference().n
@@ -506,8 +537,7 @@ def test_register_first_iteration_failure_writes_placeholders(tmp_path):
     code = main(["register", "--config", str(cfg), "--target", str(target_csv), "--out", str(out)])
     assert code == 0
     meta = sio.read_json(out / "result.json")
-    assert meta["failed"] is True
-    assert meta["failure_reason"] == "first_iteration"
+    assert meta["stop_reason"] == "first_iteration"
     summary = sio.read_csv_rows(out / "correspondence_summary.csv")
     assert [r["ref_index"] for r in summary] == [0, 1]
     assert all(r["best_target"] == -1 and r["nu"] == 0 for r in summary)

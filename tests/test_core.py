@@ -33,6 +33,9 @@ def test_config_accepts_reference_settings():
         (dict(max_iters=0), "max_iters"),
         (dict(jitter=-1e-9), "jitter"),
         (dict(variance_mode="bogus"), "variance_mode"),
+        (dict(sigma2_init=float("nan")), "sigma2_init"),
+        (dict(rel_tol=float("inf")), "rel_tol"),
+        (dict(jitter=float("nan")), "jitter"),
     ],
 )
 def test_config_rejections_name_the_field(kwargs, needle):

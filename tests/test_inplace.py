@@ -378,9 +378,9 @@ def test_register_returns_the_p_of_its_last_e_step(monkeypatch, variant):
     assert_state_is_a_fresh_e_step(res.state, original, calls[-2])
 
 
-def test_first_iteration_failure_returns_the_p_of_its_e_step(monkeypatch):
-    # a zero posterior mean fails the run after a successful E-step; the
-    # posterior stand-in scribbles over the workspace as a real one would
+def test_zero_mean_run_returns_the_p_of_its_last_e_step(monkeypatch):
+    # a zero posterior mean is a fixed point, which converges in iteration 2;
+    # the posterior stand-in scribbles over the workspace as a real one would
     fish = fish_reference()
     zero = PosteriorDeformation(mu=np.zeros((fish.n, 2)), var_diag=np.zeros(fish.n))
 
@@ -391,8 +391,9 @@ def test_first_iteration_failure_returns_the_p_of_its_e_step(monkeypatch):
     original, calls = record_e_steps(monkeypatch, "SFGP_Full")
     monkeypatch.setattr(registration, "gpr_posterior", posterior)
     res = register(fish, fish, SquaredExponential(0.01, 0.2), RegistrationConfig())
-    assert res.failed and res.failure_reason == "first_iteration" and len(calls) == 2
-    assert_state_is_a_fresh_e_step(res.state, original, calls[0])
+    assert res.stop_reason == "converged" and res.iters == 2 and len(calls) == 3
+    assert all(a is b for a, b in zip(calls[-1], calls[-2]))
+    assert_state_is_a_fresh_e_step(res.state, original, calls[-2])
 
 
 def test_buffer_parameters_are_keyword_only():

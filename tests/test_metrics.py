@@ -26,8 +26,7 @@ def make_result(deformed_pts, missing_ids=(), n_ref=None, failed=False):
         posterior=None,
         sigma2=np.ones(n),
         iters=3,
-        converged=True,
-        failed=failed,
+        stop_reason="first_iteration" if failed else "converged",
     )
 
 

@@ -174,7 +174,7 @@ class TestRegister:
         b = register(fish, inst.target, self.kernel, cfg)
         assert np.array_equal(a.deformed_reference.points, b.deformed_reference.points)
         assert np.array_equal(a.sigma2, b.sigma2)
-        assert a.iters == b.iters and a.converged == b.converged
+        assert a.iters == b.iters and a.stop_reason == b.stop_reason
 
     def test_full_at_zero_p_min_is_no_threshold_variant(self):
         # GPReg_noTresh is SFGP_Full with the correspondence threshold at zero
@@ -225,9 +225,20 @@ class TestRegister:
         target = pointset([[1e160, 1e160]])
         res = register(ref, target, SquaredExponential(1.0, 1.0),
                        RegistrationConfig(sigma2_init=1e-6))
-        assert res.failed
-        assert res.failure_reason == "first_iteration"
+        assert res.stop_reason == "first_iteration" and res.state is None
+        assert res.failed and not res.converged
         assert res.iters == 1
+
+    def test_exact_fit_converges_at_the_second_iteration(self):
+        # closest points on the reference itself give all-zero labels and a
+        # zero posterior mean: a fixed point, which the stop rule ends
+        fish = fish_reference()
+        cfg = variant_config("GPClosestPnt", RegistrationConfig(rel_tol=0.0))
+        res = register(fish, fish, self.kernel, cfg)
+        assert res.stop_reason == "converged" and res.iters == 2
+        assert res.converged and not res.failed
+        assert np.array_equal(res.deformed_reference.points, fish.points)
+        assert [rec.max_move for rec in res.trace] == [0.0, 0.0]
 
     def test_outlier_instance_succeeds(self):
         fish = fish_reference()
@@ -272,13 +283,13 @@ class TestRegister:
         )
         cfg = variant_config(variant, RegistrationConfig(omega=0.1, p_min=0.05))
         res = register(fish, inst.target, self.kernel, cfg)
-        assert res.converged and res.iters < cfg.max_iters
+        assert res.stop_reason == "converged" and res.iters < cfg.max_iters
         tol = cfg.rel_tol * np.sqrt(np.mean(res.sigma2))
         assert res.trace[-1].max_move <= tol < res.trace[-2].max_move
 
         more = register(fish, inst.target, self.kernel,
                         replace(cfg, rel_tol=0.0, max_iters=res.iters + 1))
-        assert more.iters == res.iters + 1 and not more.converged
+        assert more.iters == res.iters + 1 and more.stop_reason == "max_iters"
         step = np.linalg.norm(more.deformed_reference.points - res.deformed_reference.points,
                               axis=1)
         assert np.max(step) <= tol
@@ -288,7 +299,8 @@ class TestRegister:
         inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
         cfg = RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=25)
         res = register(fish, inst.target, self.kernel, cfg)
-        assert res.iters == 25 and not res.converged and not res.failed
+        assert res.iters == 25 and res.stop_reason == "max_iters"
+        assert not res.converged and not res.failed
         assert all(rec.max_move > 0.0 for rec in res.trace)
 
     def test_zero_rel_tol_stops_when_nothing_moves(self, monkeypatch):
@@ -297,7 +309,7 @@ class TestRegister:
         fixed = PosteriorDeformation(mu=np.full((fish.n, 2), 0.01), var_diag=np.zeros(fish.n))
         monkeypatch.setattr(registration, "gpr_posterior", lambda *args, **kwargs: fixed)
         res = register(fish, fish, self.kernel, RegistrationConfig(rel_tol=0.0))
-        assert res.converged and res.iters == 2
+        assert res.stop_reason == "converged" and res.iters == 2
         assert [rec.max_move for rec in res.trace] == [pytest.approx(0.01 * np.sqrt(2)), 0.0]
 
     def test_mid_run_collapse_keeps_the_last_completed_iteration(self, monkeypatch):
@@ -320,9 +332,9 @@ class TestRegister:
         monkeypatch.setattr(registration, "get_correspondences", e_step)
         monkeypatch.setattr(registration, "gpr_posterior", posterior)
         res = register(fish, inst.target, self.kernel, RegistrationConfig(p_min=0.05))
-        assert res.failed and res.failure_reason == "mid_run_collapse"
+        assert res.stop_reason == "mid_run_collapse" and res.failed
         assert res.state is None
-        assert res.iters == 2 and not res.converged
+        assert res.iters == 2
         assert len(posteriors) == 1 and res.posterior is posteriors[0]
         assert np.array_equal(res.deformed_reference.points, fish.points + posteriors[0].mu)
         assert len(res.trace) == 1 and res.trace[0].iteration == 1
