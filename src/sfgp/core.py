@@ -113,6 +113,9 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
     # chained comparisons are False for NaN, so these also reject it
     if cfg.sigma2_init is not None and not 0.0 < cfg.sigma2_init < np.inf:
         raise ConfigError("sigma2_init must be positive and finite")
+    # bool is an int, but True is no iteration count
+    if isinstance(cfg.max_iters, bool) or not isinstance(cfg.max_iters, (int, np.integer)):
+        raise ConfigError(f"max_iters must be an integer, got {cfg.max_iters!r}")
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     if not 0.0 <= cfg.rel_tol < np.inf:
@@ -143,8 +146,11 @@ def sq_dists(a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None) 
 
 
 # Rows per block of the dense steps that reduce an (N_R, N_S) or (N_R, C)
-# product a block at a time instead of holding a second full-size copy.
-ROW_BLOCK = 512
+# product a block at a time instead of holding a second full-size copy.  One
+# block is the largest transient of a registration besides the Gram and the
+# workspace: 128 rows of 2000 doubles is 2 MB, against 32 MB for each of
+# those at N_R = 2000.
+ROW_BLOCK = 128
 
 
 def row_blocks(n: int) -> list:
@@ -165,7 +171,8 @@ def default_sigma2_init(reference: PointSet) -> float:
     """Squared mean nearest-neighbor distance of the reference points.
 
     Each point's nearest other point is the row argmin of a row block of
-    `sq_dists` with the self-pairs set to inf, so no (N, N) buffer is made.
+    `sq_dists` with the self-pairs set to inf; every block is formed in one
+    (ROW_BLOCK, N) buffer, so no (N, N) array is made.
     Its distance is then taken exactly, as sqrt(sum((x_nn - x)^2)): the
     |a|^2 + |b|^2 - 2ab form only picks the neighbor, and the scale has the
     bits of a kd-tree query.
@@ -175,8 +182,10 @@ def default_sigma2_init(reference: PointSet) -> float:
     if n < 2:
         raise ValueError("need at least 2 points for a nearest-neighbor scale")
     nearest = np.empty(n, dtype=np.intp)
-    for blk in row_blocks(n):
-        d2 = sq_dists(pts[blk], pts)
+    blocks = row_blocks(n)
+    buf = np.empty((blocks[0].stop, n))
+    for blk in blocks:
+        d2 = sq_dists(pts[blk], pts, out=buf[: blk.stop - blk.start])
         d2[np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)] = np.inf
         nearest[blk] = np.argmin(d2, axis=1)
     dist = np.sqrt(np.sum((pts[nearest] - pts) ** 2, axis=1))
@@ -211,8 +220,8 @@ class CorrespondenceState:
 
     def __post_init__(self):
         n_r = self.P.shape[0]
-        part = np.concatenate([self.inliers, self.missing])
-        if sorted(part.tolist()) != list(range(n_r)):
+        part = np.sort(np.concatenate([self.inliers, self.missing]))
+        if not np.array_equal(part, np.arange(n_r)):
             raise ValueError("inliers and missing must partition 0..N_R-1")
 
 
@@ -278,7 +287,8 @@ class RegistrationResult:
     posterior and sigma2 are those of the last completed iteration.
     Otherwise state is the last iteration's E-step, recomputed once the loop
     ends so that its P holds the responsibilities again (the posterior
-    reused P's buffer); its P is a view of the run's workspace.
+    reused P's buffer); its P is a view of the run's workspace, which shares
+    one allocation with the run's Gram, so the result holds both.
     """
 
     deformed_reference: PointSet

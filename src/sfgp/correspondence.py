@@ -10,7 +10,8 @@ P is the one (N_R, N_S) array of a correspondence step, written to the
 caller's `out` buffer (a view of the registration workspace) when one is
 given: the kept weights W of the fusion, the row moments of P the variance
 update reads, and the distances of the closest-point baseline are formed one
-row block (core.ROW_BLOCK rows) at a time.
+row block (core.ROW_BLOCK rows) at a time, each W block in one block buffer
+that also holds its mask.
 """
 from __future__ import annotations
 
@@ -147,8 +148,10 @@ def _fuse(
     w = np.empty((blocks[0].stop, p.shape[1]))
     nu, mass, num = np.empty(n_r), np.empty(n_r), np.empty((n_r, d))
     for blk in blocks:
-        # P * [P > p_min] equals np.where(P > p_min, P, 0): P is finite and >= 0
-        w_blk = np.multiply(p[blk], p[blk] > p_min, out=w[: blk.stop - blk.start])
+        # [P > p_min] * P, the mask written as 1.0 / 0.0 into the block
+        # buffer, equals np.where(P > p_min, P, 0): P is finite and >= 0
+        w_blk = np.greater(p[blk], p_min, out=w[: blk.stop - blk.start])
+        w_blk *= p[blk]
         nu[blk] = p[blk].sum(axis=1)
         mass[blk] = w_blk.sum(axis=1)
         num[blk] = w_blk @ target.points
@@ -166,10 +169,10 @@ def _fuse(
         P=p, nu=nu, ps=moments[:, :d], pss=moments[:, d],
         inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers),
     )
-    ann = AnnotatedDeformations(
-        delta_hat=num[inliers] / mass[inliers, None] - deformed_ref.points[inliers],
-        sigma2_eff=noise[inliers],
-    )
+    delta_hat = num[inliers]  # a copy, divided and shifted in place
+    delta_hat /= mass[inliers, None]
+    delta_hat -= deformed_ref.points[inliers]
+    ann = AnnotatedDeformations(delta_hat=delta_hat, sigma2_eff=noise[inliers])
     return state, ann
 
 

@@ -17,7 +17,10 @@ into the caller's workspace (a registration passes the buffer its P used) and
 factored there in place.  The mean is g @ scatter(w), the weights
 w = A^{-1} labels placed at the inlier rows, so no (N_R x C) gather is made.
 The variance solve v = L^{-1} G_Cx runs one row block of G_xC at a time, each
-gathered into the same block buffer and overwritten by its solve.
+gathered into the same block buffer and overwritten by its solve.  A is
+factored and solved without SciPy's finiteness scans, each a boolean mask of
+A's size: the Gram was checked finite when it was assembled, and the noise
+is checked at the entry.
 """
 from __future__ import annotations
 
@@ -32,9 +35,10 @@ from .kernels import GramMatrix
 
 def _chol(a: np.ndarray, what: str):
     """Lower Cholesky factor of the symmetric `a`, overwriting it: a.T is the
-    Fortran-ordered view LAPACK factors without a copy."""
+    Fortran-ordered view LAPACK factors without a copy.  `a` must be finite:
+    SciPy's scan for that would make a boolean mask of its size."""
     try:
-        return cho_factor(a.T, lower=True, overwrite_a=True)
+        return cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(f"{what} factorization failed after jitter: {exc}") from exc
 
@@ -51,7 +55,7 @@ def gpr_posterior(
 
     inliers:    (C,) reference indices carrying labels.
     delta_hat:  (C, d) fused deformations, aligned with `inliers`.
-    sigma2_eff: (C,) per-label noise variances, strictly positive.
+    sigma2_eff: (C,) per-label noise variances, positive and finite.
     work:       flat float buffer of at least C*C entries that A is gathered
                 into and factored in; a new one when None.  Its contents are
                 overwritten.
@@ -68,8 +72,10 @@ def gpr_posterior(
     sigma2_eff = np.asarray(sigma2_eff, dtype=float)
     if inliers.size == 0:
         raise NoAnnotationError("posterior needs at least one labelled point")
-    if np.any(sigma2_eff <= 0.0):
-        raise ValueError("sigma2_eff must be strictly positive")
+    # also False for NaN; with the Gram finite (see assemble_gram), this
+    # makes the observed block finite, so its factorization need not scan it
+    if not np.all((0.0 < sigma2_eff) & (sigma2_eff < np.inf)):
+        raise ValueError("sigma2_eff must be positive and finite")
 
     g, n, c = gram.g, gram.n, inliers.size
     if inliers.min() < 0 or inliers.max() >= n:
@@ -86,7 +92,9 @@ def gpr_posterior(
     del g_rows, rows
     a[np.diag_indices_from(a)] += sigma2_eff + gram.jitter
     factor = _chol(a, "observed-block")
-    w = cho_solve(factor, delta_hat)  # A^{-1} labels, the weights of the mean
+    # A^{-1} labels, the weights of the mean; non-finite labels give a
+    # non-finite mean, which PosteriorDeformation rejects
+    w = cho_solve(factor, delta_hat, check_finite=False)
     mu_lowrank, d_var = 0.0, 0.0
     if gram.lowrank_u is not None:
         w, mu_lowrank, d_var = _lowrank_correction(gram, inliers, factor, w, delta_hat)
@@ -124,7 +132,8 @@ def _lowrank_correction(gram: GramMatrix, inliers, factor, alpha, delta_hat):
     c, m = inliers.size, lam.size
     u_c = u[(inliers[:, None] * d + np.arange(d)).ravel()]  # (c*d, m)
 
-    z = cho_solve(factor, u_c.reshape(c, -1)).reshape(u_c.shape)  # (A (x) I_d)^{-1} U_C
+    # (A (x) I_d)^{-1} U_C
+    z = cho_solve(factor, u_c.reshape(c, -1), check_finite=False).reshape(u_c.shape)
     ucz = u_c.T @ z
     cap = np.diag(1.0 / lam) + ucz  # capacitance matrix
     cap_factor = _chol(0.5 * (cap + cap.T), "low-rank capacitance")

@@ -66,12 +66,14 @@ class PCAKernel(KernelSpec):
         vec = np.asarray(self.eigenvectors, dtype=float)
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("eigenvalues must be a nonempty vector")
-        if np.any(lam <= 0.0):
-            raise ValueError("eigenvalues must be positive")
+        if not np.all((lam > 0.0) & (lam < np.inf)):
+            raise ValueError("eigenvalues must be positive and finite")
         if np.any(np.diff(lam) > 0.0):
             raise ValueError("eigenvalues must be nonincreasing")
         if vec.shape != (self.anchor.n * self.anchor.dim, lam.size):
             raise ValueError("eigenvectors must have shape (N_R*d, m)")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("eigenvectors must be finite")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
 
@@ -143,11 +145,16 @@ def _se_gram(
     g /= 2.0 * spec.lengthscale**2
     np.exp(g, out=g)
     g *= spec.amplitude2
-    # 0.5 (g + g^T) one row block at a time: block I takes rows I and columns
-    # from its first row on, which no earlier block has written, and mirrors
-    # them; g_ij + g_ji == g_ji + g_ij, so both triangles get the same value
-    for blk in row_blocks(g.shape[0]):
-        sym = g[blk, blk.start:] + g[blk.start:, blk].T
+    # 0.5 (g + g^T) one row block at a time, each summed into one block
+    # buffer: block I takes rows I and columns from its first row on, which no
+    # earlier block has written, and mirrors them; g_ij + g_ji == g_ji + g_ij,
+    # so both triangles get the same value
+    n = g.shape[0]
+    blocks = row_blocks(n)
+    buf = np.empty(blocks[0].stop * n)
+    for blk in blocks:
+        sym = buffer_view(buf, (blk.stop - blk.start, n - blk.start))
+        np.add(g[blk, blk.start:], g[blk.start:, blk].T, out=sym)
         sym *= 0.5
         g[blk, blk.start:] = sym
         g[blk.start:, blk] = sym.T
@@ -156,19 +163,21 @@ def _se_gram(
 
 def assemble_gram(
     spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None, *,
-    work: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None,
 ) -> GramMatrix:
     """Assemble the scalar Gram matrix of `spec` over `ref`.
 
     jitter=None applies the default stabilization, 1e-8 times the mean of
-    the full kernel diagonal.  Raises NumericalError when g + jitter*I fails
-    its Cholesky check, and AnchorMismatchError when a PCA summand is
-    evaluated away from its anchor.  Besides the Gram, the assembly holds at
-    most one more N_R x N_R buffer: `work`, a flat float buffer of at least
-    N_R^2 entries (a new one when None), which holds in turn each summand
-    after the first and the jittered copy the check factors in place and,
-    when that fails, refills for its eigenvalues.  Its contents are
-    overwritten.
+    the full kernel diagonal.  Raises NumericalError when g or the jitter is
+    not finite (amplitudes whose product overflows) or g + jitter*I fails its
+    Cholesky check, and AnchorMismatchError when a PCA summand is evaluated
+    away from its anchor.  g is built in `out`, a flat float buffer of at
+    least N_R^2 entries (a new one when None), and is a view of it.  Besides
+    the Gram, the assembly holds at most one row block and one more N_R x N_R
+    buffer: `work`, a flat float buffer of at least N_R^2 entries (a new one
+    when None), which holds in turn each summand after the first and the
+    jittered copy the check factors in place and, when that fails, refills
+    for its eigenvalues.  The contents of both are overwritten.
     """
     scalar_parts: list = []
     lowrank_parts: list = []
@@ -176,17 +185,23 @@ def assemble_gram(
 
     n = ref.n
     g = None
-    for scale, part in scalar_parts:
-        # the first summand becomes the Gram, the others are built in work
-        term = _se_gram(ref.points, part, out=None if g is None else buffer_view(work, (n, n)))
-        term *= scale
-        if g is None:
-            g = term  # the same bits as 0 + scale * term
-        else:
-            g += term
-        del term  # the next summand is built without this one
+    # products of large amplitudes may overflow to inf, which the finiteness
+    # check below reports as a NumericalError, without a float warning
+    with np.errstate(over="ignore"):
+        for scale, part in scalar_parts:
+            # the first summand is built in out and becomes the Gram, the
+            # others are built in work
+            buf = buffer_view(out if g is None else work, (n, n))
+            term = _se_gram(ref.points, part, out=buf)
+            term *= scale
+            if g is None:
+                g = term  # the same bits as 0 + scale * term
+            else:
+                g += term
+            del term  # the next summand is built without this one
     if g is None:
-        g = np.zeros((n, n))
+        g = buffer_view(out, (n, n))
+        g.fill(0.0)
 
     u = lam = None
     for scale, part in lowrank_parts:
@@ -205,23 +220,29 @@ def assemble_gram(
             lam = np.concatenate([lam, lam_part])
 
     if jitter is None:
-        diag_mean = float(np.mean(np.diag(g)))
+        with np.errstate(over="ignore"):
+            diag_mean = float(np.mean(np.diag(g)))
         if u is not None:
             diag_mean += float(np.sum(u**2 * lam)) / (n * ref.dim)
         jitter = 1e-8 * diag_mean
+
+    # each SE summand is largest at distance 0, on the diagonal, so a finite
+    # diagonal proves g finite: the check below skips SciPy's N_R^2 scan
+    if not (np.all(np.isfinite(np.diag(g))) and np.isfinite(jitter)):
+        raise NumericalError(f"gram matrix is not finite (jitter={jitter:g})")
 
     check = buffer_view(work, (n, n))
     np.copyto(check, g)
     check[np.diag_indices(n)] += jitter
     try:
         # check.T is the Fortran-ordered view of the symmetric copy: no copy
-        _cholesky(check.T, lower=True, overwrite_a=True)
+        _cholesky(check.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         # the failed factorization overwrote part of check: refill it and
         # take its spectrum in place, like the factorization
         np.copyto(check, g)
         check[np.diag_indices(n)] += jitter
-        smallest = float(np.min(_eigvalsh(check.T, overwrite_a=True)))
+        smallest = float(np.min(_eigvalsh(check.T, overwrite_a=True, check_finite=False)))
         raise NumericalError(
             f"gram matrix not positive definite after jitter={jitter:g} "
             f"(smallest pivot {smallest:.3e})"

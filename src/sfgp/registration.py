@@ -17,15 +17,27 @@ iteration, with sigma2 taken after its update.  It does not stop on the
 mixture log-likelihood, which per-point variances keep raising.
 
 A run holds two full-size arrays: the Gram (N_R x N_R) and one workspace of
-N_R * max(N_R, N_S) doubles, allocated before the Gram is assembled.  The
-workspace holds in turn the jittered copy the Gram's SPD check factors, each
-iteration's P (N_R x N_S) and each iteration's observed block of the
+N_R * max(N_R, N_S) doubles.  They are one allocation, made before the Gram
+is assembled and freed when the returned state's P, a view of the
+workspace, is dropped.  Allocated apart, each of about 32 MB at N_R = 2000,
+glibc puts them on the heap after the first run, where small arrays made
+while a result lives can split the hole the Gram left, and a later run with
+a larger N_S then grows the heap by another Gram; together they exceed
+glibc's largest mmap threshold (32 MiB) from N_R of about 1450 on, so they
+are mapped and unmapped whole.
+
+The workspace holds in turn the jittered copy the Gram's SPD check factors,
+each iteration's P (N_R x N_S) and each iteration's observed block of the
 posterior (C x C).  P is used up before the posterior starts: the fusion
 also takes the row moments of P the variance update reads.  The other
-full-size products (the fusion weights, the posterior's cross-covariance)
-are worked in row blocks of core.ROW_BLOCK rows.  Once the loop ends, the
-last E-step is run again on its inputs, so the returned state's P holds the
-responsibilities.
+full-size products (the Gram's symmetrisation, the nearest-neighbour
+distances of the default sigma2_init, the fusion weights, the gather of the
+observed block and the posterior's cross-covariance) are worked one block of
+core.ROW_BLOCK rows at a time, and no step scans a full-size array for
+finiteness.  Besides its two full-size arrays a run so holds at most one
+block of ROW_BLOCK * max(N_R, N_S) doubles and a few O(N) vectors: under
+3 MiB at N_R = N_S = 2000.  Once the loop ends, the last E-step is run
+again on its inputs, so the returned state's P holds the responsibilities.
 """
 from __future__ import annotations
 
@@ -146,10 +158,13 @@ def register(
     if reference.dim != target.dim:
         raise ValueError("reference and target dimensions differ")
 
-    # the Gram check, each P and each observed block share this one buffer
-    work = np.empty(reference.n * max(reference.n, target.n))
+    # the Gram and the workspace are one allocation; the Gram check, each P
+    # and each observed block share the workspace
+    n_g = reference.n * reference.n
+    both = np.empty(n_g + reference.n * max(reference.n, target.n))
+    work = both[n_g:]
     p_buf = buffer_view(work, (reference.n, target.n))
-    gram = assemble_gram(kernel, reference, cfg.jitter, work=work)
+    gram = assemble_gram(kernel, reference, cfg.jitter, out=both[:n_g], work=work)
     sigma2_init = (
         cfg.sigma2_init if cfg.sigma2_init is not None else default_sigma2_init(reference)
     )
@@ -191,12 +206,14 @@ def register(
             logger.warning("iter=%d correspondence collapse: %s", it, exc)
             break
 
-        # the labels are relative to r_bar; the posterior mean is the total
-        # displacement of the reference, so the labels must be as well
-        labels = ann.delta_hat + (r_bar.points - ref_pts)[state.inliers]
         try:
-            # the observed block is factored in work, over state.P
-            posterior = gpr_posterior(gram, state.inliers, labels, ann.sigma2_eff, work=work)
+            # the labels are relative to r_bar; the posterior mean is the
+            # total displacement of the reference, so the labels must be as
+            # well.  The observed block is factored in work, over state.P.
+            posterior = gpr_posterior(
+                gram, state.inliers, ann.delta_hat + (r_bar.points - ref_pts)[state.inliers],
+                ann.sigma2_eff, work=work,
+            )
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
 

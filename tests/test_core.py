@@ -36,11 +36,20 @@ def test_config_accepts_reference_settings():
         (dict(sigma2_init=float("nan")), "sigma2_init"),
         (dict(rel_tol=float("inf")), "rel_tol"),
         (dict(jitter=float("nan")), "jitter"),
+        (dict(max_iters=2.5), "max_iters"),
+        (dict(max_iters=float("inf")), "max_iters"),
+        (dict(max_iters=float("nan")), "max_iters"),
+        (dict(max_iters=True), "max_iters"),
     ],
 )
 def test_config_rejections_name_the_field(kwargs, needle):
     with pytest.raises(ConfigError, match=needle):
         validate_config(RegistrationConfig(**kwargs))
+
+
+def test_config_accepts_a_numpy_integer_max_iters():
+    cfg = RegistrationConfig(max_iters=np.int64(3))
+    assert validate_config(cfg) is cfg
 
 
 def test_omega_one_message():

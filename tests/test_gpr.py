@@ -84,6 +84,13 @@ class TestAggregation:
         with pytest.raises(IndexError):
             gpr_posterior(gram, np.array([0, bad]), np.zeros((2, 2)), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_noise_that_is_not_positive_and_finite_rejected(self, bad):
+        # the observed block is factored without SciPy's finiteness scan
+        gram = GramMatrix(g=np.eye(2), dim=2)
+        with pytest.raises(ValueError, match="sigma2_eff"):
+            gpr_posterior(gram, np.array([0, 1]), np.zeros((2, 2)), np.array([1.0, bad]))
+
     @given(
         arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-1, 1)),
         arrays(np.float64, 3, elements=st.floats(0.01, 1.0)),

@@ -3,8 +3,9 @@ registration's one workspace.
 
 Each step may allocate its output and little else: tracemalloc sees NumPy's
 buffers, so the incremental peak of one call bounds the full-size
-temporaries it makes.  The peak tests shrink the row block to BLOCK rows so
-that one block is small next to the full-size buffers.  In-place work must
+temporaries it makes.  The peak tests of single steps shrink the row block
+to BLOCK rows so that one block is small next to the full-size buffers; one
+registration test keeps the default core.ROW_BLOCK.  In-place work must
 never reach the caller's arrays, so every input is checked bit for bit after
 the call; the blocked steps are checked against dense formulas at the block
 edges.  A step given a workspace returns the same bits as without one.
@@ -34,7 +35,14 @@ from sfgp.kernels import SquaredExponential, SumKernel, assemble_gram, build_pca
 from sfgp.registration import VARIANTS, register, update_sigma2, variant_config
 from sfgp.synthdata import PerturbationSpec, fish_reference, generate
 
-from helpers import dense_gpr, literal_variance_update, pointset, random_points, row_moments
+from helpers import (
+    dense_gpr,
+    fibonacci_sphere,
+    literal_variance_update,
+    pointset,
+    random_points,
+    row_moments,
+)
 
 N_R, N_S, C, D, RANK = 400, 410, 300, 3, 4
 BLOCK = 64
@@ -91,20 +99,20 @@ def test_responsibilities_peak_is_one_buffer(dense, omega):
 
 
 def test_get_correspondences_peak_is_p_and_one_block(dense, small_blocks):
-    # P, one row block of W with its boolean mask (1/8 of a double per pair),
-    # the 8192-element buffer NumPy casts that mask through, and a few
-    # (N_R,) and (N_R, d) vectors; no full-size W or mask
+    # P, one row block of W, which holds its own mask, and a few dozen
+    # (N_R,)-sized vectors: the row sums and moments, the labels; no
+    # full-size W or mask
     inputs = ResponsibilityInputs(
         dense["target"], dense["rbar"], dense["sigma2"], dense["post_var"], 0.1
     )
-    bound = N_R * N_S + BLOCK * N_S * (1 + 1 / 8) + 8192 + 12 * N_R
+    bound = N_R * N_S + BLOCK * N_S + 32 * N_R
     assert peak_doubles(get_correspondences, inputs, 0.01) <= bound
 
 
 def test_default_sigma2_init_peak_is_row_blocks(dense, small_blocks):
-    # at most two row blocks of distances (the next is built before the last
-    # is dropped) and a few (N, d) arrays; no N x N buffer
-    assert peak_doubles(default_sigma2_init, dense["ref"]) <= 2 * BLOCK * N_R + 16 * N_R * D
+    # one row block of distances, the buffer every block is formed in, and a
+    # few (N, d) arrays; no N x N buffer
+    assert peak_doubles(default_sigma2_init, dense["ref"]) <= BLOCK * N_R + 16 * N_R * D
 
 
 def test_update_sigma2_peak_is_a_few_vectors(dense, small_blocks):
@@ -116,9 +124,11 @@ def test_update_sigma2_peak_is_a_few_vectors(dense, small_blocks):
 
 
 def test_gpr_posterior_peak_is_observed_block_and_cross_covariance(dense, small_blocks):
-    # the factored C x C block and one row block of the cross-covariance
+    # the factored C x C block, the (BLOCK, N_R) buffer the rows of A are
+    # gathered through (larger than a (BLOCK, C) block of the cross-covariance)
+    # and a few vectors
     args = (dense["gram"], dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
-    assert peak_doubles(gpr_posterior, *args) <= 1.1 * (C * C + BLOCK * C)
+    assert peak_doubles(gpr_posterior, *args) <= C * C + BLOCK * N_R + 2 * N_R
 
 
 def test_lowrank_posterior_peak_adds_only_rank_sized_arrays(dense, small_blocks):
@@ -129,18 +139,20 @@ def test_lowrank_posterior_peak_adds_only_rank_sized_arrays(dense, small_blocks)
 
 @pytest.mark.parametrize("lowrank", [False, True])
 def test_assemble_gram_peak_is_gram_and_check_copy(dense, small_blocks, lowrank):
-    # the Gram, the jittered copy its SPD check factors in place and SciPy's
-    # finiteness mask over that copy (1/8 of a double per entry)
+    # the Gram and the jittered copy its SPD check factors in place, with a
+    # few vectors: the check scans only the diagonal for finiteness, not the
+    # copy (a boolean mask of 1/8 of a double per entry); before the copy,
+    # the Gram and one row block of its symmetrisation
     spec = SquaredExponential(0.01, 0.2)
     if lowrank:
         spec = SumKernel(spec, dense["pca"])
-    bound = (2 + 1 / 8) * N_R * N_R + BLOCK * N_R
+    bound = max(2 * N_R * N_R + 16 * N_R, N_R * N_R + 2 * BLOCK * N_R)
     assert peak_doubles(assemble_gram, spec, dense["ref"]) <= bound
 
 
 def test_failed_gram_check_reuses_its_copy(dense, small_blocks):
     # the eigenvalues of a failed check are taken in its own buffer: the
-    # Gram, that copy and SciPy's finiteness mask, as on the passing path
+    # Gram, that copy and LAPACK's O(N_R) workspace, with no finiteness mask
     half = dense["ref"].points[: N_R // 2]
     degenerate = pointset(np.vstack([half, half]))
     tracemalloc.start()
@@ -150,13 +162,13 @@ def test_failed_gram_check_reuses_its_copy(dense, small_blocks):
         peak = tracemalloc.get_traced_memory()[1] / DOUBLE
     finally:
         tracemalloc.stop()
-    assert peak <= (2 + 1 / 8) * N_R * N_R + BLOCK * N_R
+    assert peak <= 2 * N_R * N_R + 48 * N_R
 
 
 def test_register_holds_the_gram_and_one_workspace(dense, small_blocks):
     # the Gram check, each P and each observed block share one workspace of
     # N_R * max(N_R, N_S) doubles, and every other full-size product is
-    # worked in row blocks
+    # worked in row blocks, one block at a time
     rng = np.random.default_rng(11)
     moved = dense["ref"].points + rng.normal(scale=0.01, size=(N_R, D))
     kept = moved[moved[:, 0] < 0.3]  # a missing region
@@ -171,7 +183,27 @@ def test_register_holds_the_gram_and_one_workspace(dense, small_blocks):
     assert not res.failed and res.iters >= 2
     c = max(rec.n_inliers for rec in res.trace)
     assert c < N_R
-    assert peak <= N_R * N_R + N_R * max(N_R, N_S) + 3 * BLOCK * N_S
+    assert peak <= N_R * N_R + N_R * max(N_R, N_S) + BLOCK * N_S + 64 * N_R
+
+
+def test_register_at_the_default_row_block_holds_little_besides_its_buffers():
+    # no monkeypatch: at N_R = 1000 the transients of a registration at the
+    # default block size stay below half of one 512-row block
+    n_r = 1000
+    ref = pointset(fibonacci_sphere(n_r))
+    spec = PerturbationSpec(warp_amplitude=0.05, warp_bandwidth=0.3, missing_width=0.4,
+                            outlier_ratio=0.1, noise_std=0.01, seed=12)
+    target = generate(ref, spec).target
+    cfg = RegistrationConfig(p_min=0.05, omega=0.1, max_iters=3)
+    tracemalloc.start()
+    try:
+        res = register(ref, target, SquaredExponential(0.01, 0.2), cfg)
+        peak = tracemalloc.get_traced_memory()[1] / DOUBLE
+    finally:
+        tracemalloc.stop()
+    assert not res.failed and res.iters == 3
+    width = max(n_r, target.n)
+    assert peak <= n_r * n_r + n_r * width + 256 * width
 
 
 def test_sq_dists_leaves_inputs_unchanged(dense):
@@ -318,12 +350,15 @@ def test_gpr_posterior_bits_do_not_depend_on_its_workspace(dense, kernel):
 
 @pytest.mark.parametrize("lowrank", [False, True])
 def test_assemble_gram_bits_do_not_depend_on_its_workspace(dense, lowrank):
-    # two scalar summands: the second is built in the workspace
+    # two scalar summands: the first is built in `out`, the second in the
+    # workspace
     spec = SumKernel(SquaredExponential(0.01, 0.2), SquaredExponential(0.003, 0.5))
     if lowrank:
         spec = SumKernel(spec, dense["pca"])
     plain = assemble_gram(spec, dense["ref"])
-    shared = assemble_gram(spec, dense["ref"], work=np.full(N_R * N_S, np.nan))
+    out = np.full(N_R * N_R, np.nan)
+    shared = assemble_gram(spec, dense["ref"], out=out, work=np.full(N_R * N_S, np.nan))
+    assert np.shares_memory(shared.g, out)
     assert shared.g.tobytes() == plain.g.tobytes() and shared.jitter == plain.jitter
     if lowrank:
         assert snapshot(shared.lowrank_u, shared.lowrank_lam) == snapshot(
@@ -402,7 +437,7 @@ def test_buffer_parameters_are_keyword_only():
     # passed positionally there would be read as that mode
     for fn, name in [(sq_dists, "out"), (responsibilities, "out"),
                      (get_correspondences, "out"), (closest_point_correspondence, "out"),
-                     (gpr_posterior, "work"), (assemble_gram, "work")]:
+                     (gpr_posterior, "work"), (assemble_gram, "out"), (assemble_gram, "work")]:
         kind = inspect.signature(fn).parameters[name].kind
         assert kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
     assert list(inspect.signature(get_correspondences).parameters).index("p_min") == 1

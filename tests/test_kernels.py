@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from sfgp.kernels import (
     load_pca_kernel,
     save_pca_kernel,
 )
+from sfgp.synthdata import fish_reference
 
 from helpers import expand_kernel, pointset, random_points
 
@@ -118,6 +121,21 @@ def test_gram_non_spd_reports_pivot():
         assemble_gram(SquaredExponential(1.0, 1.0), ref, 0.0)
 
 
+@pytest.mark.parametrize("spec, jitter", [
+    (ScaledKernel(1e300, SquaredExponential(1e300, 0.2)), None),  # amplitudes overflow
+    (ScaledKernel(1e154, SquaredExponential(1.5e154, 0.2)), None),  # the jitter overflows
+    (SquaredExponential(1.0, 0.2), float("nan")),
+    (SquaredExponential(1.0, 0.2), float("inf")),
+])
+def test_non_finite_gram_raises_numerical_error(spec, jitter):
+    # the SPD check skips SciPy's finiteness scan, so it is made here, and an
+    # overflow is reported by the error alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            assemble_gram(spec, fish_reference(), jitter)
+
+
 def test_kronecker_block_solve_matches_dense_expansion():
     rng = np.random.default_rng(99)
     for n, d in [(4, 2), (6, 3), (8, 2)]:
@@ -166,6 +184,17 @@ class TestBuildPCAKernel:
         samples = np.random.default_rng(0).normal(size=(3, 4))
         with pytest.raises(RankTooLargeError):
             build_pca_kernel(samples, rank=3, anchor=anchor)  # > n_samples - 1
+
+    @pytest.mark.parametrize("lam, vec", [
+        ([np.nan], [[1.0], [0.0], [0.0], [0.0]]),
+        ([np.inf], [[1.0], [0.0], [0.0], [0.0]]),
+        ([1.0], [[np.nan], [0.0], [0.0], [0.0]]),
+    ])
+    def test_non_finite_spectrum_rejected(self, lam, vec):
+        # the posterior solves against the eigenvectors without a finiteness scan
+        anchor = pointset([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            PCAKernel(eigenvalues=np.array(lam), eigenvectors=np.array(vec), anchor=anchor)
 
 
 def test_pca_gram_requires_anchor():
