@@ -123,13 +123,24 @@ def registration_config_from(payload: dict) -> RegistrationConfig:
 
 
 def grid_points(grid: dict) -> list:
+    """One dict of GRID_AXES values per point of `grid`, which may also set
+    warp_bandwidth, warp_controls, rotation_max and missing_center (see
+    _instances); another key or a value of the wrong kind is a ConfigError."""
+    for name in sorted(grid):
+        if name in ("warp_bandwidth", "warp_controls", "rotation_max"):
+            _config_at_least(grid, name, 0, "an integer" if name == "warp_controls" else "a number")
+        elif name not in GRID_AXES and name != "missing_center":
+            raise ConfigError(f"unknown grid key {name!r}")
     axes = []
     for name in GRID_AXES:
         values = grid.get(name, [0.0 if name != "deformation_level" else 0])
         if not isinstance(values, (list, tuple)):
             values = [values]
         axes.append(list(values))
-    return [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes)]
+    points = [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes)]
+    for point, name in itertools.product(points, GRID_AXES):
+        _config_at_least(point, name, 0, "a number")
+    return points
 
 
 def level_tag(point: dict) -> str:
@@ -158,11 +169,11 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
     )
 
 
-def _config_int(config: dict, key: str, minimum: int) -> int:
-    """config[key], which must be an int, not a bool or a float, >= minimum."""
-    value = _config_value(config, key, "an integer")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+def _config_at_least(block: dict, key: str, minimum, kind: str = "an integer"):
+    """block[key], which must be of `kind` (see CONFIG_KINDS), finite and >= minimum."""
+    value = _config_value(block, key, kind)
+    if not minimum <= value < np.inf:  # also False for NaN
+        raise ConfigError(f"{key} must be >= {minimum} and finite, got {value!r}")
     return value
 
 
@@ -173,8 +184,8 @@ def _instances(config: dict, reference: PointSet):
     config["instances"] and config["master_seed"] are exact ints once the
     first one is."""
     grid = config.get("grid", {})
-    count = _config_int(config, "instances", 1)
-    master_seed = _config_int(config, "master_seed", 0)  # as SeedSequence needs
+    count = _config_at_least(config, "instances", 1)
+    master_seed = _config_at_least(config, "master_seed", 0)  # as SeedSequence needs
     center = grid.get("missing_center", PerturbationSpec.missing_center)
     if center != "random" and not (type(center) is int and 0 <= center < reference.n):
         raise ConfigError(f'missing_center must be "random" or an index below '

@@ -238,7 +238,7 @@ class AnnotatedDeformations:
     sigma2_eff: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.sigma2_eff <= 0.0):
+        if not np.all(self.sigma2_eff > 0.0):  # also False for NaN
             raise ValueError("sigma2_eff must be strictly positive")
 
 

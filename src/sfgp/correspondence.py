@@ -48,9 +48,9 @@ class ResponsibilityInputs:
     omega: float
 
     def __post_init__(self):
-        if np.any(self.sigma2 <= 0.0):
+        if not np.all(self.sigma2 > 0.0):  # also False for NaN
             raise ValueError("sigma2 must be strictly positive")
-        if np.any(self.post_var < 0.0):
+        if not np.all(self.post_var >= 0.0):
             raise ValueError("post_var must be nonnegative")
         if not 0.0 <= self.omega < 1.0:
             raise ValueError("omega must be in [0, 1)")
@@ -135,36 +135,34 @@ def _fuse(
     sigma2_eff_i = sigma2_i / sum_j W_ij.  Point i is an inlier exactly when
     sigma2_eff_i is finite; with no kept pair, or kept mass so small that the
     division overflows, its label has infinite noise, which is no label, and
-    it is missing.  W is formed one row block at a time in a single block
-    buffer, so no full-size copy of P is made.
+    it is missing.
 
-    The state also carries the row moments ps = P S and pss = P |s|^2, one
-    (block, N_S) @ (N_S, d + 1) product per row block, so the variance update
-    needs no P.  They are formed under errstate: a squared norm that
-    overflows gives an infinite moment, not a warning.
+    The state also carries the row moments ps = P S and pss = P |s|^2, so the
+    variance update needs no P.  W, nu, the kept mass, W S and the moments
+    are formed in one pass over the row blocks, W in one block buffer, so no
+    full-size copy of P is made.  The pass runs under errstate: a squared
+    norm that overflows gives an infinite moment, not a warning.
     """
     n_r, d = p.shape[0], target.dim
     blocks = row_blocks(n_r)
     w = np.empty((blocks[0].stop, p.shape[1]))
     nu, mass, num = np.empty(n_r), np.empty(n_r), np.empty((n_r, d))
-    for blk in blocks:
-        # [P > p_min] * P, the mask written as 1.0 / 0.0 into the block
-        # buffer, equals np.where(P > p_min, P, 0): P is finite and >= 0
-        w_blk = np.greater(p[blk], p_min, out=w[: blk.stop - blk.start])
-        w_blk *= p[blk]
-        nu[blk] = p[blk].sum(axis=1)
-        mass[blk] = w_blk.sum(axis=1)
-        num[blk] = w_blk @ target.points
-    with np.errstate(divide="ignore", over="ignore"):
+    moments = np.empty((n_r, d + 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s_aug = np.column_stack([target.points, np.sum(target.points**2, axis=1)])
+        for blk in blocks:
+            # [P > p_min] * P, the mask written as 1.0 / 0.0 into the block
+            # buffer, equals np.where(P > p_min, P, 0): P is finite and >= 0
+            w_blk = np.greater(p[blk], p_min, out=w[: blk.stop - blk.start])
+            w_blk *= p[blk]
+            nu[blk] = p[blk].sum(axis=1)
+            mass[blk] = w_blk.sum(axis=1)
+            num[blk] = w_blk @ target.points
+            np.matmul(p[blk], s_aug, out=moments[blk])
         noise = sigma2 / mass
     inliers = np.isfinite(noise)
     if not inliers.any():
         raise AllMissingError("no reference point has a label of finite noise")
-    moments = np.empty((n_r, d + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_aug = np.column_stack([target.points, np.sum(target.points**2, axis=1)])
-        for blk in blocks:
-            np.matmul(p[blk], s_aug, out=moments[blk])
     state = CorrespondenceState(
         P=p, nu=nu, ps=moments[:, :d], pss=moments[:, d],
         inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers),

@@ -7,9 +7,9 @@ the candidate annotations by precision weighting before they reach the solver.
 The scalar part of the kernel gives the stacked covariance G (x) I_d, so the
 predictive mean and variance come from one Cholesky factorization of the
 (C x C) matrix A = G_CC + diag(sigma2) applied to the d coordinate columns.
-A low-rank coordinate-coupling term U diag(lam) U^T, when present, adds a
-correction on top of that solve: the matrix inversion lemma reuses the factor
-of A and needs only an (m x m) capacitance factorization more.
+A low-rank coordinate-coupling term U diag(lam) U^T, when present, is a prior
+N(0, diag(lam)) on the weights of U's m columns: their posterior reuses the
+factor of A and needs one (m x m) factorization more, of their precision.
 
 The dense work allocates only what it returns, besides row blocks of
 core.ROW_BLOCK rows: the (C x C) block A is gathered a row block at a time
@@ -62,10 +62,10 @@ def gpr_posterior(
 
     Returns the mean for all N_R points (missing points are predicted from
     the prior cross-covariance alone) and the per-point variance scalar
-    var_diag with block covariance var_diag[i] * I_d; with a low-rank term
-    var_diag[i] is the block trace divided by d.  var_diag is clamped at 0
-    against rounding.  Solves add gram.jitter, the value the Gram matrix was
-    checked with.
+    var_diag with block covariance var_diag[i] * I_d; with a low-rank term,
+    a prior on the weights of its basis U, var_diag[i] is the block trace
+    divided by d.  var_diag is clamped at 0 against rounding.  Solves add
+    gram.jitter, the value the Gram matrix was checked with.
     """
     inliers = np.asarray(inliers, dtype=int)
     delta_hat = np.atleast_2d(np.asarray(delta_hat, dtype=float))
@@ -97,7 +97,7 @@ def gpr_posterior(
     w = cho_solve(factor, delta_hat, check_finite=False)
     mu_lowrank, d_var = 0.0, 0.0
     if gram.lowrank_u is not None:
-        w, mu_lowrank, d_var = _lowrank_correction(gram, inliers, factor, w, delta_hat)
+        w, mu_lowrank, d_var = _lowrank_correction(gram, inliers, factor, w)
     mu = g @ _scatter(n, inliers, w) + mu_lowrank
 
     # v = L^-1 G_Cx one row block of G_xC at a time: take() gathers the block
@@ -123,39 +123,29 @@ def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lowrank_correction(gram: GramMatrix, inliers, factor, alpha, delta_hat):
-    """What the term U diag(lam) U^T changes in the scalar posterior, through
-    the inversion lemma on the scalar factor of A: the corrected weights w of
-    the mean's scalar part g @ scatter(w), the mean's low-rank part, and the
-    variance term."""
+def _lowrank_correction(gram: GramMatrix, inliers, factor, alpha):
+    """What the term U diag(lam) U^T, a prior N(0, diag(lam)) on the weights b
+    of the basis U (Rasmussen & Williams 2006, sec. 2.7), changes in the
+    scalar posterior: the weights w of the mean's scalar part g @ scatter(w),
+    the mean's low-rank part U b, and the variance term."""
     g, u, lam, d, n = gram.g, gram.lowrank_u, gram.lowrank_lam, gram.dim, gram.n
     c, m = inliers.size, lam.size
     u_c = u[(inliers[:, None] * d + np.arange(d)).ravel()]  # (c*d, m)
 
-    # (A (x) I_d)^{-1} U_C
+    # z = (A (x) I_d)^{-1} U_C and S^{-1} = diag(1/lam) + U_C^T z
     z = cho_solve(factor, u_c.reshape(c, -1), check_finite=False).reshape(u_c.shape)
-    ucz = u_c.T @ z
-    cap = np.diag(1.0 / lam) + ucz  # capacitance matrix
-    cap_factor = _chol(0.5 * (cap + cap.T), "low-rank capacitance")
+    s_inv = np.diag(1.0 / lam) + u_c.T @ z
+    s_factor = _chol(0.5 * (s_inv + s_inv.T), "low-rank weight precision")
 
-    # mean: w, the fully corrected solve of the labels, is alpha minus the
-    # capacitance term; mu = K_{R R_C} w
-    corr = (z @ cho_solve(cap_factor, z.T @ delta_hat.reshape(-1))).reshape(c, d)
-    w = alpha - corr
-    mu_lowrank = (u @ (lam * (u_c.T @ w.reshape(-1)))).reshape(n, d)
+    # b = S U_C^T alpha, the weights' posterior mean
+    b = cho_solve(s_factor, u_c.T @ alpha.reshape(-1))
+    w = alpha - (z @ b).reshape(c, d)
 
-    # variance: per-point block traces of the prior, cross, middle and
-    # capacitance terms of K - K_{R R_C} M^{-1} K_{R_C R}, over d
-    u_r = u.reshape(n, d, m)
-    # rows of (g (x) I) A^{-1} U_C
-    y1 = (g @ _scatter(n, inliers, z.reshape(c, d * m))).reshape(n, d, m)
-    prior = np.einsum("iak,k->i", u_r**2, lam)
-    cross = np.einsum("iak,k,iak->i", y1, lam, u_r)
-    mid = np.einsum("iak,kl,ial->i", u_r, (lam[:, None] * ucz) * lam[None, :], u_r)
-    y = y1.reshape(n * d, m) + u @ (lam[:, None] * ucz)
-    t = solve_triangular(cap_factor[0], y.T, lower=True)
-    capacitance = np.sum(t.reshape(m, n, d) ** 2, axis=(0, 2))
-    return w, mu_lowrank, (prior - 2.0 * cross - mid + capacitance) / d
+    # per-point block traces over d of R S R^T, R = U - (g (x) I) z: the
+    # column sums of |L_S^{-1} R^T|^2, a sum of squares, never negative
+    r = u - (g @ _scatter(n, inliers, z.reshape(c, d * m))).reshape(n * d, m)
+    t = solve_triangular(s_factor[0], r.T, lower=True)
+    return w, (u @ b).reshape(n, d), np.sum(t.reshape(m, n, d) ** 2, axis=(0, 2)) / d
 
 
 __all__ = ["gpr_posterior"]

@@ -327,6 +327,40 @@ def test_missing_center_outside_the_reference_fails_cleanly(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("key, entries", [
+    ("warp_controls", {"warp_controls": 2.5}),
+    ("warp_controls", {"warp_controls": -1}),
+    ("missing_width", {"missing_width": [True]}),
+    ("missing_width", {"missing_width": ["0.1"]}),
+    ("missing_width", {"missing_width": [0.1, -0.2]}),
+    ("noise_std", {"noise_std": [float("nan")]}),
+    ("rotation_max", {"rotation_max": [0.1]}),
+    ("warp_bandwidth", {"warp_bandwidth": None}),
+    ("missing_widht", {"missing_widht": [0.3]}),
+], ids=["float_count", "negative_count", "true", "string", "negative", "nan", "list_setting",
+        "null_setting", "unknown_key"])
+def test_malformed_grid_fails_cleanly(tmp_path, capsys, command, key, entries):
+    # int() would run 2.5 as 2 and float() [true] as 1.0, a misspelt axis
+    # would run at its default: a ConfigError names the key before anything
+    # is generated, written or registered
+    grid = {"missing_width": [0.3], "noise_std": [0.02], **entries}
+    cfg = write_config(tmp_path / "cfg.json", grid=grid)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+def test_grid_settings_are_accepted(tmp_path):
+    grid = {"missing_width": 0.3, "noise_std": [0, 0.02], "warp_bandwidth": 0.2,
+            "warp_controls": 4, "rotation_max": 0, "missing_center": 3}
+    cfg = write_config(tmp_path / "cfg.json", grid=grid, instances=1)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").rglob("manifest.json"))) == 2
+
+
 def test_eval_matches_sweep_cell_for_cell(tmp_path):
     # eval scores the CSV outputs of `register` with the same metric code the
     # sweep applies in-process, so every deterministic cell agrees exactly

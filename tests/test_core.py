@@ -3,6 +3,7 @@ import pytest
 
 from sfgp import core
 from sfgp.core import (
+    AnnotatedDeformations,
     ConfigError,
     CorrespondenceState,
     PointSet,
@@ -77,6 +78,12 @@ def test_correspondence_state_partition_enforced():
             inliers=np.array([0, 1]),
             missing=np.array([1, 2]),
         )
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_annotated_deformations_reject_noise_that_is_not_positive(bad):
+    with pytest.raises(ValueError, match="sigma2_eff"):
+        AnnotatedDeformations(delta_hat=np.zeros((2, 2)), sigma2_eff=np.array([1.0, bad]))
 
 
 def test_default_sigma2_init_is_squared_nn_distance():

@@ -30,6 +30,21 @@ def make_inputs(target_pts, rbar_pts, sigma2, post_var=None, omega=0.0):
 
 
 class TestResponsibilities:
+    @pytest.mark.parametrize(
+        "sigma2,post_var,needle",
+        [
+            ([0.5, 0.0], [0.0, 0.0], "sigma2"),
+            ([0.5, -1.0], [0.0, 0.0], "sigma2"),
+            ([0.5, np.nan], [0.0, 0.0], "sigma2"),
+            ([0.5, 0.5], [0.0, -1.0], "post_var"),
+            ([0.5, 0.5], [0.0, np.nan], "post_var"),
+        ],
+        ids=["sigma2_zero", "sigma2_negative", "sigma2_nan", "post_var_negative", "post_var_nan"],
+    )
+    def test_inputs_out_of_range_rejected(self, sigma2, post_var, needle):
+        with pytest.raises(ValueError, match=needle):
+            make_inputs([[0.0, 0.0]], [[0.3, 0.1], [0.0, 0.2]], sigma2, post_var, omega=0.1)
+
     def test_single_pair_certain(self):
         p = responsibilities(make_inputs([[0.0, 0.0]], [[0.3, 0.1]], [0.5]))
         assert p.shape == (1, 1)

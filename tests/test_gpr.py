@@ -11,11 +11,13 @@ from sfgp.correspondence import ResponsibilityInputs, get_correspondences
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import (
     GramMatrix,
+    ScaledKernel,
     SquaredExponential,
     SumKernel,
     assemble_gram,
     build_pca_kernel,
 )
+from sfgp.synthdata import fish_reference
 
 from helpers import dense_gpr, pointset, random_points
 
@@ -176,6 +178,44 @@ class TestPosterior:
             mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-11)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-11)
+
+    def test_lowrank_path_matches_dense_oracle_at_fish_scale(self):
+        # the fish98 reference in its own units: PCA eigenvalues near 0.02 on
+        # SE(0.01, 0.2), label noise down to 1e-8, so the variance of a
+        # labelled point is a small remainder of terms of the eigenvalues' size
+        rng = np.random.default_rng(59)
+        ref = fish_reference()
+        n, d = ref.n, ref.dim
+        for _ in range(8):
+            pca = build_pca_kernel(rng.normal(scale=0.02, size=(6, n * d)), rank=3, anchor=ref)
+            gram = assemble_gram(SumKernel(SquaredExponential(0.01, 0.2), pca), ref, 1e-10)
+            c = int(rng.integers(40, n + 1))
+            inliers = np.sort(rng.choice(n, size=c, replace=False))
+            delta = rng.normal(scale=0.05, size=(c, d))
+            noise = 10.0 ** rng.uniform(-8, -3, size=c)
+            post = gpr_posterior(gram, inliers, delta, noise)
+            mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
+            # the small entries of the mean carry the conditioning of both
+            # solves, so the mean is compared at its own scale
+            np.testing.assert_allclose(post.mu, mu_o, rtol=0.0, atol=1e-8 * np.abs(mu_o).max())
+            np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=0.0)
+
+    def test_lowrank_variance_at_a_label_is_at_most_its_noise(self):
+        # conditioning on a label never leaves a point wider than that label:
+        # with eigenvalues 3e8 to 1e9 times the label noise, a variance
+        # formed as a difference of terms of the eigenvalues' size loses it
+        rng = np.random.default_rng(5)
+        n, d = 12, 3
+        for _ in range(50):
+            ref = pointset(random_points(rng, n, d))
+            pca = build_pca_kernel(rng.normal(size=(8, n * d)), 5, ref)
+            spec = SumKernel(SquaredExponential(0.01, 0.3), ScaledKernel(1e4, pca))
+            gram = assemble_gram(spec, ref, 1e-10)
+            inliers = np.sort(rng.choice(n, size=10, replace=False))
+            noise = np.full(10, 1e-4)
+            post = gpr_posterior(gram, inliers, rng.normal(size=(10, d)), noise)
+            assert np.all(post.var_diag[inliers] <= (noise + gram.jitter) * (1 + 1e-9))
+            assert np.all(post.var_diag > 0.0)
 
     def test_pure_lowrank_kernel(self):
         rng = np.random.default_rng(53)
