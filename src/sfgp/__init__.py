@@ -17,14 +17,14 @@ from .core import (
     validate_config,
 )
 from .kernels import (
-    GramMatrix,
+    GPPrior,
     KernelSpec,
     PCAKernel,
     ScaledKernel,
     SquaredExponential,
     SumKernel,
-    assemble_gram,
     build_pca_kernel,
+    gp_prior,
     load_pca_kernel,
     save_pca_kernel,
 )

@@ -1,7 +1,16 @@
-"""Shared domain types for the registration engine.
+"""Shared domain types and dense helpers of the registration engine.
 
 All containers are frozen value objects: once constructed they are never
 mutated, so they can be shared freely across threads and processes.
+
+Every dense product of a registration goes through `gemm`, that is through
+SciPy's BLAS, the library that also runs the Cholesky factorizations and
+triangular solves.  NumPy's matmul would run in NumPy's own copy of
+OpenBLAS, whose thread pool then contends with SciPy's for the cores.  On a
+2-vCPU host, 15 triangular solves of 128 right-hand sides against a factor
+of order 1962 took 0.13 s alone, 0.36 s when a (128 x 3)(3 x 1962) NumPy
+matmul preceded each, and 0.21 s when SciPy's dgemm made that product
+(medians of 7 runs).
 """
 from __future__ import annotations
 
@@ -9,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _dgemm
 
 
 class SFGPError(Exception):
@@ -129,16 +139,35 @@ def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
     return cfg
 
 
+def gemm(
+    a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None,
+    alpha: float = 1.0, beta: float = 0.0,
+) -> np.ndarray:
+    """alpha * a @ b + beta * out by SciPy's dgemm (see the module
+    docstring), written to `out`, a C-ordered (N, M) array, or to a new one
+    when out is None.  With beta = 0 the contents of out are not read.
+
+    a and b are read in place when C- or Fortran-ordered: in BLAS's
+    column-major terms the product is out.T = alpha * b.T @ a.T + beta * out.T."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-ordered")
+    x, trans_x = (b, 1) if b.flags.f_contiguous else (b.T, 0)
+    y, trans_y = (a, 1) if a.flags.f_contiguous else (a.T, 0)
+    _dgemm(alpha, x, y, beta=beta, c=out.T, trans_a=trans_x, trans_b=trans_y, overwrite_c=1)
+    return out
+
+
 def sq_dists(a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(N, M) squared Euclidean distances between the rows of a and b, as
     |a|^2 + |b|^2 - 2ab clamped at 0 against cancellation.
 
-    The product a b^T is written to `out`, a C-ordered (N, M) array, or to a
-    new one when out is None; the norms are added to it in place, so callers
-    may overwrite the result as their own buffer.  A registration passes a
-    view of its workspace, and no (N, M) array is allocated."""
-    d2 = np.matmul(a, b.T, out=out)
-    d2 *= -2.0
+    The product -2 a b^T is written to `out`, a C-ordered (N, M) array, or to
+    a new one when out is None; the norms are added to it in place, so
+    callers may overwrite the result as their own buffer.  A registration
+    passes a view of its workspace, and no (N, M) array is allocated."""
+    d2 = gemm(a, b.T, out=out, alpha=-2.0)
     d2 += np.sum(a**2, axis=1)[:, None]
     d2 += np.sum(b**2, axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
@@ -146,10 +175,10 @@ def sq_dists(a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None) 
 
 
 # Rows per block of the dense steps that reduce an (N_R, N_S) or (N_R, C)
-# product a block at a time instead of holding a second full-size copy.  One
-# block is the largest transient of a registration besides the Gram and the
-# workspace: 128 rows of 2000 doubles is 2 MB, against 32 MB for each of
-# those at N_R = 2000.
+# product, or evaluate the kernel, a block at a time instead of holding a
+# second full-size array.  One block is the largest transient of a
+# registration besides its workspace: 128 rows of 2000 doubles is 2 MB,
+# against 32 MB for the workspace at N_R = N_S = 2000.
 ROW_BLOCK = 128
 
 
@@ -287,8 +316,8 @@ class RegistrationResult:
     posterior and sigma2 are those of the last completed iteration.
     Otherwise state is the last iteration's E-step, recomputed once the loop
     ends so that its P holds the responsibilities again (the posterior
-    reused P's buffer); its P is a view of the run's workspace, which shares
-    one allocation with the run's Gram, so the result holds both.
+    reused P's buffer); its P is a view of the run's workspace, so the
+    result holds the workspace until it is dropped.
     """
 
     deformed_reference: PointSet

@@ -26,6 +26,7 @@ from .core import (
     AnnotatedDeformations,
     CorrespondenceState,
     PointSet,
+    gemm,
     row_blocks,
     sq_dists,
 )
@@ -157,8 +158,8 @@ def _fuse(
             w_blk *= p[blk]
             nu[blk] = p[blk].sum(axis=1)
             mass[blk] = w_blk.sum(axis=1)
-            num[blk] = w_blk @ target.points
-            np.matmul(p[blk], s_aug, out=moments[blk])
+            gemm(w_blk, target.points, out=num[blk])
+            gemm(p[blk], s_aug, out=moments[blk])
         noise = sigma2 / mass
     inliers = np.isfinite(noise)
     if not inliers.any():

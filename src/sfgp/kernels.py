@@ -1,11 +1,17 @@
-"""Scalar kernels, Gram assembly, and the empirical principal-component kernel.
+"""Scalar kernels, the GP prior they define, and the empirical
+principal-component kernel.
 
-A scalar kernel g induces the vector-valued covariance K = G (x) I_d, so
+A scalar kernel k induces the vector-valued covariance K = G (x) I_d, so
 coordinates are uncorrelated and every solve against K reduces to solves
-against the N_R x N_R scalar Gram matrix G.  The principal-component kernel
-breaks that structure; its contribution is kept in factored low-rank form
-U diag(lam) U^T over the stacked (N_R * d) coordinate vector and never
-expanded.
+against blocks of the N_R x N_R scalar Gram matrix G.  G is never stored:
+each entry is a sum of a^2 exp(-|x_i - x_j|^2 / 2l^2) over fixed reference
+points, cheap to recompute, and the posterior reads only its observed block
+G_CC and row blocks of G_xC.  `gp_prior` therefore returns a small GPPrior,
+the reference points with the SE parts, jitter and low-rank terms, which
+evaluates k on row blocks into a caller's buffer.  The principal-component
+kernel breaks the Kronecker structure; its contribution is kept in factored
+low-rank form U diag(lam) U^T over the stacked (N_R * d) coordinate vector
+and never expanded.
 """
 from __future__ import annotations
 
@@ -24,8 +30,8 @@ from .core import (
     PointSet,
     RankTooLargeError,
     buffer_view,
+    gemm,
     row_blocks,
-    sq_dists,
 )
 
 
@@ -98,31 +104,105 @@ class ScaledKernel(KernelSpec):
             raise ValueError("scale factor must be positive and finite")
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Assembled prior covariance over one reference point set.
+@dataclass(frozen=True, eq=False)
+class GPPrior:
+    """The prior covariance of a registration over one reference point set,
+    evaluated where it is needed instead of stored.
 
-    g holds the scalar (coordinate-independent) part; lowrank_u/lowrank_lam
-    hold the factored correction from data-driven summands, empty on the
-    isotropic path.  The full covariance is g (x) I_d + U diag(lam) U^T.
-    jitter records the stabilization used for the SPD check; solves add the
-    same value to the observed block.
+    The covariance is k (x) I_d + U diag(lam) U^T.  The scalar kernel k is the
+    sum over se_parts, pairs (a2, l) with the scale of enclosing ScaledKernels
+    folded into a2, of a2 exp(-|x - y|^2 / (2 l^2)); its value at distance 0,
+    k0, is the sum of the a2.  lowrank_u / lowrank_lam hold the data-driven
+    summands' basis and eigenvalues (None on the isotropic path).  jitter is
+    the stabilization the Gram was checked with; solves add the same value
+    to the observed block.
+
+    Per SE part, the exponent -|x_i - y_j|^2 / (2 l^2) of a kernel block is
+    (h_i + h_j) + x_i . y_j / l^2, with h = -|x|^2 / (2 l^2) taken once per
+    prior.  Two dgemm calls form it in the block: the pair sums, as the
+    product of the columns [h, 1] and [1, h], then the dot products added to
+    them (beta = 1).  Both sums are symmetric in i and j; NumPy's buffered
+    broadcast add took five times as long on a 128 x 1962 block.  The
+    exponent is then clamped at 0 (a distance is never negative),
+    exponentiated and scaled by a2 in place.
     """
 
-    g: np.ndarray
-    dim: int
+    points: np.ndarray
+    se_parts: Tuple[Tuple[float, float], ...]
+    jitter: float
     lowrank_u: Optional[np.ndarray] = None
     lowrank_lam: Optional[np.ndarray] = None
-    jitter: float = 0.0
+
+    def __post_init__(self):
+        # per SE part: a2, the points over l, and the columns [h, 1], [1, h]
+        scaled = []
+        for a2, ell in self.se_parts:
+            x = self.points / ell
+            h = -0.5 * np.sum(x**2, axis=1)
+            one = np.ones_like(h)
+            scaled.append((a2, x, np.column_stack([h, one]), np.column_stack([one, h])))
+        object.__setattr__(self, "_scaled", tuple(scaled))
+
+    @property
+    def k0(self) -> float:
+        return float(sum(a2 for a2, _ in self.se_parts))
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.points.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    def block(self, rows, cols, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """k(x_rows, x_cols) for index arrays or slices of the reference, in
+        `out`, a C-ordered (len(rows), len(cols)) array, or a new one when
+        None.  Each SE part after the first is evaluated in a block of its
+        own and added."""
+        if not self._scaled:  # a PCA-only kernel has a zero scalar part
+            out = buffer_view(out, (len(self.points[rows]), len(self.points[cols])))
+            out.fill(0.0)
+            return out
+        for i, (a2, x, h_row, h_col) in enumerate(self._scaled):
+            term = gemm(h_row[rows], h_col[cols].T, out=out if i == 0 else None)
+            gemm(x[rows], x[cols].T, out=term, beta=1.0)
+            np.minimum(term, 0.0, out=term)
+            np.exp(term, out=term)
+            term *= a2
+            if i == 0:
+                out = term
+            else:
+                out += term
+        return out
+
+    def upper_gram(self, idx: np.ndarray, noise, *, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """k(x_idx, x_idx) + diag(noise), with only its upper triangle
+        written, as a C-ordered (c, c) view of the flat buffer `work` (a new
+        array when None).  Its transpose is the Fortran-ordered matrix whose
+        lower triangle LAPACK reads; the rest of `work` keeps its contents.
+
+        The triangle is filled one row block at a time, each block from its
+        first row's column on.  The first block, whole rows, is evaluated in
+        place; the others go through one buffer of the second's size."""
+        c = idx.size
+        a = buffer_view(work, (c, c))
+        buf = None
+        for blk in row_blocks(c):
+            rows = a[blk, blk.start:]
+            if blk.start == 0:
+                self.block(idx[blk], idx, out=rows)
+                continue
+            if buf is None:
+                buf = np.empty(rows.size)
+            rows[...] = self.block(idx[blk], idx[blk.start:], out=buffer_view(buf, rows.shape))
+        a.reshape(-1)[:: c + 1] += noise  # the diagonal, a strided view
+        return a
 
 
 def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
     if isinstance(spec, SquaredExponential):
-        scalar_parts.append((scale, spec))
+        scalar_parts.append((scale * spec.amplitude2, spec.lengthscale))
     elif isinstance(spec, PCAKernel):
         lowrank_parts.append((scale, spec))
     elif isinstance(spec, ScaledKernel):
@@ -134,121 +214,77 @@ def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
         raise TypeError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def _se_gram(
-    points: np.ndarray, spec: SquaredExponential, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """a^2 exp(-D / (2 l^2)), symmetrised as 0.5 (g + g^T), built in the
-    buffer of the squared distances D (`out`, or a new array when None) with
-    the operations in that order."""
-    g = sq_dists(points, points, out=out)
-    np.negative(g, out=g)
-    g /= 2.0 * spec.lengthscale**2
-    np.exp(g, out=g)
-    g *= spec.amplitude2
-    # 0.5 (g + g^T) one row block at a time, each summed into one block
-    # buffer: block I takes rows I and columns from its first row on, which no
-    # earlier block has written, and mirrors them; g_ij + g_ji == g_ji + g_ij,
-    # so both triangles get the same value
-    n = g.shape[0]
-    blocks = row_blocks(n)
-    buf = np.empty(blocks[0].stop * n)
-    for blk in blocks:
-        sym = buffer_view(buf, (blk.stop - blk.start, n - blk.start))
-        np.add(g[blk, blk.start:], g[blk.start:, blk].T, out=sym)
-        sym *= 0.5
-        g[blk, blk.start:] = sym
-        g[blk.start:, blk] = sym.T
-    return g
-
-
-def assemble_gram(
+def gp_prior(
     spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None, *,
-    out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None,
-) -> GramMatrix:
-    """Assemble the scalar Gram matrix of `spec` over `ref`.
+    work: Optional[np.ndarray] = None,
+) -> GPPrior:
+    """The prior of `spec` over `ref`, checked positive definite.
 
     jitter=None applies the default stabilization, 1e-8 times the mean of
-    the full kernel diagonal.  Raises NumericalError when g or the jitter is
-    not finite (amplitudes whose product overflows) or g + jitter*I fails its
-    Cholesky check, and AnchorMismatchError when a PCA summand is evaluated
-    away from its anchor.  g is built in `out`, a flat float buffer of at
-    least N_R^2 entries (a new one when None), and is a view of it.  Besides
-    the Gram, the assembly holds at most one row block and one more N_R x N_R
-    buffer: `work`, a flat float buffer of at least N_R^2 entries (a new one
-    when None), which holds in turn each summand after the first and the
-    jittered copy the check factors in place and, when that fails, refills
-    for its eigenvalues.  The contents of both are overwritten.
+    the full kernel diagonal.  Raises NumericalError when k0 or the jitter is
+    not finite (amplitudes whose product or trace overflows) or the Gram plus
+    jitter*I fails its Cholesky check, and AnchorMismatchError when a PCA
+    summand is evaluated away from its anchor.  The check fills the upper
+    triangle of the Gram, one row block at a time, into `work`, a flat float
+    buffer of at least N_R^2 entries (a new one when None), and factors it in
+    place; when that fails, it refills it for its eigenvalues.  Its contents
+    are overwritten, and no Gram is kept.
     """
     scalar_parts: list = []
     lowrank_parts: list = []
     _collect(spec, 1.0, scalar_parts, lowrank_parts)
 
-    n = ref.n
-    g = None
-    # products of large amplitudes may overflow to inf, which the finiteness
-    # check below reports as a NumericalError, without a float warning
-    with np.errstate(over="ignore"):
-        for scale, part in scalar_parts:
-            # the first summand is built in out and becomes the Gram, the
-            # others are built in work
-            buf = buffer_view(out if g is None else work, (n, n))
-            term = _se_gram(ref.points, part, out=buf)
-            term *= scale
-            if g is None:
-                g = term  # the same bits as 0 + scale * term
-            else:
-                g += term
-            del term  # the next summand is built without this one
-    if g is None:
-        g = buffer_view(out, (n, n))
-        g.fill(0.0)
-
+    n, d = ref.n, ref.dim
     u = lam = None
     for scale, part in lowrank_parts:
-        if part.anchor.n != n or part.anchor.dim != ref.dim or not np.array_equal(
+        if part.anchor.n != n or part.anchor.dim != d or not np.array_equal(
             part.anchor.points, ref.points
         ):
             raise AnchorMismatchError(
                 "PCA kernel can only be assembled on its anchor reference"
             )
         u_part = part.eigenvectors
-        lam_part = scale * part.eigenvalues
+        with np.errstate(over="ignore"):  # checked with the jitter below
+            lam_part = scale * part.eigenvalues
         if u is None:
             u, lam = u_part, lam_part
         else:
             u = np.hstack([u, u_part])
             lam = np.concatenate([lam, lam_part])
 
+    # the amplitudes are Python floats, whose products and sums overflow to
+    # inf without a warning; the mean is taken through the trace, so a
+    # diagonal whose sum overflows gives a jitter that is not finite
+    k0 = float(sum(a2 for a2, _ in scalar_parts))
+    finite_lam = u is None or bool(np.all(np.isfinite(lam)))
     if jitter is None:
-        with np.errstate(over="ignore"):
-            diag_mean = float(np.mean(np.diag(g)))
-        if u is not None:
-            diag_mean += float(np.sum(u**2 * lam)) / (n * ref.dim)
-        jitter = 1e-8 * diag_mean
-
-    # each SE summand is largest at distance 0, on the diagonal, so a finite
-    # diagonal proves g finite: the check below skips SciPy's N_R^2 scan
-    if not (np.all(np.isfinite(np.diag(g))) and np.isfinite(jitter)):
+        trace = n * d * k0
+        if u is not None and finite_lam:
+            with np.errstate(over="ignore"):
+                trace += float(np.sum(u**2 * lam))
+        jitter = 1e-8 * trace / (n * d)
+    # each SE part is largest at distance 0, so a finite k0 proves every
+    # kernel block finite: neither the check nor the posterior scans one
+    if not (np.isfinite(k0) and finite_lam and np.isfinite(jitter)):
         raise NumericalError(f"gram matrix is not finite (jitter={jitter:g})")
 
-    check = buffer_view(work, (n, n))
-    np.copyto(check, g)
-    check[np.diag_indices(n)] += jitter
+    prior = GPPrior(ref.points, tuple(scalar_parts), jitter, lowrank_u=u, lowrank_lam=lam)
+    idx = np.arange(n)
+    work = np.empty(n * n) if work is None else work  # the refill reuses it
+    check = prior.upper_gram(idx, jitter, work=work)
     try:
-        # check.T is the Fortran-ordered view of the symmetric copy: no copy
+        # check.T is the Fortran-ordered view whose lower triangle was filled
         _cholesky(check.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         # the failed factorization overwrote part of check: refill it and
         # take its spectrum in place, like the factorization
-        np.copyto(check, g)
-        check[np.diag_indices(n)] += jitter
+        check = prior.upper_gram(idx, jitter, work=work)
         smallest = float(np.min(_eigvalsh(check.T, overwrite_a=True, check_finite=False)))
         raise NumericalError(
             f"gram matrix not positive definite after jitter={jitter:g} "
             f"(smallest pivot {smallest:.3e})"
         )
-
-    return GramMatrix(g=g, dim=ref.dim, lowrank_u=u, lowrank_lam=lam, jitter=jitter)
+    return prior
 
 
 def build_pca_kernel(
@@ -325,8 +361,8 @@ __all__ = [
     "PCAKernel",
     "SumKernel",
     "ScaledKernel",
-    "GramMatrix",
-    "assemble_gram",
+    "GPPrior",
+    "gp_prior",
     "build_pca_kernel",
     "anchor_hash",
     "save_pca_kernel",

@@ -16,32 +16,36 @@ reference point moved by more than rel_tol * sqrt(mean sigma2) in the last
 iteration, with sigma2 taken after its update.  It does not stop on the
 mixture log-likelihood, which per-point variances keep raising.
 
-A run holds two full-size arrays: the Gram (N_R x N_R) and one workspace of
-N_R * max(N_R, N_S) doubles.  They are one allocation, made before the Gram
-is assembled and freed when the returned state's P, a view of the
-workspace, is dropped.  Allocated apart, each of about 32 MB at N_R = 2000,
-glibc puts them on the heap after the first run, where small arrays made
-while a result lives can split the hole the Gram left, and a later run with
-a larger N_S then grows the heap by another Gram; together they exceed
-glibc's largest mmap threshold (32 MiB) from N_R of about 1450 on, so they
-are mapped and unmapped whole.
+A run holds one full-size array: a workspace of N_R * max(N_R, N_S)
+doubles.  It holds in turn the upper triangle of the Gram that the prior's
+positive-definiteness check factors, each iteration's P (N_R x N_S) and each
+iteration's observed block of the posterior (C x C).  The Gram itself is
+never stored: the posterior evaluates the kernel one row block at a time
+where it needs it (see kernels.GPPrior).  P is used up before the posterior
+starts: the fusion also takes the row moments of P the variance update
+reads.
 
-The workspace holds in turn the jittered copy the Gram's SPD check factors,
-each iteration's P (N_R x N_S) and each iteration's observed block of the
-posterior (C x C).  P is used up before the posterior starts: the fusion
-also takes the row moments of P the variance update reads.  The other
-full-size products (the Gram's symmetrisation, the nearest-neighbour
-distances of the default sigma2_init, the fusion weights, the gather of the
-observed block and the posterior's cross-covariance) are worked one block of
-core.ROW_BLOCK rows at a time, and no step scans a full-size array for
-finiteness.  Besides its two full-size arrays a run so holds at most one
-block of ROW_BLOCK * max(N_R, N_S) doubles and a few O(N) vectors: under
-3 MiB at N_R = N_S = 2000.  Once the loop ends, the last E-step is run
-again on its inputs, so the returned state's P holds the responsibilities.
+The workspace is an anonymous memory map, so it is unmapped, and its pages
+returned, when the returned state's P, a view of it, is dropped.  An array
+from np.empty of about 31 MiB (N_R = N_S = 2000) sits under glibc's dynamic
+mmap ceiling of 32 MiB, so glibc may serve it from the heap, where it can
+stay resident beside the next run's workspace.  On the dense 3-D benchmark
+(seeds 11-18) such a workspace read 131-135 MB of peak RSS in 6 of 8 runs
+and 104 MB in 2; the map read 104-105 MB in 10 of 10.
+
+The other full-size products (the kernel blocks, the nearest-neighbour
+distances of the default sigma2_init, the fusion weights and the posterior's
+cross-covariance) are worked one block of core.ROW_BLOCK rows at a time, and
+no step scans a full-size array for finiteness.  Besides its workspace a run
+so holds at most a few blocks of ROW_BLOCK * max(N_R, N_S) doubles and a few
+O(N) vectors: 2.8 MiB at N_R = 2000, N_S = 2076.  Once the loop ends, the last
+E-step is run again on its inputs, so the returned state's P holds the
+responsibilities.
 """
 from __future__ import annotations
 
 import logging
+import mmap
 import time
 from dataclasses import replace
 from functools import partial
@@ -67,7 +71,7 @@ from .correspondence import (
     get_correspondences,
 )
 from .gpr import gpr_posterior
-from .kernels import KernelSpec, assemble_gram
+from .kernels import KernelSpec, gp_prior
 
 logger = logging.getLogger(__name__)
 
@@ -158,13 +162,11 @@ def register(
     if reference.dim != target.dim:
         raise ValueError("reference and target dimensions differ")
 
-    # the Gram and the workspace are one allocation; the Gram check, each P
-    # and each observed block share the workspace
-    n_g = reference.n * reference.n
-    both = np.empty(n_g + reference.n * max(reference.n, target.n))
-    work = both[n_g:]
+    # the Gram check, each P and each observed block share the workspace
+    size = reference.n * max(reference.n, target.n)
+    work = np.frombuffer(mmap.mmap(-1, size * np.dtype(float).itemsize), dtype=float)
     p_buf = buffer_view(work, (reference.n, target.n))
-    gram = assemble_gram(kernel, reference, cfg.jitter, out=both[:n_g], work=work)
+    prior = gp_prior(kernel, reference, cfg.jitter, work=work)
     sigma2_init = (
         cfg.sigma2_init if cfg.sigma2_init is not None else default_sigma2_init(reference)
     )
@@ -211,7 +213,7 @@ def register(
             # total displacement of the reference, so the labels must be as
             # well.  The observed block is factored in work, over state.P.
             posterior = gpr_posterior(
-                gram, state.inliers, ann.delta_hat + (r_bar.points - ref_pts)[state.inliers],
+                prior, state.inliers, ann.delta_hat + (r_bar.points - ref_pts)[state.inliers],
                 ann.sigma2_eff, work=work,
             )
         except NumericalError as exc:

@@ -40,11 +40,15 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # chained comparisons are False for NaN, so these also reject it
         for name in ("warp_amplitude", "missing_width", "outlier_ratio", "noise_std", "rotation_max"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.warp_amplitude > 0.0 and self.warp_bandwidth <= 0.0:
-            raise ValueError("warp_bandwidth must be positive when warping")
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.warp_amplitude > 0.0 and not 0.0 < self.warp_bandwidth < np.inf:
+            raise ValueError(
+                f"warp_bandwidth must be finite and > 0 when warping, got {self.warp_bandwidth!r}"
+            )
 
 
 @dataclass(frozen=True)

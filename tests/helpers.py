@@ -20,19 +20,31 @@ def random_points(rng, n, d, min_sep=0.1, box=1.0):
     return np.asarray(pts)
 
 
-def expand_kernel(gram):
-    """Full (N*d, N*d) covariance from a GramMatrix, point-major layout."""
-    k = np.kron(gram.g, np.eye(gram.dim))
-    if gram.lowrank_u is not None:
-        k = k + gram.lowrank_u @ np.diag(gram.lowrank_lam) @ gram.lowrank_u.T
+def dense_gram(prior):
+    """Scalar (N, N) Gram matrix of a GPPrior by the direct formula: the sum
+    over its SE parts (a2, l) of a2 exp(-|x_i - x_j|^2 / (2 l^2)), with the
+    squared distances taken from coordinate differences."""
+    x = prior.points
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    g = np.zeros_like(d2)
+    for a2, ell in prior.se_parts:
+        g += a2 * np.exp(-d2 / (2.0 * ell**2))
+    return g
+
+
+def expand_kernel(prior):
+    """Full (N*d, N*d) covariance of a GPPrior, point-major layout."""
+    k = np.kron(dense_gram(prior), np.eye(prior.dim))
+    if prior.lowrank_u is not None:
+        k = k + prior.lowrank_u @ np.diag(prior.lowrank_lam) @ prior.lowrank_u.T
     return k
 
 
-def dense_gpr(gram, inliers, delta_hat, sigma2_eff, jitter):
+def dense_gpr(prior, inliers, delta_hat, sigma2_eff, jitter):
     """Joint-normal conditioning on the expanded covariance matrix."""
-    d = gram.dim
-    n = gram.n
-    k = expand_kernel(gram)
+    d = prior.dim
+    n = prior.n
+    k = expand_kernel(prior)
     coord = (np.asarray(inliers)[:, None] * d + np.arange(d)).ravel()
     noise = np.kron(np.diag(np.asarray(sigma2_eff) + jitter), np.eye(d))
     kcc = k[np.ix_(coord, coord)] + noise

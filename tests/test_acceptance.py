@@ -15,13 +15,13 @@ from sfgp.cli import SWEEP_FIELDS, derive_seed
 from sfgp.core import RegistrationConfig
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences, responsibilities
 from sfgp.gpr import gpr_posterior
-from sfgp.kernels import SquaredExponential, assemble_gram
+from sfgp.kernels import SquaredExponential, gp_prior
 from sfgp.metrics import mean_sq_distance, missing_detection
 from sfgp.registration import SIGMA2_FLOOR, register, variant_config
 from sfgp.synthdata import PerturbationSpec, fish_reference, generate
 from sfgp import io as sio
 
-from helpers import dense_gpr, direct_deformation_update, pointset, random_points
+from helpers import dense_gpr, dense_gram, direct_deformation_update, pointset, random_points
 
 MASTER_SEED = 20260809
 
@@ -142,7 +142,7 @@ def test_criterion_1_gpr_matches_dense_conditioning():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         ref = pointset(random_points(rng, n, 2, min_sep=0.12))
-        gram = assemble_gram(SquaredExponential(1.0, 0.6), ref, 0.0)
+        gram = gp_prior(SquaredExponential(1.0, 0.6), ref, 0.0)
         c = int(rng.integers(1, n + 1))
         inliers = np.sort(rng.choice(n, size=c, replace=False))
         delta = rng.normal(size=(c, 2))
@@ -175,7 +175,7 @@ def test_criterion_2_single_iteration_matches_direct_update():
         sigma2 = rng.uniform(0.1, 1.0, size=n)
         post_var = rng.uniform(0.0, 0.3, size=n)
         omega = float(rng.uniform(0.0, 0.5))
-        gram = assemble_gram(SquaredExponential(1.0, 0.7), ref, 0.0)
+        gram = gp_prior(SquaredExponential(1.0, 0.7), ref, 0.0)
         state, ann = get_correspondences(
             ResponsibilityInputs(
                 target=target, deformed_ref=ref, sigma2=sigma2,
@@ -186,7 +186,7 @@ def test_criterion_2_single_iteration_matches_direct_update():
         assert state.missing.size == 0
         post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
         mu_o, var_o = direct_deformation_update(
-            gram.g, 2, state.P, target.points, ref.points, sigma2
+            dense_gram(gram), 2, state.P, target.points, ref.points, sigma2
         )
         worst = max(
             worst,
@@ -208,7 +208,7 @@ def test_criterion_3_reductions():
     for _ in range(10):
         n = int(rng.integers(2, 9))
         ref = pointset(random_points(rng, n, 2, min_sep=0.15))
-        gram = assemble_gram(SquaredExponential(1.0, 0.5), ref, 0.0)
+        gram = gp_prior(SquaredExponential(1.0, 0.5), ref, 0.0)
         sigma_n2 = float(rng.uniform(0.05, 1.0))
         delta = rng.normal(size=(n, 2))
         het = gpr_posterior(gram, np.arange(n), delta, np.full(n, sigma_n2))
@@ -364,7 +364,7 @@ def test_criterion_10_structured_solve_speed_and_accuracy():
 
     # accuracy at N = 100 against the dense expanded solve
     ref_small = pointset(rng.uniform(-1, 1, size=(100, 3)))
-    gram_small = assemble_gram(SquaredExponential(1.0, 0.4), ref_small, 1e-8)
+    gram_small = gp_prior(SquaredExponential(1.0, 0.4), ref_small, 1e-8)
     inliers = np.sort(rng.choice(100, size=80, replace=False))
     delta = rng.normal(size=(80, 3))
     noise = rng.uniform(0.05, 0.5, size=80)
@@ -377,7 +377,7 @@ def test_criterion_10_structured_solve_speed_and_accuracy():
 
     # speed at N = 500
     ref_big = pointset(rng.uniform(-1, 1, size=(500, 3)))
-    gram_big = assemble_gram(SquaredExponential(1.0, 0.4), ref_big, 1e-8)
+    gram_big = gp_prior(SquaredExponential(1.0, 0.4), ref_big, 1e-8)
     inliers_b = np.sort(rng.choice(500, size=400, replace=False))
     delta_b = rng.normal(size=(400, 3))
     noise_b = rng.uniform(0.05, 0.5, size=400)

@@ -10,16 +10,19 @@ from sfgp.core import AllMissingError, NoAnnotationError
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import (
-    GramMatrix,
     ScaledKernel,
     SquaredExponential,
     SumKernel,
-    assemble_gram,
     build_pca_kernel,
+    gp_prior,
 )
 from sfgp.synthdata import fish_reference
 
 from helpers import dense_gpr, pointset, random_points
+
+
+def two_point_prior():
+    return gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0], [5.0, 0.0]]), 0.0)
 
 
 def fuse(target_pts, rbar_pts, sigma2, omega=0.0, p_min=0.01):
@@ -75,23 +78,23 @@ class TestAggregation:
     def test_empty_list_rejected(self):
         # a point without annotations carries no label; with no labels at
         # all there is nothing to regress on
-        gram = GramMatrix(g=np.eye(2), dim=2)
+        prior = two_point_prior()
         with pytest.raises(NoAnnotationError):
-            gpr_posterior(gram, np.array([], dtype=int), np.zeros((0, 2)), np.zeros(0))
+            gpr_posterior(prior, np.array([], dtype=int), np.zeros((0, 2)), np.zeros(0))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_inlier_outside_the_reference_rejected(self, bad):
         # the gathers of A and G_xC wrap indices, so the range is checked first
-        gram = GramMatrix(g=np.eye(2), dim=2)
+        prior = two_point_prior()
         with pytest.raises(IndexError):
-            gpr_posterior(gram, np.array([0, bad]), np.zeros((2, 2)), np.ones(2))
+            gpr_posterior(prior, np.array([0, bad]), np.zeros((2, 2)), np.ones(2))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_noise_that_is_not_positive_and_finite_rejected(self, bad):
         # the observed block is factored without SciPy's finiteness scan
-        gram = GramMatrix(g=np.eye(2), dim=2)
+        prior = two_point_prior()
         with pytest.raises(ValueError, match="sigma2_eff"):
-            gpr_posterior(gram, np.array([0, 1]), np.zeros((2, 2)), np.array([1.0, bad]))
+            gpr_posterior(prior, np.array([0, 1]), np.zeros((2, 2)), np.array([1.0, bad]))
 
     @given(
         arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-1, 1)),
@@ -121,27 +124,27 @@ class TestAggregation:
 
 class TestPosterior:
     def test_one_point_closed_form(self):
-        gram = GramMatrix(g=np.array([[1.0]]), dim=1)
-        post = gpr_posterior(gram, np.array([0]), np.array([[1.0]]), np.array([1.0]))
-        assert post.mu[0, 0] == pytest.approx(0.5, rel=1e-15)
+        prior = gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.3, -0.2]]), 0.0)
+        post = gpr_posterior(prior, np.array([0]), np.array([[1.0, -2.0]]), np.array([1.0]))
+        np.testing.assert_allclose(post.mu[0], [0.5, -1.0], rtol=1e-15)
         assert post.var_diag[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_infinite_noise_collapses_to_prior_mean(self):
         rng = np.random.default_rng(8)
         ref = pointset(random_points(rng, 6, 2))
-        gram = assemble_gram(SquaredExponential(1.0, 0.5), ref, 0.0)
+        prior = gp_prior(SquaredExponential(1.0, 0.5), ref, 0.0)
         delta = rng.normal(size=(6, 2))
-        post = gpr_posterior(gram, np.arange(6), delta, np.full(6, 1e12))
+        post = gpr_posterior(prior, np.arange(6), delta, np.full(6, 1e12))
         assert np.linalg.norm(post.mu) <= 1e-6 * np.linalg.norm(delta)
 
     def test_matches_dense_oracle_full_correspondence(self):
         rng = np.random.default_rng(23)
         ref = pointset(random_points(rng, 5, 2, min_sep=0.2))
-        gram = assemble_gram(SquaredExponential(1.2, 0.6), ref, 0.0)
+        prior = gp_prior(SquaredExponential(1.2, 0.6), ref, 0.0)
         delta = rng.normal(size=(5, 2))
         noise = rng.uniform(0.05, 1.0, size=5)
-        post = gpr_posterior(gram, np.arange(5), delta, noise)
-        mu_o, var_o = dense_gpr(gram, np.arange(5), delta, noise, 0.0)
+        post = gpr_posterior(prior, np.arange(5), delta, noise)
+        mu_o, var_o = dense_gpr(prior, np.arange(5), delta, noise, 0.0)
         np.testing.assert_allclose(post.mu, mu_o, rtol=1e-10)
         np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-10, atol=1e-12)
 
@@ -150,13 +153,13 @@ class TestPosterior:
         for _ in range(10):
             n = int(rng.integers(3, 9))
             ref = pointset(random_points(rng, n, 2, min_sep=0.15))
-            gram = assemble_gram(SquaredExponential(1.0, 0.7), ref, 0.0)
+            prior = gp_prior(SquaredExponential(1.0, 0.7), ref, 0.0)
             c = int(rng.integers(1, n))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(size=(c, 2))
             noise = rng.uniform(0.02, 0.8, size=c)
-            post = gpr_posterior(gram, inliers, delta, noise)
-            mu_o, var_o = dense_gpr(gram, inliers, delta, noise, 0.0)
+            post = gpr_posterior(prior, inliers, delta, noise)
+            mu_o, var_o = dense_gpr(prior, inliers, delta, noise, 0.0)
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-9, atol=1e-13)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-9, atol=1e-13)
 
@@ -169,13 +172,13 @@ class TestPosterior:
             samples = rng.normal(size=(9, n * d))
             pca = build_pca_kernel(samples, rank=3, anchor=anchor)
             spec = SumKernel(SquaredExponential(0.8, 0.5), pca)
-            gram = assemble_gram(spec, anchor, 1e-10)
+            prior = gp_prior(spec, anchor, 1e-10)
             c = int(rng.integers(1, n + 1))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(size=(c, d))
             noise = rng.uniform(0.05, 1.0, size=c)
-            post = gpr_posterior(gram, inliers, delta, noise)
-            mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
+            post = gpr_posterior(prior, inliers, delta, noise)
+            mu_o, var_o = dense_gpr(prior, inliers, delta, noise, prior.jitter)
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-11)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-11)
 
@@ -188,13 +191,13 @@ class TestPosterior:
         n, d = ref.n, ref.dim
         for _ in range(8):
             pca = build_pca_kernel(rng.normal(scale=0.02, size=(6, n * d)), rank=3, anchor=ref)
-            gram = assemble_gram(SumKernel(SquaredExponential(0.01, 0.2), pca), ref, 1e-10)
+            prior = gp_prior(SumKernel(SquaredExponential(0.01, 0.2), pca), ref, 1e-10)
             c = int(rng.integers(40, n + 1))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(scale=0.05, size=(c, d))
             noise = 10.0 ** rng.uniform(-8, -3, size=c)
-            post = gpr_posterior(gram, inliers, delta, noise)
-            mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
+            post = gpr_posterior(prior, inliers, delta, noise)
+            mu_o, var_o = dense_gpr(prior, inliers, delta, noise, prior.jitter)
             # the small entries of the mean carry the conditioning of both
             # solves, so the mean is compared at its own scale
             np.testing.assert_allclose(post.mu, mu_o, rtol=0.0, atol=1e-8 * np.abs(mu_o).max())
@@ -210,11 +213,11 @@ class TestPosterior:
             ref = pointset(random_points(rng, n, d))
             pca = build_pca_kernel(rng.normal(size=(8, n * d)), 5, ref)
             spec = SumKernel(SquaredExponential(0.01, 0.3), ScaledKernel(1e4, pca))
-            gram = assemble_gram(spec, ref, 1e-10)
+            prior = gp_prior(spec, ref, 1e-10)
             inliers = np.sort(rng.choice(n, size=10, replace=False))
             noise = np.full(10, 1e-4)
-            post = gpr_posterior(gram, inliers, rng.normal(size=(10, d)), noise)
-            assert np.all(post.var_diag[inliers] <= (noise + gram.jitter) * (1 + 1e-9))
+            post = gpr_posterior(prior, inliers, rng.normal(size=(10, d)), noise)
+            assert np.all(post.var_diag[inliers] <= (noise + prior.jitter) * (1 + 1e-9))
             assert np.all(post.var_diag > 0.0)
 
     def test_pure_lowrank_kernel(self):
@@ -222,19 +225,19 @@ class TestPosterior:
         n, d = 4, 2
         anchor = pointset(random_points(rng, n, d, min_sep=0.2))
         pca = build_pca_kernel(rng.normal(size=(7, n * d)), rank=2, anchor=anchor)
-        gram = assemble_gram(pca, anchor, 1e-9)
+        prior = gp_prior(pca, anchor, 1e-9)
         inliers = np.array([0, 2, 3])
         delta = rng.normal(size=(3, d))
         noise = rng.uniform(0.1, 0.5, size=3)
-        post = gpr_posterior(gram, inliers, delta, noise)
-        mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
+        post = gpr_posterior(prior, inliers, delta, noise)
+        mu_o, var_o = dense_gpr(prior, inliers, delta, noise, prior.jitter)
         np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-12)
 
     def test_reduction_to_homoscedastic(self):
         rng = np.random.default_rng(61)
         ref = random_points(rng, 7, 2, min_sep=0.15)
-        gram = assemble_gram(SquaredExponential(1.0, 0.6), pointset(ref), 0.0)
+        prior = gp_prior(SquaredExponential(1.0, 0.6), pointset(ref), 0.0)
         # narrow mixtures make every target a certain match of its own point:
         # one annotation each, at the shared variance
         sigma_n2 = 1e-4
@@ -243,8 +246,8 @@ class TestPosterior:
         assert state.inliers.tolist() == list(range(7))
         assert np.all(ann.sigma2_eff == sigma_n2)  # singleton fusion is exact
         delta = ann.delta_hat
-        post = gpr_posterior(gram, state.inliers, delta, ann.sigma2_eff)
-        uniform = gpr_posterior(gram, np.arange(7), delta, np.full(7, sigma_n2))
+        post = gpr_posterior(prior, state.inliers, delta, ann.sigma2_eff)
+        uniform = gpr_posterior(prior, np.arange(7), delta, np.full(7, sigma_n2))
         np.testing.assert_array_equal(post.mu, uniform.mu)
         np.testing.assert_array_equal(post.var_diag, uniform.var_diag)
 
@@ -253,34 +256,34 @@ class TestPosterior:
         for _ in range(10):
             n = int(rng.integers(2, 9))
             ref = pointset(random_points(rng, n, 2, min_sep=0.12))
-            gram = assemble_gram(SquaredExponential(1.5, 0.5), ref, 0.0)
+            prior = gp_prior(SquaredExponential(1.5, 0.5), ref, 0.0)
             c = int(rng.integers(1, n + 1))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             post = gpr_posterior(
-                gram, inliers, rng.normal(size=(c, 2)), rng.uniform(0.01, 2.0, size=c)
+                prior, inliers, rng.normal(size=(c, 2)), rng.uniform(0.01, 2.0, size=c)
             )
-            assert np.all(post.var_diag <= np.diag(gram.g) + 1e-10)
+            assert np.all(post.var_diag <= prior.k0 + 1e-10)
 
     def test_interpolation_limit(self):
         rng = np.random.default_rng(83)
         ref = pointset(random_points(rng, 5, 2, min_sep=0.25))
-        gram = assemble_gram(SquaredExponential(1.0, 0.5), ref, 0.0)
+        prior = gp_prior(SquaredExponential(1.0, 0.5), ref, 0.0)
         delta = rng.normal(size=(5, 2))
-        post = gpr_posterior(gram, np.arange(5), delta, np.full(5, 1e-12))
+        post = gpr_posterior(prior, np.arange(5), delta, np.full(5, 1e-12))
         np.testing.assert_allclose(post.mu, delta, atol=1e-6)
 
     def test_missing_point_removal_does_not_perturb_others(self):
         rng = np.random.default_rng(97)
         ref = pointset(random_points(rng, 6, 2, min_sep=0.15))
-        gram = assemble_gram(SquaredExponential(1.0, 0.6), ref, 0.0)
+        prior = gp_prior(SquaredExponential(1.0, 0.6), ref, 0.0)
         inliers = np.array([0, 1, 2, 3])  # 4 and 5 are missing
         delta = rng.normal(size=(4, 2))
         noise = rng.uniform(0.05, 0.5, size=4)
-        post_full = gpr_posterior(gram, inliers, delta, noise)
+        post_full = gpr_posterior(prior, inliers, delta, noise)
 
         smaller = pointset(ref.points[:5])  # drop missing point 5
-        gram_small = assemble_gram(SquaredExponential(1.0, 0.6), smaller, 0.0)
-        post_small = gpr_posterior(gram_small, inliers, delta, noise)
+        prior_small = gp_prior(SquaredExponential(1.0, 0.6), smaller, 0.0)
+        post_small = gpr_posterior(prior_small, inliers, delta, noise)
         np.testing.assert_allclose(post_full.mu[:5], post_small.mu, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(
             post_full.var_diag[:5], post_small.var_diag, rtol=1e-12, atol=1e-15
@@ -297,7 +300,7 @@ class TestPosterior:
         spec = SquaredExponential(1.0, 0.6)
         if with_pca:
             spec = SumKernel(spec, build_pca_kernel(rng.normal(size=(8, n * d)), 3, ref))
-        gram = assemble_gram(spec, ref, 1e-10)
+        prior = gp_prior(spec, ref, 1e-10)
         inliers = np.array([0, 2, 3, 5, 6, 8])
         delta = rng.normal(size=(6, d))
         noise = rng.uniform(0.05, 0.5, size=6)
@@ -305,7 +308,7 @@ class TestPosterior:
         keep = np.array([0, 2, 3, 5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            post = gpr_posterior(gram, inliers, delta, noise)
-            dropped = gpr_posterior(gram, inliers[keep], delta[keep], noise[keep])
+            post = gpr_posterior(prior, inliers, delta, noise)
+            dropped = gpr_posterior(prior, inliers[keep], delta[keep], noise[keep])
         np.testing.assert_allclose(post.mu, dropped.mu, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(post.var_diag, dropped.var_diag, rtol=1e-12, atol=0.0)

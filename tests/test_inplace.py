@@ -4,13 +4,16 @@ registration's one workspace.
 Each step may allocate its output and little else: tracemalloc sees NumPy's
 buffers, so the incremental peak of one call bounds the full-size
 temporaries it makes.  The peak tests of single steps shrink the row block
-to BLOCK rows so that one block is small next to the full-size buffers; one
-registration test keeps the default core.ROW_BLOCK.  In-place work must
-never reach the caller's arrays, so every input is checked bit for bit after
-the call; the blocked steps are checked against dense formulas at the block
+to BLOCK rows so that one block is small next to the full-size buffers; the
+registration tests also run at the default core.ROW_BLOCK.  tracemalloc does
+not see the registration's workspace, an anonymous memory map, so its size
+is checked through the returned P, a view of it.  In-place work must never
+reach the caller's arrays, so every input is checked bit for bit after the
+call; the blocked steps are checked against dense formulas at the block
 edges.  A step given a workspace returns the same bits as without one.
 """
 import inspect
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from sfgp.core import (
     PosteriorDeformation,
     RegistrationConfig,
     default_sigma2_init,
+    gemm,
     sq_dists,
 )
 from sfgp.correspondence import (
@@ -31,12 +35,20 @@ from sfgp.correspondence import (
     responsibilities,
 )
 from sfgp.gpr import gpr_posterior
-from sfgp.kernels import SquaredExponential, SumKernel, assemble_gram, build_pca_kernel
+from sfgp.kernels import (
+    GPPrior,
+    ScaledKernel,
+    SquaredExponential,
+    SumKernel,
+    build_pca_kernel,
+    gp_prior,
+)
 from sfgp.registration import VARIANTS, register, update_sigma2, variant_config
 from sfgp.synthdata import PerturbationSpec, fish_reference, generate
 
 from helpers import (
     dense_gpr,
+    dense_gram,
     fibonacci_sphere,
     literal_variance_update,
     pointset,
@@ -58,9 +70,9 @@ def dense():
     sigma2 = rng.uniform(0.005, 0.05, size=N_R)
     post_var = rng.uniform(0.0, 0.01, size=N_R)
     p = responsibilities(ResponsibilityInputs(target, rbar, sigma2, post_var, 0.1))
-    gram = assemble_gram(SquaredExponential(0.01, 0.2), ref)
+    gram = gp_prior(SquaredExponential(0.01, 0.2), ref)
     pca = build_pca_kernel(rng.normal(scale=0.01, size=(12, N_R * D)), RANK, ref)
-    pca_gram = assemble_gram(SumKernel(SquaredExponential(0.01, 0.2), pca), ref)
+    pca_gram = gp_prior(SumKernel(SquaredExponential(0.01, 0.2), pca), ref)
     inliers = np.sort(rng.choice(N_R, size=C, replace=False))
     return dict(
         ref=ref, rbar=rbar, target=target, sigma2=sigma2, post_var=post_var, p=p,
@@ -124,11 +136,12 @@ def test_update_sigma2_peak_is_a_few_vectors(dense, small_blocks):
 
 
 def test_gpr_posterior_peak_is_observed_block_and_cross_covariance(dense, small_blocks):
-    # the factored C x C block, the (BLOCK, N_R) buffer the rows of A are
-    # gathered through (larger than a (BLOCK, C) block of the cross-covariance)
-    # and a few vectors
+    # the factored C x C block, one (BLOCK, C) buffer that each block of
+    # kernel values is evaluated into, first for A's triangle and then for
+    # the cross-covariance, and a few (N_R,)-sized vectors: the mean, the
+    # variance and the inliers' coordinates
     args = (dense["gram"], dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
-    assert peak_doubles(gpr_posterior, *args) <= C * C + BLOCK * N_R + 2 * N_R
+    assert peak_doubles(gpr_posterior, *args) <= C * C + BLOCK * C + 24 * N_R
 
 
 def test_lowrank_posterior_peak_adds_only_rank_sized_arrays(dense, small_blocks):
@@ -138,37 +151,43 @@ def test_lowrank_posterior_peak_adds_only_rank_sized_arrays(dense, small_blocks)
 
 
 @pytest.mark.parametrize("lowrank", [False, True])
-def test_assemble_gram_peak_is_gram_and_check_copy(dense, small_blocks, lowrank):
-    # the Gram and the jittered copy its SPD check factors in place, with a
-    # few vectors: the check scans only the diagonal for finiteness, not the
-    # copy (a boolean mask of 1/8 of a double per entry); before the copy,
-    # the Gram and one row block of its symmetrisation
+def test_gp_prior_peak_is_check_copy_and_one_block(dense, small_blocks, lowrank):
+    # the triangle its SPD check factors in place, one row block of kernel
+    # values and a few vectors, no Gram: the check scans no block for
+    # finiteness (a boolean mask of 1/8 of a double per entry).  Given a
+    # workspace, the triangle is filled into it.
     spec = SquaredExponential(0.01, 0.2)
     if lowrank:
         spec = SumKernel(spec, dense["pca"])
-    bound = max(2 * N_R * N_R + 16 * N_R, N_R * N_R + 2 * BLOCK * N_R)
-    assert peak_doubles(assemble_gram, spec, dense["ref"]) <= bound
+    bound = BLOCK * N_R + 16 * N_R + (2 * N_R * D * RANK if lowrank else 0)
+    assert peak_doubles(gp_prior, spec, dense["ref"]) <= N_R * N_R + bound
+    work = np.empty(N_R * N_S)
+    assert peak_doubles(lambda: gp_prior(spec, dense["ref"], work=work)) <= bound
 
 
 def test_failed_gram_check_reuses_its_copy(dense, small_blocks):
-    # the eigenvalues of a failed check are taken in its own buffer: the
-    # Gram, that copy and LAPACK's O(N_R) workspace, with no finiteness mask
+    # the eigenvalues of a failed check are taken in its own buffer, refilled:
+    # that triangle, one row block of kernel values or LAPACK's O(N_R)
+    # workspace, and no finiteness mask
     half = dense["ref"].points[: N_R // 2]
     degenerate = pointset(np.vstack([half, half]))
     tracemalloc.start()
     try:
         with pytest.raises(NumericalError, match="pivot"):
-            assemble_gram(SquaredExponential(0.01, 0.2), degenerate, 0.0)
+            gp_prior(SquaredExponential(0.01, 0.2), degenerate, 0.0)
         peak = tracemalloc.get_traced_memory()[1] / DOUBLE
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * N_R * N_R + 48 * N_R
+    assert peak <= N_R * N_R + BLOCK * N_R + 48 * N_R
 
 
-def test_register_holds_the_gram_and_one_workspace(dense, small_blocks):
+@pytest.mark.parametrize("block", [64, 128])
+def test_register_holds_one_workspace(dense, monkeypatch, block):
     # the Gram check, each P and each observed block share one workspace of
-    # N_R * max(N_R, N_S) doubles, and every other full-size product is
-    # worked in row blocks, one block at a time
+    # N_R * max(N_R, N_S) doubles, an anonymous map that tracemalloc does not
+    # see; no Gram is stored, and every other full-size product is worked in
+    # row blocks, one block at a time
+    monkeypatch.setattr(core, "ROW_BLOCK", block)
     rng = np.random.default_rng(11)
     moved = dense["ref"].points + rng.normal(scale=0.01, size=(N_R, D))
     kept = moved[moved[:, 0] < 0.3]  # a missing region
@@ -183,12 +202,15 @@ def test_register_holds_the_gram_and_one_workspace(dense, small_blocks):
     assert not res.failed and res.iters >= 2
     c = max(rec.n_inliers for rec in res.trace)
     assert c < N_R
-    assert peak <= N_R * N_R + N_R * max(N_R, N_S) + BLOCK * N_S + 64 * N_R
+    workspace = res.state.P.base
+    assert workspace.size == N_R * max(N_R, N_S)
+    assert isinstance(workspace.base.obj, mmap.mmap)
+    assert peak <= 2 * block * max(N_R, N_S) + 64 * N_R
 
 
 def test_register_at_the_default_row_block_holds_little_besides_its_buffers():
-    # no monkeypatch: at N_R = 1000 the transients of a registration at the
-    # default block size stay below half of one 512-row block
+    # no monkeypatch: at N_R = 1000 the traced memory of a registration at
+    # the default block size, its workspace aside, is a few row blocks
     n_r = 1000
     ref = pointset(fibonacci_sphere(n_r))
     spec = PerturbationSpec(warp_amplitude=0.05, warp_bandwidth=0.3, missing_width=0.4,
@@ -203,7 +225,7 @@ def test_register_at_the_default_row_block_holds_little_besides_its_buffers():
         tracemalloc.stop()
     assert not res.failed and res.iters == 3
     width = max(n_r, target.n)
-    assert peak <= n_r * n_r + n_r * width + 256 * width
+    assert peak <= 2 * core.ROW_BLOCK * width + 64 * n_r
 
 
 def test_sq_dists_leaves_inputs_unchanged(dense):
@@ -225,12 +247,12 @@ def test_responsibilities_leave_inputs_unchanged(dense, omega):
 
 @pytest.mark.parametrize("kernel", ["gram", "pca_gram"])
 def test_gpr_posterior_leaves_inputs_unchanged(dense, kernel):
-    gram = dense[kernel]
-    arrays = [gram.g, dense["inliers"], dense["delta_hat"], dense["sigma2_eff"]]
-    if gram.lowrank_u is not None:
-        arrays += [gram.lowrank_u, gram.lowrank_lam]
+    prior = dense[kernel]
+    arrays = [prior.points, dense["inliers"], dense["delta_hat"], dense["sigma2_eff"]]
+    if prior.lowrank_u is not None:
+        arrays += [prior.lowrank_u, prior.lowrank_lam]
     before = snapshot(*arrays)
-    gpr_posterior(gram, dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
+    gpr_posterior(prior, dense["inliers"], dense["delta_hat"], dense["sigma2_eff"])
     assert snapshot(*arrays) == before
 
 
@@ -294,12 +316,12 @@ def test_posterior_matches_dense_oracle_at_block_edges(edge_blocks, n_r, missing
     spec = SquaredExponential(1.0, 0.7)
     if lowrank:
         spec = SumKernel(spec, build_pca_kernel(rng.normal(size=(6, n_r * 2)), 3, ref))
-    gram = assemble_gram(spec, ref, 1e-10)
+    prior = gp_prior(spec, ref, 1e-10)
     inliers = np.setdiff1d(np.arange(n_r), missing)
     delta = rng.normal(size=(inliers.size, 2))
     noise = rng.uniform(0.05, 0.8, size=inliers.size)
-    post = gpr_posterior(gram, inliers, delta, noise)
-    mu_o, var_o = dense_gpr(gram, inliers, delta, noise, gram.jitter)
+    post = gpr_posterior(prior, inliers, delta, noise)
+    mu_o, var_o = dense_gpr(prior, inliers, delta, noise, prior.jitter)
     np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-11)
     np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-11)
 
@@ -327,15 +349,52 @@ def test_update_sigma2_matches_literal_at_block_edges(edge_blocks, n_r, missing)
 
 
 @pytest.mark.parametrize("n_r", [7, 8, 9, 20])
-def test_blocked_gram_is_bit_identical_to_the_full_formula(edge_blocks, n_r):
+def test_blocked_gram_matches_the_full_formula(edge_blocks, n_r):
+    # the row blocks of the triangle fill, at their edges, against the direct
+    # formula: each block writes its rows from its first column on, so the
+    # lower triangle left of the diagonal blocks, which LAPACK does not
+    # read, keeps the workspace's contents
     rng = np.random.default_rng(n_r)
-    pts = rng.uniform(-1.0, 1.0, size=(n_r, 3))
-    spec = SumKernel(SquaredExponential(0.7, 0.4), SquaredExponential(0.2, 1.3))
-    want = np.zeros((n_r, n_r))
-    for part in spec.parts:
-        g = part.amplitude2 * np.exp(-sq_dists(pts, pts) / (2.0 * part.lengthscale**2))
-        want += 1.0 * (0.5 * (g + g.T))
-    assert np.array_equal(assemble_gram(spec, pointset(pts), 0.0).g, want)
+    prior = gp_prior(SumKernel(SquaredExponential(0.7, 0.4), SquaredExponential(0.2, 1.3)),
+                     pointset(rng.uniform(-1.0, 1.0, size=(n_r, 3))), 0.0)
+    want = dense_gram(prior) + 0.25 * np.eye(n_r)
+    got = prior.upper_gram(np.arange(n_r), 0.25, work=np.full(n_r * n_r, np.nan))
+    first = np.arange(n_r) // EDGE_BLOCK * EDGE_BLOCK  # each row's first written column
+    written = np.arange(n_r)[None, :] >= first[:, None]
+    np.testing.assert_allclose(got[written], want[written], rtol=1e-14, atol=0.0)
+    assert np.all(np.isnan(got[~written]))
+
+
+# ------------------------------------------------------ dense oracle, ROW_BLOCK
+
+def edge_kernels(rng, ref):
+    pca = build_pca_kernel(rng.normal(size=(6, ref.n * ref.dim)), 3, ref)
+    return {
+        "se": SquaredExponential(1.0, 0.7),
+        "scaled_sum": ScaledKernel(
+            1.7, SumKernel(SquaredExponential(1.0, 0.7), SquaredExponential(0.3, 1.4))),
+        "se_pca": SumKernel(SquaredExponential(1.0, 0.7), pca),
+        "pca": pca,
+    }
+
+
+@pytest.mark.parametrize("kernel", ["se", "scaled_sum", "se_pca", "pca"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_posterior_matches_dense_oracle_at_the_row_block_edge(kernel, offset):
+    # the default ROW_BLOCK: one block short of a full one, exactly one, and
+    # one row into a second, with missing points in each block
+    n_r = core.ROW_BLOCK + offset
+    rng = np.random.default_rng(200 + n_r)
+    ref = pointset(random_points(rng, n_r, 3, min_sep=0.05))
+    prior = gp_prior(edge_kernels(rng, ref)[kernel], ref, 1e-8)
+    missing = [0, 5, n_r // 2, n_r - 2, n_r - 1]
+    inliers = np.setdiff1d(np.arange(n_r), missing)
+    delta = rng.normal(scale=0.1, size=(inliers.size, 3))
+    noise = rng.uniform(0.05, 0.5, size=inliers.size)
+    post = gpr_posterior(prior, inliers, delta, noise)
+    mu_o, var_o = dense_gpr(prior, inliers, delta, noise, prior.jitter)
+    np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-10 * np.abs(mu_o).max())
+    np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-10 * var_o.max())
 
 
 # -------------------------------------------------------------- workspace
@@ -349,17 +408,16 @@ def test_gpr_posterior_bits_do_not_depend_on_its_workspace(dense, kernel):
 
 
 @pytest.mark.parametrize("lowrank", [False, True])
-def test_assemble_gram_bits_do_not_depend_on_its_workspace(dense, lowrank):
-    # two scalar summands: the first is built in `out`, the second in the
-    # workspace
+def test_gp_prior_bits_do_not_depend_on_its_workspace(dense, lowrank):
+    # two scalar summands: the second is evaluated in a buffer of its own
     spec = SumKernel(SquaredExponential(0.01, 0.2), SquaredExponential(0.003, 0.5))
     if lowrank:
         spec = SumKernel(spec, dense["pca"])
-    plain = assemble_gram(spec, dense["ref"])
-    out = np.full(N_R * N_R, np.nan)
-    shared = assemble_gram(spec, dense["ref"], out=out, work=np.full(N_R * N_S, np.nan))
-    assert np.shares_memory(shared.g, out)
-    assert shared.g.tobytes() == plain.g.tobytes() and shared.jitter == plain.jitter
+    plain = gp_prior(spec, dense["ref"])
+    shared = gp_prior(spec, dense["ref"], work=np.full(N_R * N_S, np.nan))
+    rows, cols = slice(0, N_R), dense["inliers"]
+    assert shared.block(rows, cols).tobytes() == plain.block(rows, cols).tobytes()
+    assert shared.jitter == plain.jitter and shared.se_parts == plain.se_parts
     if lowrank:
         assert snapshot(shared.lowrank_u, shared.lowrank_lam) == snapshot(
             plain.lowrank_u, plain.lowrank_lam)
@@ -371,7 +429,7 @@ def test_failed_gram_check_reports_the_same_pivot_in_a_workspace(dense):
     messages = []
     for work in (None, np.full(N_R * N_S, np.nan)):
         with pytest.raises(NumericalError, match="pivot") as exc:
-            assemble_gram(SquaredExponential(0.01, 0.2), degenerate, 0.0, work=work)
+            gp_prior(SquaredExponential(0.01, 0.2), degenerate, 0.0, work=work)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -435,9 +493,10 @@ def test_buffer_parameters_are_keyword_only():
     # perfbench's span hooks read p_min and inliers as positional argument 1,
     # and a `mode` as positional argument 2 of get_correspondences: a buffer
     # passed positionally there would be read as that mode
-    for fn, name in [(sq_dists, "out"), (responsibilities, "out"),
+    for fn, name in [(sq_dists, "out"), (gemm, "out"), (responsibilities, "out"),
                      (get_correspondences, "out"), (closest_point_correspondence, "out"),
-                     (gpr_posterior, "work"), (assemble_gram, "out"), (assemble_gram, "work")]:
+                     (gpr_posterior, "work"), (gp_prior, "work"), (GPPrior.block, "out"),
+                     (GPPrior.upper_gram, "work")]:
         kind = inspect.signature(fn).parameters[name].kind
         assert kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
     assert list(inspect.signature(get_correspondences).parameters).index("p_min") == 1

@@ -11,19 +11,25 @@ from sfgp.kernels import (
     ScaledKernel,
     SquaredExponential,
     SumKernel,
-    assemble_gram,
     build_pca_kernel,
+    gp_prior,
     load_pca_kernel,
     save_pca_kernel,
 )
 from sfgp.synthdata import fish_reference
 
-from helpers import expand_kernel, pointset, random_points
+from helpers import dense_gram, expand_kernel, pointset, random_points
+
+
+def full_gram(prior):
+    """The prior's scalar kernel over all of its points, as one block."""
+    idx = np.arange(prior.n)
+    return prior.block(idx, idx)
 
 
 def pair_gram(spec, x, y):
     """Scalar Gram matrix of `spec` over the two points x and y."""
-    return assemble_gram(spec, pointset([x, y])).g
+    return full_gram(gp_prior(spec, pointset([x, y])))
 
 
 def test_se_at_zero_distance_is_amplitude():
@@ -59,28 +65,30 @@ def test_se_symmetry(a2, ell, xs, ys):
 
 
 def test_gram_single_point():
-    gram = assemble_gram(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0]]), 0.0)
-    assert gram.g.shape == (1, 1)
-    assert gram.g[0, 0] == pytest.approx(1.0)
-    assert gram.lowrank_u is None
+    prior = gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0]]), 0.0)
+    g = full_gram(prior)
+    assert g.shape == (1, 1)
+    assert g[0, 0] == pytest.approx(1.0)
+    assert prior.k0 == 1.0
+    assert prior.lowrank_u is None
 
 
 def test_gram_collinear_points():
     ref = pointset([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    gram = assemble_gram(SquaredExponential(1.0, 1.0), ref, 1e-10)
-    assert gram.g[0, 1] == pytest.approx(np.exp(-0.5), rel=1e-14)
-    assert gram.g[1, 2] == pytest.approx(np.exp(-0.5), rel=1e-14)
-    assert gram.g[0, 2] == pytest.approx(np.exp(-2.0), rel=1e-14)
+    g = full_gram(gp_prior(SquaredExponential(1.0, 1.0), ref, 1e-10))
+    assert g[0, 1] == pytest.approx(np.exp(-0.5), rel=1e-14)
+    assert g[1, 2] == pytest.approx(np.exp(-0.5), rel=1e-14)
+    assert g[0, 2] == pytest.approx(np.exp(-2.0), rel=1e-14)
 
 
 def test_gram_spd_after_jitter():
     rng = np.random.default_rng(11)
     ref = pointset(rng.uniform(-1, 1, size=(10, 2)))
-    gram = assemble_gram(SquaredExponential(1.0, 0.5), ref, 1e-8)
+    g = full_gram(gp_prior(SquaredExponential(1.0, 0.5), ref, 1e-8))
     # dense symmetric eigendecomposition oracle
-    evals = np.linalg.eigvalsh(gram.g + 1e-8 * np.eye(10))
+    evals = np.linalg.eigvalsh(g + 1e-8 * np.eye(10))
     assert np.all(evals > 0)
-    assert np.allclose(gram.g, gram.g.T, rtol=1e-12, atol=0)
+    assert np.allclose(g, g.T, rtol=1e-12, atol=0)
 
 
 def test_gram_random_specs_spd_property():
@@ -96,9 +104,11 @@ def test_gram_random_specs_spd_property():
                 SquaredExponential(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.2, 2.0))),
             ),
         )
-        gram = assemble_gram(spec, ref, 1e-8)
-        assert np.allclose(gram.g, gram.g.T, rtol=1e-12, atol=1e-15)
-        np.linalg.cholesky(gram.g + 1e-8 * np.eye(n))
+        prior = gp_prior(spec, ref, 1e-8)
+        g = full_gram(prior)
+        assert np.allclose(g, g.T, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(g, dense_gram(prior), rtol=1e-12, atol=1e-15)
+        np.linalg.cholesky(g + 1e-8 * np.eye(n))
 
 
 def test_gram_composition_linearity():
@@ -106,11 +116,12 @@ def test_gram_composition_linearity():
     ref = pointset(rng.uniform(-1, 1, size=(6, 2)))
     k1 = SquaredExponential(1.3, 0.7)
     k2 = SquaredExponential(0.4, 1.9)
-    g_sum = assemble_gram(SumKernel(k1, k2), ref, 0.0).g
-    g_parts = assemble_gram(k1, ref, 0.0).g + assemble_gram(k2, ref, 0.0).g
-    np.testing.assert_allclose(g_sum, g_parts, rtol=1e-12)
-    g_scaled = assemble_gram(ScaledKernel(2.5, k1), ref, 0.0).g
-    np.testing.assert_allclose(g_scaled, 2.5 * assemble_gram(k1, ref, 0.0).g, rtol=1e-12)
+
+    def gram(spec):
+        return full_gram(gp_prior(spec, ref, 0.0))
+
+    np.testing.assert_allclose(gram(SumKernel(k1, k2)), gram(k1) + gram(k2), rtol=1e-12)
+    np.testing.assert_allclose(gram(ScaledKernel(2.5, k1)), 2.5 * gram(k1), rtol=1e-12)
 
 
 def test_gram_non_spd_reports_pivot():
@@ -118,7 +129,7 @@ def test_gram_non_spd_reports_pivot():
     # jitter on a deliberately degenerate (duplicated point) reference
     ref = pointset([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(NumericalError, match="pivot"):
-        assemble_gram(SquaredExponential(1.0, 1.0), ref, 0.0)
+        gp_prior(SquaredExponential(1.0, 1.0), ref, 0.0)
 
 
 @pytest.mark.parametrize("spec, jitter", [
@@ -133,18 +144,30 @@ def test_non_finite_gram_raises_numerical_error(spec, jitter):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not finite"):
-            assemble_gram(spec, fish_reference(), jitter)
+            gp_prior(spec, fish_reference(), jitter)
+
+
+@pytest.mark.parametrize("jitter", [None, 1e-8])
+def test_overflowing_pca_amplitude_raises_numerical_error(jitter):
+    # scale times eigenvalue overflows: reported by the error alone
+    rng = np.random.default_rng(9)
+    ref = pointset(rng.normal(size=(5, 2)))
+    pca = build_pca_kernel(rng.normal(scale=1e5, size=(4, 10)), 2, ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            gp_prior(ScaledKernel(1e300, pca), ref, jitter)
 
 
 def test_kronecker_block_solve_matches_dense_expansion():
     rng = np.random.default_rng(99)
     for n, d in [(4, 2), (6, 3), (8, 2)]:
         ref = pointset(random_points(rng, n, d, min_sep=0.15))
-        gram = assemble_gram(SquaredExponential(1.0, 0.8), ref, 1e-10)
-        k = expand_kernel(gram)
+        prior = gp_prior(SquaredExponential(1.0, 0.8), ref, 1e-10)
+        k = expand_kernel(prior)
         b = rng.normal(size=(n, d))
         x_dense = np.linalg.solve(k + 1e-10 * np.eye(n * d), b.reshape(-1)).reshape(n, d)
-        x_block = np.linalg.solve(gram.g + 1e-10 * np.eye(n), b)
+        x_block = np.linalg.solve(full_gram(prior) + 1e-10 * np.eye(n), b)
         np.testing.assert_allclose(x_block, x_dense, rtol=1e-9, atol=1e-12)
 
 
@@ -202,11 +225,11 @@ def test_pca_gram_requires_anchor():
     anchor = pointset(rng.normal(size=(4, 2)))
     samples = rng.normal(size=(6, 8))
     spec = build_pca_kernel(samples, rank=2, anchor=anchor)
-    gram = assemble_gram(SumKernel(SquaredExponential(1.0, 1.0), spec), anchor, 1e-8)
-    assert gram.lowrank_u is not None
+    prior = gp_prior(SumKernel(SquaredExponential(1.0, 1.0), spec), anchor, 1e-8)
+    assert prior.lowrank_u is not None
     other = pointset(rng.normal(size=(4, 2)))
     with pytest.raises(AnchorMismatchError):
-        assemble_gram(spec, other, 1e-8)
+        gp_prior(spec, other, 1e-8)
 
 
 def test_pca_gram_expansion_matches_truncated_covariance():
@@ -214,8 +237,9 @@ def test_pca_gram_expansion_matches_truncated_covariance():
     anchor = pointset(rng.normal(size=(4, 2)))
     samples = rng.normal(size=(7, 8))
     spec = build_pca_kernel(samples, rank=3, anchor=anchor)
-    gram = assemble_gram(spec, anchor, 1e-9)
-    k = expand_kernel(gram)
+    prior = gp_prior(spec, anchor, 1e-9)
+    np.testing.assert_array_equal(full_gram(prior), 0.0)  # no scalar part
+    k = expand_kernel(prior)
     manual = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
     np.testing.assert_allclose(k, manual, rtol=1e-12, atol=1e-14)
 

@@ -12,7 +12,7 @@ from sfgp.core import (
 )
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences
 from sfgp.gpr import gpr_posterior
-from sfgp.kernels import SquaredExponential, assemble_gram
+from sfgp.kernels import SquaredExponential, gp_prior
 from sfgp.registration import (
     SIGMA2_FLOOR,
     VARIANTS,
@@ -28,6 +28,7 @@ from sfgp.synthdata import (
 )
 
 from helpers import (
+    dense_gram,
     direct_deformation_update,
     literal_variance_update,
     pointset,
@@ -117,7 +118,7 @@ class TestCoupledUpdateEquivalence:
     direct coupled-update posterior (dense oracle) exactly."""
 
     def _one_iteration(self, ref, target, sigma2, post_var, omega):
-        gram = assemble_gram(SquaredExponential(1.0, 0.7), ref, 0.0)
+        prior = gp_prior(SquaredExponential(1.0, 0.7), ref, 0.0)
         inputs = ResponsibilityInputs(
             target=target,
             deformed_ref=ref,
@@ -127,8 +128,8 @@ class TestCoupledUpdateEquivalence:
         )
         state, ann = get_correspondences(inputs, p_min=0.0)
         assert state.missing.size == 0, "equivalence needs full correspondence"
-        post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
-        return gram, state.P, post
+        post = gpr_posterior(prior, state.inliers, ann.delta_hat, ann.sigma2_eff)
+        return prior, state.P, post
 
     def test_matches_direct_formulas(self):
         rng = np.random.default_rng(13)
@@ -140,9 +141,9 @@ class TestCoupledUpdateEquivalence:
             sigma2 = rng.uniform(0.1, 1.0, size=n)
             post_var = rng.uniform(0.0, 0.3, size=n)
             omega = float(rng.uniform(0.0, 0.5))
-            gram, p, post = self._one_iteration(ref, target, sigma2, post_var, omega)
+            prior, p, post = self._one_iteration(ref, target, sigma2, post_var, omega)
             mu_o, var_o = direct_deformation_update(
-                gram.g, 2, p, target.points, ref.points, sigma2
+                dense_gram(prior), 2, p, target.points, ref.points, sigma2
             )
             np.testing.assert_allclose(post.mu, mu_o, rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(post.var_diag, var_o, rtol=1e-8, atol=1e-12)

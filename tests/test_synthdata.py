@@ -195,3 +195,16 @@ class TestGenerate:
 
 def _first_subseed(seed):
     return int(np.random.default_rng(seed).integers(0, 2**63 - 1, size=5)[0])
+
+
+@pytest.mark.parametrize("field", [
+    "warp_amplitude", "missing_width", "outlier_ratio", "noise_std", "rotation_max",
+    "warp_bandwidth",
+])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_spec_out_of_range_names_its_field(field, bad):
+    # NaN fails every comparison, so it must fail the check instead of
+    # passing it; warp_bandwidth is checked only when warping
+    settings = {"warp_amplitude": 0.03, field: bad}
+    with pytest.raises(ValueError, match=field):
+        PerturbationSpec(**settings)
