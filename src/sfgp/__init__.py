@@ -14,7 +14,6 @@ from .core import (
     RegistrationResult,
     SFGPError,
     default_sigma2_init,
-    validate_config,
 )
 from .kernels import (
     GPPrior,

@@ -24,7 +24,6 @@ from .core import (
     PointSet,
     RegistrationConfig,
     SFGPError,
-    validate_config,
 )
 from .kernels import (
     KernelSpec,
@@ -119,7 +118,7 @@ def registration_config_from(payload: dict) -> RegistrationConfig:
         kind = ("an integer" if key == "max_iters" else
                 "a number or null" if key in ("sigma2_init", "jitter") else "a number")
         _config_value(payload, key, kind)
-    return validate_config(RegistrationConfig(**payload))
+    return RegistrationConfig(**payload)
 
 
 def grid_points(grid: dict) -> list:

@@ -113,30 +113,28 @@ class RegistrationConfig:
     variance_mode: str = "per_point"
     correspondence_mode: str = "multi_annotator"
 
-
-def validate_config(cfg: RegistrationConfig) -> RegistrationConfig:
-    """Return cfg unchanged if every field is in range, else raise ConfigError."""
-    if not 0.0 <= cfg.omega < 1.0:
-        raise ConfigError("omega must be < 1 and >= 0")
-    if not 0.0 <= cfg.p_min < 1.0:
-        raise ConfigError("p_min must be in [0, 1)")
-    # chained comparisons are False for NaN, so these also reject it
-    if cfg.sigma2_init is not None and not 0.0 < cfg.sigma2_init < np.inf:
-        raise ConfigError("sigma2_init must be positive and finite")
-    # bool is an int, but True is no iteration count
-    if isinstance(cfg.max_iters, bool) or not isinstance(cfg.max_iters, (int, np.integer)):
-        raise ConfigError(f"max_iters must be an integer, got {cfg.max_iters!r}")
-    if cfg.max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
-    if not 0.0 <= cfg.rel_tol < np.inf:
-        raise ConfigError("rel_tol must be finite and >= 0")
-    if cfg.jitter is not None and not 0.0 <= cfg.jitter < np.inf:
-        raise ConfigError("jitter must be finite and >= 0")
-    if cfg.variance_mode not in VARIANCE_MODES:
-        raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
-    if cfg.correspondence_mode not in CORRESPONDENCE_MODES:
-        raise ConfigError(f"correspondence_mode must be one of {CORRESPONDENCE_MODES}")
-    return cfg
+    def __post_init__(self):
+        """Raise ConfigError, naming the field, unless every field is in range."""
+        if not 0.0 <= self.omega < 1.0:
+            raise ConfigError("omega must be < 1 and >= 0")
+        if not 0.0 <= self.p_min < 1.0:
+            raise ConfigError("p_min must be in [0, 1)")
+        # chained comparisons are False for NaN, so these also reject it
+        if self.sigma2_init is not None and not 0.0 < self.sigma2_init < np.inf:
+            raise ConfigError("sigma2_init must be positive and finite")
+        # bool is an int, but True is no iteration count
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ConfigError(f"max_iters must be an integer, got {self.max_iters!r}")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
+        if not 0.0 <= self.rel_tol < np.inf:
+            raise ConfigError("rel_tol must be finite and >= 0")
+        if self.jitter is not None and not 0.0 <= self.jitter < np.inf:
+            raise ConfigError("jitter must be finite and >= 0")
+        if self.variance_mode not in VARIANCE_MODES:
+            raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
+        if self.correspondence_mode not in CORRESPONDENCE_MODES:
+            raise ConfigError(f"correspondence_mode must be one of {CORRESPONDENCE_MODES}")
 
 
 def gemm(
@@ -353,7 +351,6 @@ __all__ = [
     "DegenerateInstanceError",
     "PointSet",
     "RegistrationConfig",
-    "validate_config",
     "sq_dists",
     "default_sigma2_init",
     "CorrespondenceState",

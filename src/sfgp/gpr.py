@@ -69,7 +69,8 @@ def gpr_posterior(
     var_diag with block covariance var_diag[i] * I_d; with a low-rank term,
     a prior on the weights of its basis U, var_diag[i] is the block trace
     divided by d.  var_diag is clamped at 0 against rounding.  Solves add
-    prior.jitter, the value the Gram was checked with.
+    prior.jitter to the noise.  Raises NumericalError when A is not
+    positive definite in floating point.
     """
     inliers = np.asarray(inliers, dtype=int)
     delta_hat = np.atleast_2d(np.asarray(delta_hat, dtype=float))

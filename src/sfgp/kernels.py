@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import eigvalsh as _eigvalsh
-from scipy.linalg import LinAlgError
 
 from .core import (
     AnchorMismatchError,
@@ -114,8 +111,7 @@ class GPPrior:
     folded into a2, of a2 exp(-|x - y|^2 / (2 l^2)); its value at distance 0,
     k0, is the sum of the a2.  lowrank_u / lowrank_lam hold the data-driven
     summands' basis and eigenvalues (None on the isotropic path).  jitter is
-    the stabilization the Gram was checked with; solves add the same value
-    to the observed block.
+    the stabilization the posterior's solves add to the observed block.
 
     Per SE part, the exponent -|x_i - y_j|^2 / (2 l^2) of a kernel block is
     (h_i + h_j) + x_i . y_j / l^2, with h = -|x|^2 / (2 l^2) taken once per
@@ -214,21 +210,18 @@ def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
         raise TypeError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def gp_prior(
-    spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None, *,
-    work: Optional[np.ndarray] = None,
-) -> GPPrior:
-    """The prior of `spec` over `ref`, checked positive definite.
+def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) -> GPPrior:
+    """The prior of `spec` over `ref`: its SE parts, low-rank terms and jitter.
 
     jitter=None applies the default stabilization, 1e-8 times the mean of
     the full kernel diagonal.  Raises NumericalError when k0 or the jitter is
-    not finite (amplitudes whose product or trace overflows) or the Gram plus
-    jitter*I fails its Cholesky check, and AnchorMismatchError when a PCA
-    summand is evaluated away from its anchor.  The check fills the upper
-    triangle of the Gram, one row block at a time, into `work`, a flat float
-    buffer of at least N_R^2 entries (a new one when None), and factors it in
-    place; when that fails, it refills it for its eigenvalues.  Its contents
-    are overwritten, and no Gram is kept.
+    not finite (amplitudes whose product or trace overflows), and
+    AnchorMismatchError when a PCA summand is evaluated away from its anchor.
+    No Gram is filled or factored here: every kernel spec is positive
+    semi-definite by construction, and the posterior factors each observed
+    block plus a positive noise diagonal: a block that fails to factor
+    raises the posterior's NumericalError, which `register` reports with
+    its iteration.
     """
     scalar_parts: list = []
     lowrank_parts: list = []
@@ -264,27 +257,10 @@ def gp_prior(
                 trace += float(np.sum(u**2 * lam))
         jitter = 1e-8 * trace / (n * d)
     # each SE part is largest at distance 0, so a finite k0 proves every
-    # kernel block finite: neither the check nor the posterior scans one
+    # kernel block finite: the posterior scans none
     if not (np.isfinite(k0) and finite_lam and np.isfinite(jitter)):
         raise NumericalError(f"gram matrix is not finite (jitter={jitter:g})")
-
-    prior = GPPrior(ref.points, tuple(scalar_parts), jitter, lowrank_u=u, lowrank_lam=lam)
-    idx = np.arange(n)
-    work = np.empty(n * n) if work is None else work  # the refill reuses it
-    check = prior.upper_gram(idx, jitter, work=work)
-    try:
-        # check.T is the Fortran-ordered view whose lower triangle was filled
-        _cholesky(check.T, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        # the failed factorization overwrote part of check: refill it and
-        # take its spectrum in place, like the factorization
-        check = prior.upper_gram(idx, jitter, work=work)
-        smallest = float(np.min(_eigvalsh(check.T, overwrite_a=True, check_finite=False)))
-        raise NumericalError(
-            f"gram matrix not positive definite after jitter={jitter:g} "
-            f"(smallest pivot {smallest:.3e})"
-        )
-    return prior
+    return GPPrior(ref.points, tuple(scalar_parts), jitter, lowrank_u=u, lowrank_lam=lam)
 
 
 def build_pca_kernel(

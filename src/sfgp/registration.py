@@ -17,13 +17,16 @@ iteration, with sigma2 taken after its update.  It does not stop on the
 mixture log-likelihood, which per-point variances keep raising.
 
 A run holds one full-size array: a workspace of N_R * max(N_R, N_S)
-doubles.  It holds in turn the upper triangle of the Gram that the prior's
-positive-definiteness check factors, each iteration's P (N_R x N_S) and each
-iteration's observed block of the posterior (C x C).  The Gram itself is
-never stored: the posterior evaluates the kernel one row block at a time
-where it needs it (see kernels.GPPrior).  P is used up before the posterior
-starts: the fusion also takes the row moments of P the variance update
-reads.
+doubles.  It holds in turn each iteration's P (N_R x N_S) and each
+iteration's observed block of the posterior (C x C, C <= N_R).  The Gram is
+never stored or factored whole: the posterior evaluates the kernel one row
+block at a time where it needs it (see kernels.GPPrior).  P is used up
+before the posterior starts: the fusion also takes the row moments of P the
+variance update reads.
+
+The Cholesky factorization of each observed block plus its noise diagonal
+is the run's one positive-definiteness check: a problem it fails on raises
+NumericalError naming the iteration.
 
 The workspace is an anonymous memory map, so it is unmapped, and its pages
 returned, when the returned state's P, a view of it, is dropped.  An array
@@ -63,7 +66,6 @@ from .core import (
     RegistrationResult,
     buffer_view,
     default_sigma2_init,
-    validate_config,
 )
 from .correspondence import (
     ResponsibilityInputs,
@@ -158,15 +160,14 @@ def register(
     labels and posterior mean are all zero, is no failure but a fixed point,
     which the stop rule ends as "converged" in the second iteration.
     """
-    validate_config(cfg)
     if reference.dim != target.dim:
         raise ValueError("reference and target dimensions differ")
 
-    # the Gram check, each P and each observed block share the workspace
+    # each P and each observed block share the workspace
     size = reference.n * max(reference.n, target.n)
     work = np.frombuffer(mmap.mmap(-1, size * np.dtype(float).itemsize), dtype=float)
     p_buf = buffer_view(work, (reference.n, target.n))
-    prior = gp_prior(kernel, reference, cfg.jitter, work=work)
+    prior = gp_prior(kernel, reference, cfg.jitter)
     sigma2_init = (
         cfg.sigma2_init if cfg.sigma2_init is not None else default_sigma2_init(reference)
     )

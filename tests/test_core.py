@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from sfgp.core import (
     PointSet,
     RegistrationConfig,
     default_sigma2_init,
-    validate_config,
 )
 from sfgp import io as sio
 from sfgp.synthdata import fish_reference
@@ -18,8 +19,7 @@ from helpers import fibonacci_sphere, kdtree_sigma2_init
 
 
 def test_config_accepts_reference_settings():
-    cfg = RegistrationConfig(omega=0.1, p_min=0.01, sigma2_init=1.0, max_iters=100)
-    assert validate_config(cfg) is cfg
+    RegistrationConfig(omega=0.1, p_min=0.01, sigma2_init=1.0, max_iters=100)
 
 
 @pytest.mark.parametrize(
@@ -45,17 +45,21 @@ def test_config_accepts_reference_settings():
 )
 def test_config_rejections_name_the_field(kwargs, needle):
     with pytest.raises(ConfigError, match=needle):
-        validate_config(RegistrationConfig(**kwargs))
+        RegistrationConfig(**kwargs)
 
 
 def test_config_accepts_a_numpy_integer_max_iters():
-    cfg = RegistrationConfig(max_iters=np.int64(3))
-    assert validate_config(cfg) is cfg
+    assert RegistrationConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+def test_replaced_config_is_checked_again():
+    with pytest.raises(ConfigError, match="max_iters"):
+        replace(RegistrationConfig(), max_iters=0)
 
 
 def test_omega_one_message():
     with pytest.raises(ConfigError, match="omega must be < 1"):
-        validate_config(RegistrationConfig(omega=1.0))
+        RegistrationConfig(omega=1.0)
 
 
 def test_pointset_requires_valid_dim_and_finite():

@@ -21,7 +21,6 @@ import pytest
 
 from sfgp import core, correspondence, registration
 from sfgp.core import (
-    NumericalError,
     PosteriorDeformation,
     RegistrationConfig,
     default_sigma2_init,
@@ -151,39 +150,20 @@ def test_lowrank_posterior_peak_adds_only_rank_sized_arrays(dense, small_blocks)
 
 
 @pytest.mark.parametrize("lowrank", [False, True])
-def test_gp_prior_peak_is_check_copy_and_one_block(dense, small_blocks, lowrank):
-    # the triangle its SPD check factors in place, one row block of kernel
-    # values and a few vectors, no Gram: the check scans no block for
-    # finiteness (a boolean mask of 1/8 of a double per entry).  Given a
-    # workspace, the triangle is filled into it.
+def test_gp_prior_peak_is_a_few_vectors(dense, lowrank):
+    # no kernel block is evaluated: the prior keeps the points over each
+    # lengthscale and two (N_R, 2) columns per SE part, and the default
+    # jitter's trace takes two (N_R * d, m) products with PCA
     spec = SquaredExponential(0.01, 0.2)
     if lowrank:
         spec = SumKernel(spec, dense["pca"])
-    bound = BLOCK * N_R + 16 * N_R + (2 * N_R * D * RANK if lowrank else 0)
-    assert peak_doubles(gp_prior, spec, dense["ref"]) <= N_R * N_R + bound
-    work = np.empty(N_R * N_S)
-    assert peak_doubles(lambda: gp_prior(spec, dense["ref"], work=work)) <= bound
-
-
-def test_failed_gram_check_reuses_its_copy(dense, small_blocks):
-    # the eigenvalues of a failed check are taken in its own buffer, refilled:
-    # that triangle, one row block of kernel values or LAPACK's O(N_R)
-    # workspace, and no finiteness mask
-    half = dense["ref"].points[: N_R // 2]
-    degenerate = pointset(np.vstack([half, half]))
-    tracemalloc.start()
-    try:
-        with pytest.raises(NumericalError, match="pivot"):
-            gp_prior(SquaredExponential(0.01, 0.2), degenerate, 0.0)
-        peak = tracemalloc.get_traced_memory()[1] / DOUBLE
-    finally:
-        tracemalloc.stop()
-    assert peak <= N_R * N_R + BLOCK * N_R + 48 * N_R
+    bound = 16 * N_R + (2 * N_R * D * RANK if lowrank else 0)
+    assert peak_doubles(gp_prior, spec, dense["ref"]) <= bound
 
 
 @pytest.mark.parametrize("block", [64, 128])
 def test_register_holds_one_workspace(dense, monkeypatch, block):
-    # the Gram check, each P and each observed block share one workspace of
+    # each P and each observed block share one workspace of
     # N_R * max(N_R, N_S) doubles, an anonymous map that tracemalloc does not
     # see; no Gram is stored, and every other full-size product is worked in
     # row blocks, one block at a time
@@ -407,33 +387,6 @@ def test_gpr_posterior_bits_do_not_depend_on_its_workspace(dense, kernel):
     assert snapshot(shared.mu, shared.var_diag) == snapshot(plain.mu, plain.var_diag)
 
 
-@pytest.mark.parametrize("lowrank", [False, True])
-def test_gp_prior_bits_do_not_depend_on_its_workspace(dense, lowrank):
-    # two scalar summands: the second is evaluated in a buffer of its own
-    spec = SumKernel(SquaredExponential(0.01, 0.2), SquaredExponential(0.003, 0.5))
-    if lowrank:
-        spec = SumKernel(spec, dense["pca"])
-    plain = gp_prior(spec, dense["ref"])
-    shared = gp_prior(spec, dense["ref"], work=np.full(N_R * N_S, np.nan))
-    rows, cols = slice(0, N_R), dense["inliers"]
-    assert shared.block(rows, cols).tobytes() == plain.block(rows, cols).tobytes()
-    assert shared.jitter == plain.jitter and shared.se_parts == plain.se_parts
-    if lowrank:
-        assert snapshot(shared.lowrank_u, shared.lowrank_lam) == snapshot(
-            plain.lowrank_u, plain.lowrank_lam)
-
-
-def test_failed_gram_check_reports_the_same_pivot_in_a_workspace(dense):
-    half = dense["ref"].points[: N_R // 2]
-    degenerate = pointset(np.vstack([half, half]))
-    messages = []
-    for work in (None, np.full(N_R * N_S, np.nan)):
-        with pytest.raises(NumericalError, match="pivot") as exc:
-            gp_prior(SquaredExponential(0.01, 0.2), degenerate, 0.0, work=work)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-
-
 def record_e_steps(monkeypatch, variant):
     """Replace the E-step `register` calls for `variant` by one that records
     its positional inputs; returns (the original, the list of inputs)."""
@@ -495,7 +448,7 @@ def test_buffer_parameters_are_keyword_only():
     # passed positionally there would be read as that mode
     for fn, name in [(sq_dists, "out"), (gemm, "out"), (responsibilities, "out"),
                      (get_correspondences, "out"), (closest_point_correspondence, "out"),
-                     (gpr_posterior, "work"), (gp_prior, "work"), (GPPrior.block, "out"),
+                     (gpr_posterior, "work"), (GPPrior.block, "out"),
                      (GPPrior.upper_gram, "work")]:
         kind = inspect.signature(fn).parameters[name].kind
         assert kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__

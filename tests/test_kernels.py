@@ -124,14 +124,6 @@ def test_gram_composition_linearity():
     np.testing.assert_allclose(gram(ScaledKernel(2.5, k1)), 2.5 * gram(k1), rtol=1e-12)
 
 
-def test_gram_non_spd_reports_pivot():
-    # a "sum" of the same kernel twice is fine; force failure with zero
-    # jitter on a deliberately degenerate (duplicated point) reference
-    ref = pointset([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(NumericalError, match="pivot"):
-        gp_prior(SquaredExponential(1.0, 1.0), ref, 0.0)
-
-
 @pytest.mark.parametrize("spec, jitter", [
     (ScaledKernel(1e300, SquaredExponential(1e300, 0.2)), None),  # amplitudes overflow
     (ScaledKernel(1e154, SquaredExponential(1.5e154, 0.2)), None),  # the jitter overflows
@@ -139,8 +131,8 @@ def test_gram_non_spd_reports_pivot():
     (SquaredExponential(1.0, 0.2), float("inf")),
 ])
 def test_non_finite_gram_raises_numerical_error(spec, jitter):
-    # the SPD check skips SciPy's finiteness scan, so it is made here, and an
-    # overflow is reported by the error alone
+    # the posterior's factorization skips SciPy's finiteness scan, so the
+    # check is made here, and an overflow is reported by the error alone
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not finite"):

@@ -7,6 +7,7 @@ from sfgp import registration
 from sfgp.core import (
     AllMissingError,
     NoMassError,
+    NumericalError,
     PosteriorDeformation,
     RegistrationConfig,
 )
@@ -35,6 +36,11 @@ from helpers import (
     random_points,
     row_moments,
 )
+
+
+def with_twins(ref, k):
+    """`ref` with copies of its first k points appended."""
+    return pointset(np.vstack([ref.points, ref.points[:k]]))
 
 
 class TestUpdateSigma2:
@@ -339,6 +345,29 @@ class TestRegister:
         assert len(posteriors) == 1 and res.posterior is posteriors[0]
         assert np.array_equal(res.deformed_reference.points, fish.points + posteriors[0].mu)
         assert len(res.trace) == 1 and res.trace[0].iteration == 1
+
+    def test_duplicated_points_register_at_zero_jitter(self):
+        # the prior's Gram is singular, but the posterior factors only its
+        # observed block plus a positive noise, so the run is no error; the
+        # twins of a point see the same data and end where it ends
+        fish = fish_reference()
+        dup = with_twins(fish, 10)
+        for variant in ("SFGP_Full", "SFGP_bcpdReg"):
+            res = register(dup, fish, self.kernel,
+                           variant_config(variant, RegistrationConfig(jitter=0.0)))
+            assert res.stop_reason == "converged", variant
+            pts = res.deformed_reference.points
+            assert np.array_equal(pts[fish.n:], pts[:10]), variant
+
+    def test_singular_observed_block_names_the_first_iteration(self):
+        # a huge amplitude over a vanishing noise leaves the observed block of
+        # the duplicated reference singular in floating point: the posterior's
+        # factorization, the one positive-definiteness check, reports it
+        fish = fish_reference()
+        dup = with_twins(fish, 10)
+        cfg = RegistrationConfig(jitter=0.0, sigma2_init=1e-12, p_min=0.05)
+        with pytest.raises(NumericalError, match="iteration 1"):
+            register(dup, fish, SquaredExponential(1e8, 0.2), cfg)
 
     def test_dim_mismatch_rejected(self):
         ref = pointset([[0.0, 0.0], [1.0, 1.0]])
