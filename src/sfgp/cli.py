@@ -24,6 +24,7 @@ from .core import (
     PointSet,
     RegistrationConfig,
     SFGPError,
+    is_number,
 )
 from .kernels import (
     KernelSpec,
@@ -46,6 +47,13 @@ from .synthdata import (
 logger = logging.getLogger(__name__)
 
 GRID_AXES = ("missing_width", "noise_std", "outlier_ratio", "deformation_level")
+GRID_SETTINGS = ("warp_bandwidth", "warp_controls", "rotation_max", "missing_center")
+
+CONFIG_KEYS = ("schema_version", "reference", "kernel", "registration", "grid", "variants",
+               "instances", "master_seed")
+# the keys of each kernel block besides "type", by its type
+KERNEL_KEYS = {"squared_exponential": ("amplitude2", "lengthscale"), "sum": ("parts",),
+               "scaled": ("factor", "inner"), "pca_file": ("path",)}
 
 SWEEP_FIELDS = (
     "variant",
@@ -64,10 +72,6 @@ SWEEP_FIELDS = (
 
 SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
 
-# the exact types each kind of config value admits: a JSON true is no number
-CONFIG_KINDS = {"an integer": (int,), "a number": (int, float),
-                "a number or null": (int, float, type(None))}
-
 # read by the BLAS libraries once, when they load
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -78,68 +82,60 @@ def load_reference(name_or_path) -> PointSet:
     return sio.read_pointset_csv(name_or_path)
 
 
-def _config_value(block: dict, key: str, kind: str = "a number"):
-    """block[key], whose exact type must be one CONFIG_KINDS[kind] admits;
-    the error names the key."""
-    value = block[key]
-    if type(value) not in CONFIG_KINDS[kind]:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+def _block(value, name: str, allowed=None) -> dict:
+    """`value`, the config block `name`: a JSON object with no key outside
+    `allowed` (any key if None), whose values the dataclass it builds checks."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = [] if allowed is None else sorted(set(value) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
     return value
 
 
+def _read_config(path) -> dict:
+    return _block(sio.read_json(path), "config", CONFIG_KEYS)
+
+
 def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
-    kind = payload.get("type")
+    kind = _block(payload, "kernel").get("type")
+    if kind not in KERNEL_KEYS:
+        raise ConfigError(f"unknown kernel type {kind!r}")
+    _block(payload, f"{kind} kernel", ("type", *KERNEL_KEYS[kind]))
     if kind == "squared_exponential":
-        return SquaredExponential(amplitude2=float(_config_value(payload, "amplitude2")),
-                                  lengthscale=float(_config_value(payload, "lengthscale")))
+        return SquaredExponential(payload["amplitude2"], payload["lengthscale"])
     if kind == "sum":
+        if not isinstance(payload["parts"], list):
+            raise ConfigError(f"parts must be a JSON list, got {payload['parts']!r}")
         return SumKernel(*[kernel_from_config(p, anchor) for p in payload["parts"]])
     if kind == "scaled":
-        return ScaledKernel(factor=float(_config_value(payload, "factor")),
-                            inner=kernel_from_config(payload["inner"], anchor))
-    if kind == "pca_file":
-        if anchor is None:
-            raise ValueError("pca_file kernel needs the reference as anchor")
-        return load_pca_kernel(payload["path"], anchor)
-    raise ValueError(f"unknown kernel type {kind!r}")
+        return ScaledKernel(payload["factor"], kernel_from_config(payload["inner"], anchor))
+    if anchor is None:
+        raise ValueError("pca_file kernel needs the reference as anchor")
+    return load_pca_kernel(payload["path"], anchor)
 
 
 def registration_config_from(payload: dict) -> RegistrationConfig:
+    _block(payload, "registration", [f.name for f in fields(RegistrationConfig)])
     # the engine variant alone sets the modes; see registration.VARIANTS
     by_variant = sorted(set(payload) & {"variance_mode", "correspondence_mode"})
     if by_variant:
-        raise ConfigError(
-            f"registration keys set by --variant, not the config: {', '.join(by_variant)}"
-        )
-    unknown = sorted(set(payload) - {f.name for f in fields(RegistrationConfig)})
-    if unknown:
-        raise ConfigError(f"unknown registration keys: {', '.join(unknown)}")
-    for key in payload:
-        kind = ("an integer" if key == "max_iters" else
-                "a number or null" if key in ("sigma2_init", "jitter") else "a number")
-        _config_value(payload, key, kind)
+        raise ConfigError(f"registration keys set by --variant, not the config: "
+                          f"{', '.join(by_variant)}")
     return RegistrationConfig(**payload)
 
 
 def grid_points(grid: dict) -> list:
     """One dict of GRID_AXES values per point of `grid`, which may also set
-    warp_bandwidth, warp_controls, rotation_max and missing_center (see
-    _instances); another key or a value of the wrong kind is a ConfigError."""
-    for name in sorted(grid):
-        if name in ("warp_bandwidth", "warp_controls", "rotation_max"):
-            _config_at_least(grid, name, 0, "an integer" if name == "warp_controls" else "a number")
-        elif name not in GRID_AXES and name != "missing_center":
-            raise ConfigError(f"unknown grid key {name!r}")
+    GRID_SETTINGS; another key, or an axis that is an empty list, is a ConfigError."""
+    _block(grid, "grid", GRID_AXES + GRID_SETTINGS)
     axes = []
     for name in GRID_AXES:
-        values = grid.get(name, [0.0 if name != "deformation_level" else 0])
-        if not isinstance(values, (list, tuple)):
-            values = [values]
-        axes.append(list(values))
-    points = [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes)]
-    for point, name in itertools.product(points, GRID_AXES):
-        _config_at_least(point, name, 0, "a number")
-    return points
+        values = grid.get(name, [0])
+        axes.append(list(values) if isinstance(values, (list, tuple)) else [values])
+        if not axes[-1]:
+            raise ConfigError(f"{name} is an empty list, so the grid has no point")
+    return [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes)]
 
 
 def level_tag(point: dict) -> str:
@@ -155,45 +151,33 @@ def derive_seed(master_seed: int, level_idx: int, instance_idx: int) -> int:
 
 
 def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
+    """The PerturbationSpec, which checks every value, of one grid point."""
+    level = point["deformation_level"]
+    if not (is_number(level) and 0.0 <= level < np.inf):  # also False for NaN
+        raise ConfigError(f"deformation_level must be a finite number >= 0, got {level!r}")
     return PerturbationSpec(
-        warp_amplitude=DEFORMATION_AMPLITUDE_PER_LEVEL * float(point["deformation_level"]),
-        warp_bandwidth=float(grid.get("warp_bandwidth", PerturbationSpec.warp_bandwidth)),
-        warp_controls=int(grid.get("warp_controls", PerturbationSpec.warp_controls)),
-        missing_width=float(point["missing_width"]),
-        missing_center=grid.get("missing_center", PerturbationSpec.missing_center),
-        outlier_ratio=float(point["outlier_ratio"]),
-        noise_std=float(point["noise_std"]),
-        rotation_max=float(grid.get("rotation_max", PerturbationSpec.rotation_max)),
-        seed=seed,
-    )
+        warp_amplitude=DEFORMATION_AMPLITUDE_PER_LEVEL * level, noise_std=point["noise_std"],
+        missing_width=point["missing_width"], outlier_ratio=point["outlier_ratio"], seed=seed,
+        **{name: grid[name] for name in GRID_SETTINGS if name in grid})
 
 
-def _config_at_least(block: dict, key: str, minimum, kind: str = "an integer"):
-    """block[key], which must be of `kind` (see CONFIG_KINDS), finite and >= minimum."""
-    value = _config_value(block, key, kind)
-    if not minimum <= value < np.inf:  # also False for NaN
-        raise ConfigError(f"{key} must be >= {minimum} and finite, got {value!r}")
-    return value
-
-
-def _instances(config: dict, reference: PointSet):
-    """Yield (tag, index, seed, spec) for every instance of a generate or
-    sweep config: `instances` draws at each point of the grid.  The config is
-    checked against the reference before the first instance is yielded, so
-    config["instances"] and config["master_seed"] are exact ints once the
-    first one is."""
+def _instances(config: dict, reference: PointSet) -> list:
+    """(tag, index, seed, spec) for each of `instances` draws at each point of
+    the grid; every spec, and so every value it checks, is built before any is used."""
+    for key, minimum in (("instances", 1), ("master_seed", 0)):  # SeedSequence needs >= 0
+        if not (is_number(config[key], integer=True) and config[key] >= minimum):
+            raise ConfigError(f"{key} must be >= {minimum} and an integer, got {config[key]!r}")
     grid = config.get("grid", {})
-    count = _config_at_least(config, "instances", 1)
-    master_seed = _config_at_least(config, "master_seed", 0)  # as SeedSequence needs
-    center = grid.get("missing_center", PerturbationSpec.missing_center)
-    if center != "random" and not (type(center) is int and 0 <= center < reference.n):
-        raise ConfigError(f'missing_center must be "random" or an index below '
-                          f"{reference.n}, got {center!r}")
+    instances = []
     for level_idx, point in enumerate(grid_points(grid)):
-        tag = level_tag(point)
-        for k in range(count):
-            seed = derive_seed(master_seed, level_idx, k)
-            yield tag, k, seed, spec_for(point, grid, seed)
+        for k in range(config["instances"]):
+            seed = derive_seed(config["master_seed"], level_idx, k)
+            spec = spec_for(point, grid, seed)  # first: it checks what level_tag formats
+            instances.append((level_tag(point), k, seed, spec))
+    center = grid.get("missing_center", "random")  # of a kind every spec has checked
+    if center != "random" and center >= reference.n:
+        raise ConfigError(f"missing_center must be an index below {reference.n}, got {center!r}")
+    return instances
 
 
 def _setup(config: dict):
@@ -204,7 +188,7 @@ def _setup(config: dict):
 
 
 def cmd_generate(args) -> int:
-    config = sio.read_json(args.config)
+    config = _read_config(args.config)
     reference = load_reference(config["reference"])
     out = Path(args.out)
     entries = []
@@ -254,7 +238,7 @@ def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: s
 
 
 def cmd_register(args) -> int:
-    config = sio.read_json(args.config)
+    config = _read_config(args.config)
     reference, kernel, base = _setup(config)
     cfg = variant_config(args.variant, base)
     out = Path(args.out)
@@ -335,9 +319,12 @@ def _one_blas_thread_per_worker():
 
 
 def cmd_sweep(args) -> int:
-    config = sio.read_json(args.config)
+    config = _read_config(args.config)
     reference, kernel, base = _setup(config)
-    cfgs = [(name, variant_config(name, base)) for name in config.get("variants", ["SFGP_Full"])]
+    variants = config.get("variants", ["SFGP_Full"])
+    if not (isinstance(variants, list) and variants):
+        raise ConfigError(f"variants must be a nonempty list, got {variants!r}")
+    cfgs = [(name, variant_config(name, base)) for name in variants]
     tasks = [
         (variant, tag, reference, kernel, cfg, spec)
         for tag, _, _, spec in _instances(config, reference)

@@ -85,6 +85,13 @@ class PointSet:
         return self.points.shape[1]
 
 
+def is_number(value, integer: bool = False) -> bool:
+    """Whether `value` is an int, or unless `integer` also a float, NumPy's
+    included; Python counts a bool as an int, but True is no number here."""
+    kind = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 VARIANCE_MODES = ("per_point", "scalar")
 CORRESPONDENCE_MODES = ("multi_annotator", "closest_point")
 
@@ -115,22 +122,20 @@ class RegistrationConfig:
 
     def __post_init__(self):
         """Raise ConfigError, naming the field, unless every field is in range."""
-        if not 0.0 <= self.omega < 1.0:
-            raise ConfigError("omega must be < 1 and >= 0")
-        if not 0.0 <= self.p_min < 1.0:
-            raise ConfigError("p_min must be in [0, 1)")
         # chained comparisons are False for NaN, so these also reject it
-        if self.sigma2_init is not None and not 0.0 < self.sigma2_init < np.inf:
-            raise ConfigError("sigma2_init must be positive and finite")
-        # bool is an int, but True is no iteration count
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise ConfigError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if not 0.0 <= self.rel_tol < np.inf:
-            raise ConfigError("rel_tol must be finite and >= 0")
-        if self.jitter is not None and not 0.0 <= self.jitter < np.inf:
-            raise ConfigError("jitter must be finite and >= 0")
+        if not (is_number(self.omega) and 0.0 <= self.omega < 1.0):
+            raise ConfigError(f"omega must be < 1 and >= 0, got {self.omega!r}")
+        if not (is_number(self.p_min) and 0.0 <= self.p_min < 1.0):
+            raise ConfigError(f"p_min must be in [0, 1), got {self.p_min!r}")
+        if self.sigma2_init is not None and not (
+                is_number(self.sigma2_init) and 0.0 < self.sigma2_init < np.inf):
+            raise ConfigError(f"sigma2_init must be positive and finite, got {self.sigma2_init!r}")
+        if not (is_number(self.max_iters, integer=True) and self.max_iters >= 1):
+            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not (is_number(self.rel_tol) and 0.0 <= self.rel_tol < np.inf):
+            raise ConfigError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        if self.jitter is not None and not (is_number(self.jitter) and 0.0 <= self.jitter < np.inf):
+            raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter!r}")
         if self.variance_mode not in VARIANCE_MODES:
             raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
         if self.correspondence_mode not in CORRESPONDENCE_MODES:

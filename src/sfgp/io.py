@@ -67,7 +67,7 @@ def write_json(path, payload: dict) -> None:
 def read_json(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
-    version = payload.get("schema_version")
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} in {path}")
     return payload

@@ -28,6 +28,7 @@ from .core import (
     RankTooLargeError,
     buffer_view,
     gemm,
+    is_number,
     row_blocks,
 )
 
@@ -44,10 +45,11 @@ class SquaredExponential(KernelSpec):
     lengthscale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.amplitude2 < np.inf:
-            raise ValueError("amplitude2 must be positive and finite")
-        if not 0.0 < self.lengthscale < np.inf:
-            raise ValueError("lengthscale must be positive and finite")
+        for name in ("amplitude2", "lengthscale"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 < value < np.inf):  # also False for NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ class ScaledKernel(KernelSpec):
     inner: KernelSpec
 
     def __post_init__(self):
-        if not 0.0 < self.factor < np.inf:
-            raise ValueError("scale factor must be positive and finite")
+        if not (is_number(self.factor) and 0.0 < self.factor < np.inf):
+            raise ValueError(f"factor must be positive and finite, got {self.factor!r}")
+        object.__setattr__(self, "factor", float(self.factor))
 
 
 @dataclass(frozen=True, eq=False)

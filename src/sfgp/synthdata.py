@@ -14,7 +14,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import DegenerateInstanceError, PointSet
+from .core import DegenerateInstanceError, PointSet, is_number
 from . import io as sio
 
 # documented benchmark scale for the unit-extent shapes below:
@@ -41,14 +41,19 @@ class PerturbationSpec:
 
     def __post_init__(self):
         # chained comparisons are False for NaN, so these also reject it
-        for name in ("warp_amplitude", "missing_width", "outlier_ratio", "noise_std", "rotation_max"):
+        for name in ("warp_amplitude", "warp_bandwidth", "missing_width", "outlier_ratio",
+                     "noise_std", "rotation_max"):
             value = getattr(self, name)
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.warp_amplitude > 0.0 and not 0.0 < self.warp_bandwidth < np.inf:
-            raise ValueError(
-                f"warp_bandwidth must be finite and > 0 when warping, got {self.warp_bandwidth!r}"
-            )
+            if not (is_number(value) and 0.0 <= value < np.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if self.warp_amplitude > 0.0 and self.warp_bandwidth == 0.0:
+            raise ValueError("warp_bandwidth must be > 0 when warping, got 0.0")
+        if not (is_number(self.warp_controls, integer=True) and self.warp_controls >= 0):
+            raise ValueError(f"warp_controls must be an integer >= 0, got {self.warp_controls!r}")
+        center = self.missing_center
+        if center != "random" and not (is_number(center, integer=True) and center >= 0):
+            raise ValueError(f'missing_center must be "random" or an integer >= 0, got {center!r}')
 
 
 @dataclass(frozen=True)
@@ -181,11 +186,10 @@ def generate(reference: PointSet, spec: PerturbationSpec) -> SyntheticInstance:
     gt = warp_rbf(reference, spec.warp_amplitude, spec.warp_bandwidth, spec.warp_controls, int(sub[0]))
     gt = _rotate(gt, spec.rotation_max, int(sub[1]))
 
-    if spec.missing_center == "random":
-        center_index = int(rng.integers(0, reference.n))
-    else:
-        center_index = int(spec.missing_center)
-    kept, missing_mask = apply_structured_missing(gt, center_index, spec.missing_width)
+    center = spec.missing_center
+    if center == "random":
+        center = int(rng.integers(0, reference.n))
+    kept, missing_mask = apply_structured_missing(gt, center, spec.missing_width)
     with_outliers, outlier_mask = add_outliers(
         kept, spec.outlier_ratio, int(sub[2]), n_reference=reference.n
     )

@@ -305,6 +305,67 @@ def test_kernel_value_of_wrong_type_fails_cleanly(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+SE_KERNEL = {"type": "squared_exponential", "amplitude2": 0.01, "lengthscale": 0.2}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"variant": ["SFGP_bcpdReg"]}, "variant"),
+    ({"kernel": {**SE_KERNEL, "lenghtscale": 5.0}}, "lenghtscale"),
+    ({"kernel": {"type": "scaled", "factor": 2.0, "inner": {**SE_KERNEL, "scale": 2.0}}},
+     "scale"),
+], ids=["top_level", "kernel", "inner_kernel"])
+def test_unknown_config_keys_fail_cleanly(tmp_path, capsys, overrides, key):
+    # a misspelt key would otherwise run at its default without a word
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"kernel": "se"}, "kernel"),
+    ({"kernel": {"type": "sum", "parts": {"a": 1}}}, "parts"),
+    ({"kernel": {"type": "sum", "parts": [SE_KERNEL, 1]}}, "kernel"),
+    ({"registration": [1]}, "registration"),
+    ({"grid": [0.2]}, "grid"),
+], ids=["kernel", "sum_parts", "sum_part", "registration", "grid"])
+def test_block_of_the_wrong_kind_fails_cleanly(tmp_path, capsys, overrides, key):
+    # an error naming the key, not a traceback from the code that reads it
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+def test_config_that_is_no_json_object_fails_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("generate", {"grid": {"missing_width": [], "noise_std": [0.02]}}, "missing_width"),
+    ("sweep", {"grid": {"missing_width": [], "noise_std": [0.02]}}, "missing_width"),
+    ("sweep", {"variants": []}, "variants"),
+], ids=["generate_axis", "sweep_axis", "sweep_variants"])
+def test_empty_list_fails_cleanly(tmp_path, capsys, command, overrides, key):
+    # an empty axis or variant list runs nothing; like instances: 0 it is an
+    # error, not a header-only metrics.csv or a half-written dataset
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
 def test_registration_numbers_and_nulls_are_accepted():
     cfg = cli.registration_config_from(
         {"omega": 0, "p_min": 0.05, "rel_tol": 1, "max_iters": 5, "sigma2_init": None,

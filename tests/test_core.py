@@ -41,6 +41,11 @@ def test_config_accepts_reference_settings():
         (dict(max_iters=float("inf")), "max_iters"),
         (dict(max_iters=float("nan")), "max_iters"),
         (dict(max_iters=True), "max_iters"),
+        (dict(p_min=False), "p_min"),
+        (dict(jitter=False), "jitter"),
+        (dict(omega=None), "omega"),
+        (dict(sigma2_init="1e-3"), "sigma2_init"),
+        (dict(rel_tol=[1e-3]), "rel_tol"),
     ],
 )
 def test_config_rejections_name_the_field(kwargs, needle):

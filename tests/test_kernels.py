@@ -212,6 +212,23 @@ class TestBuildPCAKernel:
             PCAKernel(eigenvalues=np.array(lam), eigenvectors=np.array(vec), anchor=anchor)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: SquaredExponential(amplitude2=True), "amplitude2"),
+    (lambda: SquaredExponential(amplitude2="0.01"), "amplitude2"),
+    (lambda: ScaledKernel("2", SquaredExponential()), "factor"),
+], ids=["true_amplitude", "string_amplitude", "string_factor"])
+def test_spec_value_of_wrong_kind_names_its_field(make, field):
+    # True would run as 1.0; a string would fail inside NumPy, far from its field
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_spec_stores_numbers_as_floats():
+    spec = ScaledKernel(np.int64(2), SquaredExponential(1, 2))
+    assert all(type(v) is float for v in (spec.factor, spec.inner.amplitude2,
+                                          spec.inner.lengthscale))
+
+
 def test_pca_gram_requires_anchor():
     rng = np.random.default_rng(5)
     anchor = pointset(rng.normal(size=(4, 2)))

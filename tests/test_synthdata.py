@@ -204,7 +204,29 @@ def _first_subseed(seed):
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
 def test_spec_out_of_range_names_its_field(field, bad):
     # NaN fails every comparison, so it must fail the check instead of
-    # passing it; warp_bandwidth is checked only when warping
+    # passing it; warp_bandwidth must be > 0 only when warping
     settings = {"warp_amplitude": 0.03, field: bad}
     with pytest.raises(ValueError, match=field):
         PerturbationSpec(**settings)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("warp_controls", 2.5), ("warp_controls", -1), ("warp_controls", True),
+    ("missing_center", 3.7), ("missing_center", -1), ("missing_center", "middle"),
+    ("missing_width", True), ("noise_std", "0.1"), ("rotation_max", [0.1]),
+    ("warp_bandwidth", None), ("warp_bandwidth", 0),
+])
+def test_spec_value_of_wrong_kind_names_its_field(field, bad):
+    # generate would truncate a center of 3.7 to 3 and fail inside NumPy on
+    # 2.5 controls; True would run as 1
+    with pytest.raises(ValueError, match=field):
+        PerturbationSpec(warp_amplitude=0.03, **{field: bad})
+
+
+def test_spec_stores_numbers_as_floats():
+    # so a grid value 0 and 0.0 write the same manifest.json
+    spec = PerturbationSpec(warp_amplitude=np.float32(0.5), warp_bandwidth=1, noise_std=0)
+    fields = ("warp_amplitude", "warp_bandwidth", "missing_width", "outlier_ratio",
+              "noise_std", "rotation_max")
+    assert all(type(getattr(spec, name)) is float for name in fields)
+    assert spec == PerturbationSpec(warp_amplitude=0.5, warp_bandwidth=1.0, noise_std=0.0)
