@@ -77,6 +77,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def load_reference(name_or_path) -> PointSet:
+    # open() would read an int as a file descriptor, 0 being stdin
+    if not isinstance(name_or_path, (str, os.PathLike)):
+        raise ConfigError(f"reference must be a string, got {name_or_path!r}")
     if name_or_path == "fish98":
         return fish_reference()
     return sio.read_pointset_csv(name_or_path)
@@ -112,6 +115,8 @@ def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
         return ScaledKernel(payload["factor"], kernel_from_config(payload["inner"], anchor))
     if anchor is None:
         raise ValueError("pca_file kernel needs the reference as anchor")
+    if not isinstance(payload["path"], str):
+        raise ConfigError(f"path must be a string, got {payload['path']!r}")
     return load_pca_kernel(payload["path"], anchor)
 
 
@@ -318,6 +323,12 @@ def _one_blas_thread_per_worker():
                 os.environ[name] = value
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on; not every platform has sched_getaffinity."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     config = _read_config(args.config)
     reference, kernel, base = _setup(config)
@@ -331,8 +342,9 @@ def cmd_sweep(args) -> int:
         for variant, cfg in cfgs
     ]
     # a spawned worker imports numpy, scipy.linalg and sfgp afresh before its
-    # first task; an idle one would pay for that import and do nothing
-    workers = min(args.threads, len(tasks))
+    # first task; an idle one, or one more than the cores, would pay for that
+    # import and add nothing
+    workers = min(args.threads, len(tasks), _usable_cores())
     if workers > 1:
         # forked workers would inherit the parent's BLAS threads; spawned
         # ones load BLAS afresh and read the thread variables
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker processes, >= 1 (default 1)")
+                   help="worker processes, >= 1 (default 1), at most the usable cores")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="aggregate registration results")

@@ -10,8 +10,8 @@ P is the one (N_R, N_S) array of a correspondence step, written to the
 caller's `out` buffer (a view of the registration workspace) when one is
 given: the kept weights W of the fusion, the row moments of P the variance
 update reads, and the distances of the closest-point baseline are formed one
-row block (core.ROW_BLOCK rows) at a time, each W block in one block buffer
-that also holds its mask.
+row block (core.ROW_BLOCK rows) at a time, each in one block buffer; a W
+block's buffer also holds its mask.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .core import (
     CorrespondenceState,
     PointSet,
     gemm,
+    nearest,
     row_blocks,
     sq_dists,
 )
@@ -190,14 +191,9 @@ def closest_point_correspondence(
     if sigma_n2 <= 0.0:
         raise ValueError("sigma_n2 must be positive")
     n_r = deformed_ref.n
-    # argmin keeps ties at the lowest target index, unlike a kd-tree
-    nearest = np.concatenate([
-        np.argmin(sq_dists(deformed_ref.points[blk], target.points), axis=1)
-        for blk in row_blocks(n_r)
-    ])
     p = np.empty((n_r, target.n)) if out is None else out
     p.fill(0.0)
-    p[np.arange(n_r), nearest] = 1.0
+    p[np.arange(n_r), nearest(deformed_ref.points, target.points)] = 1.0
     return _fuse(p, target, deformed_ref, np.full(n_r, float(sigma_n2)), 0.0)
 
 

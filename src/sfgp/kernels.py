@@ -27,9 +27,9 @@ from .core import (
     PointSet,
     RankTooLargeError,
     buffer_view,
-    gemm,
     is_number,
     row_blocks,
+    sq_dists,
 )
 
 
@@ -115,15 +115,6 @@ class GPPrior:
     k0, is the sum of the a2.  lowrank_u / lowrank_lam hold the data-driven
     summands' basis and eigenvalues (None on the isotropic path).  jitter is
     the stabilization the posterior's solves add to the observed block.
-
-    Per SE part, the exponent -|x_i - y_j|^2 / (2 l^2) of a kernel block is
-    (h_i + h_j) + x_i . y_j / l^2, with h = -|x|^2 / (2 l^2) taken once per
-    prior.  Two dgemm calls form it in the block: the pair sums, as the
-    product of the columns [h, 1] and [1, h], then the dot products added to
-    them (beta = 1).  Both sums are symmetric in i and j; NumPy's buffered
-    broadcast add took five times as long on a 128 x 1962 block.  The
-    exponent is then clamped at 0 (a distance is never negative),
-    exponentiated and scaled by a2 in place.
     """
 
     points: np.ndarray
@@ -131,16 +122,6 @@ class GPPrior:
     jitter: float
     lowrank_u: Optional[np.ndarray] = None
     lowrank_lam: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        # per SE part: a2, the points over l, and the columns [h, 1], [1, h]
-        scaled = []
-        for a2, ell in self.se_parts:
-            x = self.points / ell
-            h = -0.5 * np.sum(x**2, axis=1)
-            one = np.ones_like(h)
-            scaled.append((a2, x, np.column_stack([h, one]), np.column_stack([one, h])))
-        object.__setattr__(self, "_scaled", tuple(scaled))
 
     @property
     def k0(self) -> float:
@@ -157,21 +138,20 @@ class GPPrior:
     def block(self, rows, cols, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         """k(x_rows, x_cols) for index arrays or slices of the reference, in
         `out`, a C-ordered (len(rows), len(cols)) array, or a new one when
-        None.  Each SE part after the first is evaluated in a block of its
-        own and added."""
-        if not self._scaled:  # a PCA-only kernel has a zero scalar part
-            out = buffer_view(out, (len(self.points[rows]), len(self.points[cols])))
+        None.  Each SE part is a2 exp(-0.5 sq_dists(x_rows / l, x_cols / l)),
+        evaluated in place; each part after the first in a block of its own,
+        then added."""
+        x_rows, x_cols = self.points[rows], self.points[cols]
+        if out is None:
+            out = np.empty((len(x_rows), len(x_cols)))
+        if not self.se_parts:  # a PCA-only kernel has a zero scalar part
             out.fill(0.0)
-            return out
-        for i, (a2, x, h_row, h_col) in enumerate(self._scaled):
-            term = gemm(h_row[rows], h_col[cols].T, out=out if i == 0 else None)
-            gemm(x[rows], x[cols].T, out=term, beta=1.0)
-            np.minimum(term, 0.0, out=term)
+        for i, (a2, ell) in enumerate(self.se_parts):
+            term = sq_dists(x_rows / ell, x_cols / ell, out=out if i == 0 else None)
+            term *= -0.5
             np.exp(term, out=term)
             term *= a2
-            if i == 0:
-                out = term
-            else:
+            if i:
                 out += term
         return out
 

@@ -180,6 +180,7 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
               "outlier_ratio": [0.0], "deformation_level": [1]},
         instances=2,
     )
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # a pool even on one core
     serial, parallel = tmp_path / "ser", tmp_path / "par"
     main(["sweep", "--config", str(cfg), "--out", str(serial)])
     main(["sweep", "--config", str(cfg), "--out", str(parallel), "--threads", "2"])
@@ -330,7 +331,8 @@ def test_unknown_config_keys_fail_cleanly(tmp_path, capsys, overrides, key):
     ({"kernel": {"type": "sum", "parts": [SE_KERNEL, 1]}}, "kernel"),
     ({"registration": [1]}, "registration"),
     ({"grid": [0.2]}, "grid"),
-], ids=["kernel", "sum_parts", "sum_part", "registration", "grid"])
+    ({"kernel": {"type": "pca_file", "path": 3}}, "path"),
+], ids=["kernel", "sum_parts", "sum_part", "registration", "grid", "pca_path"])
 def test_block_of_the_wrong_kind_fails_cleanly(tmp_path, capsys, overrides, key):
     # an error naming the key, not a traceback from the code that reads it
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -338,6 +340,18 @@ def test_block_of_the_wrong_kind_fails_cleanly(tmp_path, capsys, overrides, key)
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("reference", [0, 5, None, ["fish98"]])
+def test_reference_that_is_no_string_fails_cleanly(tmp_path, capsys, command, reference):
+    # open() would take an int as a file descriptor: 0 would read stdin
+    cfg = write_config(tmp_path / "cfg.json", reference=reference)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "reference" in err
     assert not out.exists()
 
 
@@ -544,6 +558,7 @@ def test_sweep_pool_is_capped_at_the_task_count(tmp_path, monkeypatch, instances
     # one task per instance here; a single task runs without a pool
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 8)  # not the host's count
     cfg = write_config(
         tmp_path / "cfg.json",
         grid={"missing_width": [0.2], "noise_std": [0.02],
@@ -554,6 +569,30 @@ def test_sweep_pool_is_capped_at_the_task_count(tmp_path, monkeypatch, instances
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
     assert RecordingPool.sizes == sizes
     assert len(sio.read_csv_rows(out / "metrics.csv")) == instances
+
+
+@pytest.mark.parametrize("cores, sizes", [(2, [2]), (1, [])])
+def test_sweep_pool_is_capped_at_the_usable_cores(tmp_path, monkeypatch, cores, sizes):
+    # 64 workers on a 2-core host would each import numpy and scipy for nothing
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"missing_width": [0.2], "noise_std": [0.02],
+              "outlier_ratio": [0.0], "deformation_level": [1]},
+        instances=3,
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", "64"]) == 0
+    assert RecordingPool.sizes == sizes
+    assert len(sio.read_csv_rows(out / "metrics.csv")) == 3
+
+
+def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cores() == 3
 
 
 def test_pca_sum_kernel_agrees_across_sweep_and_files(tmp_path):

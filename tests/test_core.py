@@ -11,6 +11,8 @@ from sfgp.core import (
     PointSet,
     RegistrationConfig,
     default_sigma2_init,
+    nearest,
+    sq_dists,
 )
 from sfgp import io as sio
 from sfgp.synthdata import fish_reference
@@ -105,8 +107,8 @@ def _random_set(n, d, seed=0):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d))
 
 
-def _with_duplicates():
-    pts = _random_set(40, 3, seed=1)
+def _with_duplicates(d=3):
+    pts = _random_set(40, d, seed=1)
     return np.vstack([pts, pts[:7]])
 
 
@@ -116,6 +118,7 @@ NN_SETS = {
     "n2_2d": lambda: _random_set(2, 2),
     "n2_3d": lambda: _random_set(2, 3),
     "duplicates": _with_duplicates,
+    "duplicates_2d": lambda: _with_duplicates(2),
     "fish98": lambda: fish_reference().points,
     "sphere2000": lambda: fibonacci_sphere(2000),
 }
@@ -132,6 +135,44 @@ def test_default_sigma2_init_matches_kdtree_at_block_edges(monkeypatch, n):
     monkeypatch.setattr(core, "ROW_BLOCK", 8)
     pts = _random_set(n, 3, seed=n)
     assert default_sigma2_init(PointSet(points=pts)) == kdtree_sigma2_init(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nearest_skipping_the_diagonal_finds_a_duplicate_twin(d):
+    pts = _with_duplicates(d)
+    idx = nearest(pts, pts, skip_diagonal=True)
+    twins = np.arange(7)
+    assert np.array_equal(idx[twins], twins + 40)
+    assert np.array_equal(idx[twins + 40], twins)
+    assert np.all(np.sum((pts[idx] - pts) ** 2, axis=1)[np.r_[twins, twins + 40]] == 0.0)
+
+
+def direct_sq_dists(a, b):
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("n, m, d", [(57, 31, 2), (40, 90, 3), (1, 25, 2), (25, 1, 3), (1, 1, 3)])
+def test_sq_dists_matches_coordinate_differences(n, m, d):
+    rng = np.random.default_rng(n * m + d)
+    a = rng.normal(size=(n, d)) + 2.0
+    b = rng.normal(size=(m, d))
+    d2 = sq_dists(a, b)
+    assert d2.shape == (n, m) and np.all(d2 >= 0.0)
+    # the norm form cancels up to a few ulps of |a|^2 + |b|^2
+    scale = np.max(np.sum(a**2, axis=1)) + np.max(np.sum(b**2, axis=1))
+    atol = 8 * np.finfo(float).eps * scale
+    np.testing.assert_allclose(d2, direct_sq_dists(a, b), rtol=0.0, atol=atol)
+    out = np.full((n, m), np.nan)
+    assert sq_dists(a, b, out=out) is out
+    assert out.tobytes() == d2.tobytes()
+
+
+def test_sq_dists_of_a_set_with_itself_is_zero_on_the_diagonal_and_never_negative():
+    # unclamped, 35 of these entries would be negative
+    pts = _random_set(300, 3, seed=5) * 1e3
+    d2 = sq_dists(pts, pts)
+    assert np.all(d2 >= 0.0)
+    assert np.all(np.diag(d2) <= 8 * np.finfo(float).eps * 2 * np.sum(pts**2, axis=1))
 
 
 def test_pointset_csv_roundtrip_is_lossless(tmp_path):
