@@ -1,6 +1,13 @@
-"""Probabilistic non-rigid point-set registration with GP shape priors."""
+"""Probabilistic non-rigid point-set registration with GP shape priors.
+
+`register`, `update_sigma2` and `gpr_posterior` are looked up in the engine
+modules on first access, so that importing the package loads NumPy alone:
+the engine loads scipy.linalg.
+"""
+import importlib
 
 from .core import (
+    VARIANTS,
     AllMissingError,
     AnchorMismatchError,
     AnnotatedDeformations,
@@ -14,6 +21,7 @@ from .core import (
     RegistrationResult,
     SFGPError,
     default_sigma2_init,
+    variant_config,
 )
 from .kernels import (
     GPPrior,
@@ -27,14 +35,12 @@ from .kernels import (
     load_pca_kernel,
     save_pca_kernel,
 )
-from .gpr import gpr_posterior
 from .correspondence import (
     ResponsibilityInputs,
     closest_point_correspondence,
     get_correspondences,
     responsibilities,
 )
-from .registration import VARIANTS, register, update_sigma2, variant_config
 from .synthdata import (
     PerturbationSpec,
     SyntheticInstance,
@@ -48,3 +54,12 @@ from .synthdata import (
 from .metrics import mean_sq_distance, missing_detection
 
 __version__ = "0.1.0"
+
+_ENGINE = {"register": "registration", "update_sigma2": "registration",
+           "gpr_posterior": "gpr"}
+
+
+def __getattr__(name):
+    if name in _ENGINE:
+        return getattr(importlib.import_module(f".{_ENGINE[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

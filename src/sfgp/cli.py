@@ -1,5 +1,9 @@
 """Batch command line: dataset generation, registration runs, parameter
-sweeps, and evaluation.  Data goes to files, logs go to stderr."""
+sweeps, and evaluation.  Data goes to files, logs go to stderr.
+
+The engine (`registration`, which loads scipy.linalg) is imported by the code
+that registers, before its clock starts: `generate`, `eval`, `--help`, config
+errors and the parent of a pooled sweep run on NumPy alone."""
 from __future__ import annotations
 
 import argparse
@@ -19,12 +23,14 @@ import numpy as np
 from . import io as sio
 from .core import (
     FAILED_STOPS,
+    VARIANTS,
     ConfigError,
     IterationRecord,
     PointSet,
     RegistrationConfig,
     SFGPError,
     is_number,
+    variant_config,
 )
 from .kernels import (
     KernelSpec,
@@ -34,7 +40,6 @@ from .kernels import (
     load_pca_kernel,
 )
 from .metrics import SUBSETS, detection_scores, flagged_missing, subset_error
-from .registration import VARIANTS, register, variant_config
 from .synthdata import (
     DEFORMATION_AMPLITUDE_PER_LEVEL,
     PerturbationSpec,
@@ -72,7 +77,8 @@ SWEEP_FIELDS = (
 
 SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
 
-# read by the BLAS libraries once, when they load
+# read by each BLAS library once, when it loads: NumPy's with numpy, at a
+# worker's start, and SciPy's with scipy.linalg, at its first task
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -122,7 +128,7 @@ def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
 
 def registration_config_from(payload: dict) -> RegistrationConfig:
     _block(payload, "registration", [f.name for f in fields(RegistrationConfig)])
-    # the engine variant alone sets the modes; see registration.VARIANTS
+    # the engine variant alone sets the modes; see VARIANTS
     by_variant = sorted(set(payload) & {"variance_mode", "correspondence_mode"})
     if by_variant:
         raise ConfigError(f"registration keys set by --variant, not the config: "
@@ -256,10 +262,14 @@ def cmd_register(args) -> int:
              read_instance(Path(args.dataset) / entry["path"]).target)
             for entry in dataset["instances"]
         ]
+    from .registration import register  # after the config checks, before any clock
     for out_dir, target in runs:
         t0 = time.perf_counter()
         result = register(reference, target, kernel, cfg)
         _write_register_outputs(out_dir, result, (time.perf_counter() - t0) * 1e3, args.variant)
+        # the result's P is a view of its run's workspace: dropped, the
+        # next run's workspace takes its place instead of joining it
+        del result
     return 0
 
 
@@ -286,6 +296,8 @@ def _write_metrics(path: Path, rows: list) -> None:
 
 
 def _sweep_task(task: tuple) -> dict:
+    from .registration import register
+
     variant, tag, reference, kernel, cfg, spec = task
     t0 = time.perf_counter()
     try:
@@ -341,9 +353,9 @@ def cmd_sweep(args) -> int:
         for tag, _, _, spec in _instances(config, reference)
         for variant, cfg in cfgs
     ]
-    # a spawned worker imports numpy, scipy.linalg and sfgp afresh before its
-    # first task; an idle one, or one more than the cores, would pay for that
-    # import and add nothing
+    # a spawned worker imports numpy and sfgp afresh, and scipy.linalg at its
+    # first task; an idle one, or one more than the cores, would pay for those
+    # imports and add nothing
     workers = min(args.threads, len(tasks), _usable_cores())
     if workers > 1:
         # forked workers would inherit the parent's BLAS threads; spawned

@@ -11,14 +11,20 @@ OpenBLAS, whose thread pool then contends with SciPy's for the cores.  On a
 of order 1962 took 0.13 s alone, 0.36 s when a (128 x 3)(3 x 1962) NumPy
 matmul preceded each, and 0.21 s when SciPy's dgemm made that product
 (medians of 7 runs).
+
+`gemm` binds SciPy's dgemm on its first call, not at import: loading
+scipy.linalg took 0.33 s of a 0.5 s `import sfgp.cli` on the same host, and
+the commands that register no instance (`generate`, `eval`, the parent of a
+pooled sweep) never need it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dgemm as _dgemm
+
+_dgemm = None  # SciPy's dgemm, bound by the first gemm call
 
 
 class SFGPError(Exception):
@@ -142,6 +148,32 @@ class RegistrationConfig:
             raise ConfigError(f"correspondence_mode must be one of {CORRESPONDENCE_MODES}")
 
 
+# named engine variants exposed on the command line
+VARIANTS = {
+    "SFGP_Full": dict(variance_mode="per_point", correspondence_mode="multi_annotator"),
+    "SFGP_bcpdReg": dict(variance_mode="scalar", correspondence_mode="multi_annotator"),
+    "GPReg_noTresh": dict(
+        variance_mode="per_point", correspondence_mode="multi_annotator", p_min=0.0
+    ),
+    "GPClosestPnt": dict(variance_mode="per_point", correspondence_mode="closest_point"),
+}
+
+
+def variant_config(name: str, base: Optional[RegistrationConfig] = None) -> RegistrationConfig:
+    """`base` with the settings of the named VARIANTS entry applied on top.
+
+    A variant's own settings override `base`: GPReg_noTresh runs at
+    p_min = 0 whatever `base.p_min` says.  Raises ValueError, naming the
+    choices, for an unknown variant.
+    """
+    if name not in VARIANTS:
+        raise ValueError(
+            f"unknown variant {name!r}; choose one of {', '.join(sorted(VARIANTS))}"
+        )
+    base = base if base is not None else RegistrationConfig()
+    return replace(base, **VARIANTS[name])
+
+
 def gemm(
     a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None,
     alpha: float = 1.0, beta: float = 0.0,
@@ -152,6 +184,9 @@ def gemm(
 
     a and b are read in place when C- or Fortran-ordered: in BLAS's
     column-major terms the product is out.T = alpha * b.T @ a.T + beta * out.T."""
+    global _dgemm
+    if _dgemm is None:
+        from scipy.linalg.blas import dgemm as _dgemm
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]))
     if not out.flags.c_contiguous:
@@ -367,6 +402,8 @@ __all__ = [
     "DegenerateInstanceError",
     "PointSet",
     "RegistrationConfig",
+    "VARIANTS",
+    "variant_config",
     "sq_dists",
     "default_sigma2_init",
     "CorrespondenceState",

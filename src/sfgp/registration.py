@@ -50,13 +50,12 @@ from __future__ import annotations
 import logging
 import mmap
 import time
-from dataclasses import replace
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from .core import (
+    VARIANTS,  # re-exported: the variant table lives in core, without the engine
     AllMissingError,
     IterationRecord,
     NoMassError,
@@ -66,6 +65,7 @@ from .core import (
     RegistrationResult,
     buffer_view,
     default_sigma2_init,
+    variant_config,
 )
 from .correspondence import (
     ResponsibilityInputs,
@@ -78,31 +78,6 @@ from .kernels import KernelSpec, gp_prior
 logger = logging.getLogger(__name__)
 
 SIGMA2_FLOOR = 1e-12
-
-# named engine variants exposed on the command line
-VARIANTS = {
-    "SFGP_Full": dict(variance_mode="per_point", correspondence_mode="multi_annotator"),
-    "SFGP_bcpdReg": dict(variance_mode="scalar", correspondence_mode="multi_annotator"),
-    "GPReg_noTresh": dict(
-        variance_mode="per_point", correspondence_mode="multi_annotator", p_min=0.0
-    ),
-    "GPClosestPnt": dict(variance_mode="per_point", correspondence_mode="closest_point"),
-}
-
-
-def variant_config(name: str, base: Optional[RegistrationConfig] = None) -> RegistrationConfig:
-    """`base` with the settings of the named VARIANTS entry applied on top.
-
-    A variant's own settings override `base`: GPReg_noTresh runs at
-    p_min = 0 whatever `base.p_min` says.  Raises ValueError, naming the
-    choices, for an unknown variant.
-    """
-    if name not in VARIANTS:
-        raise ValueError(
-            f"unknown variant {name!r}; choose one of {', '.join(sorted(VARIANTS))}"
-        )
-    base = base if base is not None else RegistrationConfig()
-    return replace(base, **VARIANTS[name])
 
 
 def update_sigma2(

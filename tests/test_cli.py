@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -201,20 +203,95 @@ def test_one_blas_thread_block_sets_and_restores_env(monkeypatch):
     assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
-def test_cli_import_loads_only_numpy_and_scipy_linalg():
-    # every sfgp process and spawned sweep worker pays for what this imports
+def run_probe(probe, *args):
+    """stdout of `probe` run by a fresh interpreter that imports sfgp from src/."""
     src = Path(cli.__file__).resolve().parents[1]
-    probe = (
-        "import sys, sfgp.cli; "
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.special') "
-        "if m in sys.modules))"
-    )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", probe, *map(str, args)], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+@pytest.mark.parametrize("module", ["sfgp", "sfgp.cli"])
+def test_import_loads_no_scipy(module):
+    # every sfgp process pays for what this imports, whether it registers or not
+    assert run_probe(f"import sys, {module}; {LOADED_SCIPY}") == "[]"
+
+
+def test_generate_and_pooled_sweep_parent_load_no_scipy(tmp_path):
+    # the workers register; their parent only deals out the tasks
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"missing_width": [0.2], "noise_std": [0.02],
+              "outlier_ratio": [0.0], "deformation_level": [1]},
+        registration={"p_min": 0.05, "max_iters": 5},
+    )
+    probe = (
+        "import sys; from sfgp import cli; "
+        "cli._usable_cores = lambda: 2; "  # a pool even on one core
+        "cfg, out = sys.argv[1:]; "
+        "assert cli.main(['generate', '--config', cfg, '--out', out + '/data']) == 0; "
+        "assert cli.main(['sweep', '--config', cfg, '--out', out + '/sweep', "
+        "'--threads', '2']) == 0; "
+        f"{LOADED_SCIPY}"
+    )
+    assert run_probe(probe, cfg, tmp_path) == "[]"
+    assert len(sio.read_csv_rows(tmp_path / "sweep" / "metrics.csv")) == 2
+
+
+def test_registration_loads_only_scipy_linalg(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"missing_width": [0.2], "noise_std": [0.02],
+              "outlier_ratio": [0.0], "deformation_level": [1]},
+        registration={"p_min": 0.05, "max_iters": 5}, instances=1,
+    )
+    probe = (
+        "import sys; from sfgp import cli; "
+        "assert cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+        "print(['scipy.linalg' in sys.modules, sorted(m for m in "
+        "('scipy.spatial', 'scipy.sparse', 'scipy.special') if m in sys.modules)])"
+    )
+    assert run_probe(probe, cfg, tmp_path / "sweep") == "[True, []]"
+
+
+def test_package_resolves_the_engine_functions():
+    import sfgp
+    from sfgp import gpr, gpr_posterior, register, update_sigma2
+
+    assert register is registration.register
+    assert update_sigma2 is registration.update_sigma2
+    assert gpr_posterior is gpr.gpr_posterior
+    with pytest.raises(AttributeError, match="no attribute 'x'"):
+        sfgp.x
+
+
+def test_register_dataset_drops_each_result_before_the_next(tmp_path, monkeypatch):
+    # a result's P is a view of its run's full-size workspace: one kept
+    # alive while the next instance registers doubles the memory held
+    results, alive_at_call = [], []
+    original = registration.register
+
+    def register(*args, **kwargs):
+        gc.collect()
+        alive_at_call.append(sum(ref() is not None for ref in results))
+        result = original(*args, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(registration, "register", register)
+    cfg = write_config(tmp_path / "cfg.json", registration={"p_min": 0.05, "max_iters": 3})
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--dataset", str(data),
+                 "--out", str(runs)]) == 0
+    assert alive_at_call == [0, 0, 0, 0]  # 2 levels x 2 instances
+    assert len(list(runs.rglob("result.json"))) == 4
 
 
 def test_eval_aggregates_dataset_results(tmp_path):
