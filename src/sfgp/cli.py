@@ -106,7 +106,7 @@ def _read_config(path) -> dict:
     return _block(sio.read_json(path), "config", CONFIG_KEYS)
 
 
-def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
+def kernel_from_config(payload: dict, anchor: PointSet) -> KernelSpec:
     kind = _block(payload, "kernel").get("type")
     if kind not in KERNEL_KEYS:
         raise ConfigError(f"unknown kernel type {kind!r}")
@@ -119,8 +119,6 @@ def kernel_from_config(payload: dict, anchor: PointSet = None) -> KernelSpec:
         return SumKernel(*[kernel_from_config(p, anchor) for p in payload["parts"]])
     if kind == "scaled":
         return ScaledKernel(payload["factor"], kernel_from_config(payload["inner"], anchor))
-    if anchor is None:
-        raise ValueError("pca_file kernel needs the reference as anchor")
     if not isinstance(payload["path"], str):
         raise ConfigError(f"path must be a string, got {payload['path']!r}")
     return load_pca_kernel(payload["path"], anchor)

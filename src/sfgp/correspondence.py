@@ -128,49 +128,49 @@ def get_correspondences(
 
 
 def _fuse(
-    p: np.ndarray, target: PointSet, deformed_ref: PointSet, sigma2: np.ndarray, p_min: float
+    p: np.ndarray, target: PointSet, deformed_ref: PointSet, sigma2, p_min: float
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Fuse the labels of the kept pairs, p_ij > p_min, and partition `p`.
 
     The precision-weighted fusion is the closed-form barycentre over
     W = P * [P > p_min]: delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
-    sigma2_eff_i = sigma2_i / sum_j W_ij.  Point i is an inlier exactly when
-    sigma2_eff_i is finite; with no kept pair, or kept mass so small that the
-    division overflows, its label has infinite noise, which is no label, and
-    it is missing.
+    sigma2_eff_i = sigma2_i / sum_j W_ij, for sigma2 an (N_R,) array or one
+    float.  Point i is an inlier exactly when sigma2_eff_i is finite; with no
+    kept pair, or kept mass so small that the division overflows, its label
+    has infinite noise, which is no label, and it is missing.
 
-    The state also carries the row moments ps = P S and pss = P |s|^2, so the
-    variance update needs no P.  W, nu, the kept mass, W S and the moments
-    are formed in one pass over the row blocks, W in one block buffer, so no
-    full-size copy of P is made.  The pass runs under errstate: a squared
-    norm that overflows gives an infinite moment, not a warning.
+    The state also carries the row moments nu = P 1, ps = P S and
+    pss = P |s|^2, so the variance update needs no P.  Every sum is a column
+    of one of two products with the Fortran-ordered target block
+    [S, 1, |s|^2]: P [S, 1, |s|^2] = [ps, nu, pss] and W [S, 1] = [W S, kept
+    mass].  Both are formed in one pass over the row blocks, W in one block
+    buffer, so no full-size copy of P is made.  The pass runs under errstate:
+    a squared norm that overflows gives an infinite moment, not a warning.
     """
-    n_r, d = p.shape[0], target.dim
+    n_r, n_s, d = p.shape[0], p.shape[1], target.dim
     blocks = row_blocks(n_r)
-    w = np.empty((blocks[0].stop, p.shape[1]))
-    nu, mass, num = np.empty(n_r), np.empty(n_r), np.empty((n_r, d))
-    moments = np.empty((n_r, d + 1))
+    w = np.empty((blocks[0].stop, n_s))
+    moments, kept = np.empty((n_r, d + 2)), np.empty((n_r, d + 1))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s_aug = np.column_stack([target.points, np.sum(target.points**2, axis=1)])
+        # [S, 1, |s|^2], Fortran-ordered, so its first d + 1 columns are too
+        s_aug = np.vstack([target.points.T, np.ones(n_s), np.sum(target.points**2, axis=1)]).T
         for blk in blocks:
             # [P > p_min] * P, the mask written as 1.0 / 0.0 into the block
             # buffer, equals np.where(P > p_min, P, 0): P is finite and >= 0
             w_blk = np.greater(p[blk], p_min, out=w[: blk.stop - blk.start])
             w_blk *= p[blk]
-            nu[blk] = p[blk].sum(axis=1)
-            mass[blk] = w_blk.sum(axis=1)
-            gemm(w_blk, target.points, out=num[blk])
+            gemm(w_blk, s_aug[:, : d + 1], out=kept[blk])
             gemm(p[blk], s_aug, out=moments[blk])
-        noise = sigma2 / mass
+        noise = sigma2 / kept[:, d]
     inliers = np.isfinite(noise)
     if not inliers.any():
         raise AllMissingError("no reference point has a label of finite noise")
     state = CorrespondenceState(
-        P=p, nu=nu, ps=moments[:, :d], pss=moments[:, d],
+        P=p, nu=moments[:, d], ps=moments[:, :d], pss=moments[:, d + 1],
         inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers),
     )
-    delta_hat = num[inliers]  # a copy, divided and shifted in place
-    delta_hat /= mass[inliers, None]
+    delta_hat = kept[inliers, :d]  # a copy, divided and shifted in place
+    delta_hat /= kept[inliers, d:]
     delta_hat -= deformed_ref.points[inliers]
     ann = AnnotatedDeformations(delta_hat=delta_hat, sigma2_eff=noise[inliers])
     return state, ann
@@ -194,7 +194,7 @@ def closest_point_correspondence(
     p = np.empty((n_r, target.n)) if out is None else out
     p.fill(0.0)
     p[np.arange(n_r), nearest(deformed_ref.points, target.points)] = 1.0
-    return _fuse(p, target, deformed_ref, np.full(n_r, float(sigma_n2)), 0.0)
+    return _fuse(p, target, deformed_ref, float(sigma_n2), 0.0)
 
 
 __all__ = [

@@ -16,7 +16,7 @@ and never expanded.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -211,27 +211,25 @@ def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) ->
     _collect(spec, 1.0, scalar_parts, lowrank_parts)
 
     n, d = ref.n, ref.dim
-    u = lam = None
-    for scale, part in lowrank_parts:
+    for _, part in lowrank_parts:
         if part.anchor.n != n or part.anchor.dim != d or not np.array_equal(
             part.anchor.points, ref.points
         ):
             raise AnchorMismatchError(
                 "PCA kernel can only be assembled on its anchor reference"
             )
-        u_part = part.eigenvectors
+    u = lam = None
+    if lowrank_parts:  # one part's basis is not copied: the run holds u throughout
+        us = [part.eigenvectors for _, part in lowrank_parts]
+        u = us[0] if len(us) == 1 else np.hstack(us)
         with np.errstate(over="ignore"):  # checked with the jitter below
-            lam_part = scale * part.eigenvalues
-        if u is None:
-            u, lam = u_part, lam_part
-        else:
-            u = np.hstack([u, u_part])
-            lam = np.concatenate([lam, lam_part])
+            lam = np.concatenate([scale * part.eigenvalues for scale, part in lowrank_parts])
+    prior = GPPrior(ref.points, tuple(scalar_parts), 0.0, lowrank_u=u, lowrank_lam=lam)
 
     # the amplitudes are Python floats, whose products and sums overflow to
     # inf without a warning; the mean is taken through the trace, so a
     # diagonal whose sum overflows gives a jitter that is not finite
-    k0 = float(sum(a2 for a2, _ in scalar_parts))
+    k0 = prior.k0
     finite_lam = u is None or bool(np.all(np.isfinite(lam)))
     if jitter is None:
         trace = n * d * k0
@@ -243,7 +241,7 @@ def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) ->
     # kernel block finite: the posterior scans none
     if not (np.isfinite(k0) and finite_lam and np.isfinite(jitter)):
         raise NumericalError(f"gram matrix is not finite (jitter={jitter:g})")
-    return GPPrior(ref.points, tuple(scalar_parts), jitter, lowrank_u=u, lowrank_lam=lam)
+    return replace(prior, jitter=jitter)
 
 
 def build_pca_kernel(

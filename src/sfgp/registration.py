@@ -91,36 +91,31 @@ def update_sigma2(
 ) -> np.ndarray:
     """Responsibility-weighted residual variance per reference point.
 
-    per_point: sigma2_i = (sum_j p_ij ||s_j - rbar_i||^2 / nu_i) / d + post_var_i,
-    with points of zero mass keeping their value in prev_sigma2.
-    scalar: a single shared value from the total mass, every entry equal.
+    per_point: sigma2_i = (sum_j p_ij ||s_j - rbar_i||^2 / nu_i) / d + post_var_i
+    on the points of positive mass nu_i; the others keep their value in
+    prev_sigma2.
+    scalar: every entry is the nu-weighted mean of those per-point values,
+    (sum_i residual_i / d + sum_i nu_i post_var_i) / sum_i nu_i, CPD's
+    variance pooled over the total mass.
     Output is floored at SIGMA2_FLOOR.  The residuals are taken from the row
     moments of P (see CorrespondenceState), nu = P 1, ps = P S and
     pss = P |s|^2, as pss_i - 2 rbar_i . ps_i + nu_i |rbar_i|^2 clamped at 0
     against cancellation: O(N_R d) work, no P.
     """
+    live = nu > 0.0
+    if not live.any():
+        raise NoMassError("responsibility matrix carries no mass")
     r_bar = deformed_ref.points
     d = r_bar.shape[1]
     residual2 = pss - 2.0 * np.einsum("ij,ij->i", r_bar, ps)
     residual2 += nu * np.einsum("ij,ij->i", r_bar, r_bar)
     np.maximum(residual2, 0.0, out=residual2)
 
-    if mode == "scalar":
-        total_nu = float(np.sum(nu))
-        if total_nu <= 0.0:
-            raise NoMassError("responsibility matrix carries no mass")
-        value = (float(np.sum(residual2)) + d * float(np.sum(nu * post_var))) / (
-            d * total_nu
-        )
-        return np.full(nu.shape[0], max(value, SIGMA2_FLOOR))
-
-    if not np.any(nu > 0.0):
-        raise NoMassError("responsibility matrix carries no mass")
-    out = np.empty(nu.shape[0])
-    live = nu > 0.0
+    out = np.array(prev_sigma2, dtype=float)
     out[live] = residual2[live] / (d * nu[live]) + post_var[live]
-    out[~live] = prev_sigma2[~live]
-    return np.maximum(out, SIGMA2_FLOOR)
+    if mode == "scalar":
+        out.fill(np.average(out[live], weights=nu[live]))
+    return np.maximum(out, SIGMA2_FLOOR, out=out)
 
 
 def register(

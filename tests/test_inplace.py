@@ -289,6 +289,27 @@ def test_fusion_matches_full_w_at_block_edges(edge_blocks, n_r, missing):
     assert np.array_equal(nearest.P.argmax(axis=1), full)
 
 
+@pytest.mark.parametrize("n_r", [7, 8, 9, 20])
+def test_fusion_sums_match_row_sums_at_block_edges(edge_blocks, n_r):
+    # nu and the kept mass are columns of the fusion's two products; on a
+    # 3-D instance with outlier mass and a threshold they are P's and W's
+    # row sums, with some rows missing
+    rng = np.random.default_rng(300 + n_r)
+    ref = pointset(rng.uniform(-1.0, 1.0, size=(n_r, 3)))
+    target = pointset(rng.uniform(-1.0, 1.0, size=(n_r + 5, 3)))
+    sigma2 = rng.uniform(0.02, 0.2, size=n_r)
+    inputs = ResponsibilityInputs(target, ref, sigma2, rng.uniform(0.0, 0.01, size=n_r), 0.1)
+    state, ann = get_correspondences(inputs, 0.2)
+    w = np.where(state.P > 0.2, state.P, 0.0)
+    kept = w.sum(axis=1)
+    assert 0 < state.inliers.size < n_r
+    assert np.array_equal(state.inliers, np.flatnonzero(kept > 0.0))
+    np.testing.assert_allclose(state.nu, state.P.sum(axis=1), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(
+        ann.sigma2_eff, sigma2[state.inliers] / kept[state.inliers], rtol=1e-14, atol=0.0
+    )
+
+
 @pytest.mark.parametrize("lowrank", [False, True])
 @pytest.mark.parametrize("n_r, missing", EDGE_CASES)
 def test_posterior_matches_dense_oracle_at_block_edges(edge_blocks, n_r, missing, lowrank):

@@ -106,6 +106,27 @@ class TestUpdateSigma2:
         with pytest.raises(NoMassError):
             update_sigma2(*row_moments(p, s.points), s, np.zeros(2), "scalar", np.ones(2))
 
+    def test_scalar_is_nu_weighted_mean_of_per_point(self):
+        # unequal masses and a row with none: that row keeps its previous
+        # value under per_point and has no weight in the scalar mean
+        rng = np.random.default_rng(4)
+        p = rng.uniform(0.01, 1.0, size=(5, 7)) * rng.uniform(0.1, 3.0, size=(5, 1))
+        p[2] = 0.0
+        target = pointset(rng.uniform(-1, 1, size=(7, 3)))
+        rbar = pointset(rng.uniform(-1, 1, size=(5, 3)))
+        post_var = rng.uniform(0.0, 0.1, size=5)
+        prev = rng.uniform(0.5, 1.0, size=5)
+        moments = row_moments(p, target.points)
+        nu, live = moments[0], moments[0] > 0.0
+        per_point = update_sigma2(*moments, rbar, post_var, "per_point", prev)
+        scalar = update_sigma2(*moments, rbar, post_var, "scalar", prev)
+        assert per_point[2] == prev[2]
+        assert np.ptp(nu[live]) > 1.0
+        np.testing.assert_allclose(
+            scalar, np.average(per_point[live], weights=nu[live]), rtol=1e-14
+        )
+        assert np.all(scalar == scalar[0])
+
     def test_variance_modes_agree_on_symmetric_instance(self):
         # cross geometry: both rows have identical mass and residual profile
         target = pointset([[0.0, 1.0], [0.0, -1.0]])
