@@ -22,7 +22,6 @@ import numpy as np
 
 from . import io as sio
 from .core import (
-    FAILED_STOPS,
     VARIANTS,
     ConfigError,
     IterationRecord,
@@ -74,6 +73,9 @@ SWEEP_FIELDS = (
     "stop_reason",
     "runtime_ms",
 )
+
+# a run that stopped otherwise, in FAILED_STOPS or by an error, has no scores
+SCORED_STOPS = ("converged", "max_iters")
 
 SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
 
@@ -214,8 +216,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: str):
+def _write_register_outputs(out_dir: Path, meta: dict, result=None):
+    """`meta` to result.json and, unless the run raised (result None), the
+    fitted reference, correspondence summary and trace of `result`."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    sio.write_json(out_dir / "result.json", meta)
+    if result is None:
+        return
     sio.write_pointset_csv(out_dir / "deformed_reference.csv", result.deformed_reference)
     n = result.deformed_reference.n
     if result.state is None:  # the run failed: no correspondence state
@@ -234,15 +241,6 @@ def _write_register_outputs(out_dir: Path, result, runtime_ms: float, variant: s
         out_dir / "trace.csv",
         [f.name for f in fields(IterationRecord)],
         [asdict(r) for r in result.trace],
-    )
-    sio.write_json(
-        out_dir / "result.json",
-        {
-            "variant": variant,
-            "iters": result.iters,
-            "stop_reason": result.stop_reason,
-            "runtime_ms": runtime_ms,
-        },
     )
 
 
@@ -263,26 +261,35 @@ def cmd_register(args) -> int:
     from .registration import register  # after the config checks, before any clock
     for out_dir, target in runs:
         t0 = time.perf_counter()
-        result = register(reference, target, kernel, cfg)
-        _write_register_outputs(out_dir, result, (time.perf_counter() - t0) * 1e3, args.variant)
+        try:
+            result = register(reference, target, kernel, cfg)
+        except SFGPError as exc:
+            # recorded as the sweep records it; the next run goes on
+            logger.warning("%s %s: %s", args.variant, out_dir, exc)
+            result, iters, stop_reason = None, 0, type(exc).__name__
+        else:
+            iters, stop_reason = result.iters, result.stop_reason
+        meta = {"variant": args.variant, "iters": iters, "stop_reason": stop_reason,
+                "runtime_ms": (time.perf_counter() - t0) * 1e3}
+        _write_register_outputs(out_dir, meta, result)
         # the result's P is a view of its run's workspace: dropped, the
         # next run's workspace takes its place instead of joining it
         del result
     return 0
 
 
-def _metrics_row(variant, tag, seed, runtime_ms, iters, stop_reason, scored=None) -> dict:
+def _metrics_row(variant, tag, seed, runtime_ms, iters, stop_reason, scores) -> dict:
     """One SWEEP_FIELDS row of a run that ended after `iters` iterations
     with `stop_reason`: the result's, or the class name of the SFGPError the
-    run raised.  `scored` holds the arrays of a successful run, (ground
-    truth, true missing mask, fitted points, flagged mask); None marks a
-    failed run, which has no scores."""
-    if scored is None:
-        errors, success, detection = (None,) * len(SUBSETS), 0, (None, None)
-    else:
-        gt, true_missing, fitted, flagged = scored
+    run raised.  A run that stopped in SCORED_STOPS is scored from what
+    `scores()` returns, (ground truth, true missing mask, fitted points,
+    flagged mask); any other failed and has success 0 and no scores."""
+    if stop_reason in SCORED_STOPS:
+        gt, true_missing, fitted, flagged = scores()
         errors = tuple(subset_error(gt, fitted, true_missing, s) for s in SUBSETS)
         success, detection = 1, detection_scores(flagged, true_missing)
+    else:
+        errors, success, detection = (None,) * len(SUBSETS), 0, (None, None)
     return dict(zip(SWEEP_FIELDS, (variant, tag, seed, *errors, success, *detection,
                                    int(iters), stop_reason, runtime_ms)))
 
@@ -309,11 +316,10 @@ def _sweep_task(task: tuple) -> dict:
     else:
         iters, stop_reason = result.iters, result.stop_reason
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    scored = None
-    if result is not None and stop_reason not in FAILED_STOPS:
-        scored = (inst.ground_truth.points, inst.missing_mask,
-                  result.deformed_reference.points, flagged_missing(result))
-    return _metrics_row(variant, tag, spec.seed, runtime_ms, iters, stop_reason, scored)
+    return _metrics_row(
+        variant, tag, spec.seed, runtime_ms, iters, stop_reason,
+        lambda: (inst.ground_truth.points, inst.missing_mask,
+                 result.deformed_reference.points, flagged_missing(result)))
 
 
 @contextlib.contextmanager
@@ -371,6 +377,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _read_scores(inst, run_dir: Path) -> tuple:
+    """The arrays `_metrics_row` scores, of the run `register` wrote to run_dir."""
+    summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
+    return (inst.ground_truth.points, inst.missing_mask,
+            sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
+            np.array([bool(r["is_missing"]) for r in summary]))
+
+
 def cmd_eval(args) -> int:
     dataset_dir = Path(args.dataset)
     results_dir = Path(args.results)
@@ -380,17 +394,9 @@ def cmd_eval(args) -> int:
         inst = read_instance(dataset_dir / entry["path"])
         run_dir = results_dir / entry["level"] / str(entry["index"])
         meta = sio.read_json(run_dir / "result.json")
-        scored = None
-        if meta["stop_reason"] not in FAILED_STOPS:
-            summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
-            scored = (
-                inst.ground_truth.points,
-                inst.missing_mask,
-                sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
-                np.array([bool(r["is_missing"]) for r in summary]),
-            )
         rows.append(_metrics_row(meta["variant"], entry["level"], entry["seed"],
-                                 meta["runtime_ms"], meta["iters"], meta["stop_reason"], scored))
+                                 meta["runtime_ms"], meta["iters"], meta["stop_reason"],
+                                 lambda: _read_scores(inst, run_dir)))
     out = Path(args.out)
     _write_metrics(out / "aggregate.csv", rows)
 
@@ -470,7 +476,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SFGPError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the bare key's repr
+        print(f"error: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}", file=sys.stderr)
         return 1
 
 

@@ -47,16 +47,9 @@ class RankTooLargeError(SFGPError, ValueError):
     """Requested more principal components than the data spectrum supports."""
 
 
-class NoAnnotationError(SFGPError):
-    """The GP posterior was asked for without any labelled reference point."""
-
-
 class AllMissingError(SFGPError):
-    """No reference point has a label of finite fused noise."""
-
-
-class NoMassError(SFGPError):
-    """The responsibility matrix carries no mass at all."""
+    """No reference point has a label of finite fused noise, or no row of
+    the responsibilities carries mass."""
 
 
 class DegenerateInstanceError(SFGPError):
@@ -155,7 +148,7 @@ VARIANTS = {
     "GPReg_noTresh": dict(
         variance_mode="per_point", correspondence_mode="multi_annotator", p_min=0.0
     ),
-    "GPClosestPnt": dict(variance_mode="per_point", correspondence_mode="closest_point"),
+    "GPClosestPnt": dict(variance_mode="scalar", correspondence_mode="closest_point"),
 }
 
 
@@ -396,9 +389,7 @@ __all__ = [
     "NumericalError",
     "AnchorMismatchError",
     "RankTooLargeError",
-    "NoAnnotationError",
     "AllMissingError",
-    "NoMassError",
     "DegenerateInstanceError",
     "PointSet",
     "RegistrationConfig",

@@ -177,24 +177,26 @@ def _fuse(
 
 
 def closest_point_correspondence(
-    target: PointSet, deformed_ref: PointSet, sigma_n2: float, *,
+    target: PointSet, deformed_ref: PointSet, sigma_n2, *,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Hard assignment baseline: each reference point annotates to its
-    Euclidean-nearest target point with uniform variance; nothing is ever
-    declared missing.  Ties break to the lowest target index.
+    Euclidean-nearest target point at variance sigma_n2, an (N_R,) array or
+    one float; nothing is ever declared missing.  Ties break to the lowest
+    target index.
 
     The one-hot P, written to `out` when one is given, goes through the same
     fusion as `get_correspondences` at p_min = 0, which keeps exactly the
-    nearest pair of every row.
+    nearest pair of every row: each row's kept mass is 1, so its label's
+    noise is its sigma_n2.
     """
-    if sigma_n2 <= 0.0:
+    if not np.all(np.asarray(sigma_n2) > 0.0):  # also False for NaN
         raise ValueError("sigma_n2 must be positive")
     n_r = deformed_ref.n
     p = np.empty((n_r, target.n)) if out is None else out
     p.fill(0.0)
     p[np.arange(n_r), nearest(deformed_ref.points, target.points)] = 1.0
-    return _fuse(p, target, deformed_ref, float(sigma_n2), 0.0)
+    return _fuse(p, target, deformed_ref, sigma_n2, 0.0)
 
 
 __all__ = [

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .core import (
-    NoAnnotationError, NumericalError, PosteriorDeformation, buffer_view, gemm, row_blocks,
+    AllMissingError, NumericalError, PosteriorDeformation, buffer_view, gemm, row_blocks,
 )
 from .kernels import GPPrior
 
@@ -76,7 +76,7 @@ def gpr_posterior(
     delta_hat = np.atleast_2d(np.asarray(delta_hat, dtype=float))
     sigma2_eff = np.asarray(sigma2_eff, dtype=float)
     if inliers.size == 0:
-        raise NoAnnotationError("posterior needs at least one labelled point")
+        raise AllMissingError("posterior needs at least one labelled point")
     # also False for NaN; with the kernel finite (see gp_prior), this makes
     # the observed block finite, so its factorization need not scan it
     if not np.all((0.0 < sigma2_eff) & (sigma2_eff < np.inf)):

@@ -58,7 +58,6 @@ from .core import (
     VARIANTS,  # re-exported: the variant table lives in core, without the engine
     AllMissingError,
     IterationRecord,
-    NoMassError,
     NumericalError,
     PointSet,
     RegistrationConfig,
@@ -104,7 +103,7 @@ def update_sigma2(
     """
     live = nu > 0.0
     if not live.any():
-        raise NoMassError("responsibility matrix carries no mass")
+        raise AllMissingError("responsibility matrix carries no mass")
     r_bar = deformed_ref.points
     d = r_bar.shape[1]
     residual2 = pss - 2.0 * np.einsum("ij,ij->i", r_bar, ps)
@@ -156,10 +155,7 @@ def register(
         state = None  # stays None when the E-step collapses
         try:
             if cfg.correspondence_mode == "closest_point":
-                e_step = partial(
-                    closest_point_correspondence, target, r_bar, float(np.mean(sigma2)),
-                    out=p_buf,
-                )
+                e_step = partial(closest_point_correspondence, target, r_bar, sigma2, out=p_buf)
             else:
                 e_step = partial(
                     get_correspondences,

@@ -752,3 +752,40 @@ def test_register_first_iteration_failure_writes_placeholders(tmp_path):
     summary = sio.read_csv_rows(out / "correspondence_summary.csv")
     assert [r["ref_index"] for r in summary] == [0, 1]
     assert all(r["best_target"] == -1 and r["nu"] == 0 for r in summary)
+
+
+def test_register_records_a_raising_run_as_the_sweep_does(tmp_path):
+    # at zero jitter the observed block of a reference with twins is singular
+    # for a huge amplitude over a vanishing noise: every registration raises
+    # NumericalError, which register records, as the sweep does, and goes on
+    fish = fish_reference().points
+    reference_csv = tmp_path / "ref.csv"
+    sio.write_points_csv(reference_csv, np.vstack([fish, fish[:10]]))
+    cfg = write_config(
+        tmp_path / "cfg.json", reference=str(reference_csv), instances=1,
+        kernel={"type": "squared_exponential", "amplitude2": 1e8, "lengthscale": 0.2},
+        registration={"jitter": 0, "sigma2_init": 1e-12, "p_min": 0.05},
+    )
+    data, runs, report = tmp_path / "data", tmp_path / "runs", tmp_path / "report"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(report)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    swept = strip_runtime(sio.read_csv_rows(tmp_path / "sweep" / "metrics.csv"))
+    assert len(swept) == 2
+    assert all(r["success"] == 0 and r["iters"] == 0 and r["stop_reason"] == "NumericalError"
+               for r in swept)
+    assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == swept
+
+
+@pytest.mark.parametrize("path", [("kernel",), ("kernel", "lengthscale")])
+def test_missing_key_is_named(tmp_path, capsys, path):
+    cfg = write_config(tmp_path / "cfg.json")
+    payload = json.loads(cfg.read_text())
+    block = payload
+    for key in path[:-1]:
+        block = block[key]
+    del block[path[-1]]
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: missing key '{path[-1]}'\n"

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfgp.core import AllMissingError, NoAnnotationError
+from sfgp.core import AllMissingError
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import (
@@ -79,7 +79,7 @@ class TestAggregation:
         # a point without annotations carries no label; with no labels at
         # all there is nothing to regress on
         prior = two_point_prior()
-        with pytest.raises(NoAnnotationError):
+        with pytest.raises(AllMissingError):
             gpr_posterior(prior, np.array([], dtype=int), np.zeros((0, 2)), np.zeros(0))
 
     @pytest.mark.parametrize("bad", [2, -1])

@@ -6,12 +6,15 @@ import pytest
 from sfgp import registration
 from sfgp.core import (
     AllMissingError,
-    NoMassError,
     NumericalError,
     PosteriorDeformation,
     RegistrationConfig,
 )
-from sfgp.correspondence import ResponsibilityInputs, get_correspondences
+from sfgp.correspondence import (
+    ResponsibilityInputs,
+    closest_point_correspondence,
+    get_correspondences,
+)
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import SquaredExponential, gp_prior
 from sfgp.registration import (
@@ -101,9 +104,9 @@ class TestUpdateSigma2:
     def test_no_mass_at_all_raises(self):
         p = np.zeros((2, 2))
         s = pointset([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(NoMassError):
+        with pytest.raises(AllMissingError):
             update_sigma2(*row_moments(p, s.points), s, np.zeros(2), "per_point", np.ones(2))
-        with pytest.raises(NoMassError):
+        with pytest.raises(AllMissingError):
             update_sigma2(*row_moments(p, s.points), s, np.zeros(2), "scalar", np.ones(2))
 
     def test_scalar_is_nu_weighted_mean_of_per_point(self):
@@ -126,6 +129,23 @@ class TestUpdateSigma2:
             scalar, np.average(per_point[live], weights=nu[live]), rtol=1e-14
         )
         assert np.all(scalar == scalar[0])
+
+    def test_scalar_is_the_plain_mean_of_per_point_for_a_one_hot_p(self):
+        # a one-hot P gives every row nu = 1, so the nu-weighted mean is the
+        # plain mean of the per-point values bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_r, n_s, d = rng.integers(1, 40), rng.integers(1, 40), rng.integers(2, 4)
+            p = np.zeros((n_r, n_s))
+            p[np.arange(n_r), rng.integers(0, n_s, size=n_r)] = 1.0
+            target = pointset(rng.uniform(-1, 1, size=(n_s, d)))
+            rbar = pointset(rng.uniform(-1, 1, size=(n_r, d)))
+            post_var = rng.uniform(0.0, 0.1, size=n_r)
+            prev = rng.uniform(0.5, 1.0, size=n_r)
+            moments = row_moments(p, target.points)
+            per_point = update_sigma2(*moments, rbar, post_var, "per_point", prev)
+            scalar = update_sigma2(*moments, rbar, post_var, "scalar", prev)
+            assert np.all(scalar == np.mean(per_point))
 
     def test_variance_modes_agree_on_symmetric_instance(self):
         # cross geometry: both rows have identical mass and residual profile
@@ -405,3 +425,34 @@ def test_variant_table():
     assert cfg.p_min == 0.0
     with pytest.raises(ValueError, match="SFGP_Full"):
         variant_config("NoSuchThing")
+
+
+def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
+    # each E-step's labels carry the sigma2 the previous update returned,
+    # over a kept mass of 1 per row, and that sigma2 is one value
+    fish = fish_reference()
+    inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
+    updates, noises = [], []
+
+    def update(*args, **kwargs):
+        updates.append(update_sigma2(*args, **kwargs))
+        return updates[-1]
+
+    def e_step(*args, **kwargs):
+        state, ann = closest_point_correspondence(*args, **kwargs)
+        noises.append(ann.sigma2_eff.copy())
+        return state, ann
+
+    monkeypatch.setattr(registration, "update_sigma2", update)
+    monkeypatch.setattr(registration, "closest_point_correspondence", e_step)
+    cfg = variant_config("GPClosestPnt", RegistrationConfig(p_min=0.05))
+    res = register(fish, inst.target, SquaredExponential(0.01, 0.2), cfg)
+    assert res.converged and res.iters > 2
+    assert np.all(res.sigma2 == res.sigma2[0])
+    # one E-step per iteration, and the last one's rerun after the loop
+    assert len(updates) == res.iters and len(noises) == res.iters + 1
+    for noise, sigma2 in zip(noises[1:res.iters], updates):
+        assert np.array_equal(noise, sigma2)
+    assert np.array_equal(noises[-1], noises[-2])
+    _, ann = closest_point_correspondence(inst.target, res.deformed_reference, res.sigma2)
+    assert np.array_equal(ann.sigma2_eff, res.sigma2)
