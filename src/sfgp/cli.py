@@ -185,6 +185,10 @@ def _instances(config: dict, reference: PointSet) -> list:
             seed = derive_seed(config["master_seed"], level_idx, k)
             spec = spec_for(point, grid, seed)  # first: it checks what level_tag formats
             instances.append((level_tag(point), k, seed, spec))
+    tags = [tag for tag, k, _, _ in instances if k == 0]  # one per grid point
+    shared = [tag for tag in tags if tags.count(tag) > 1]
+    if shared:  # their instances would share one directory and one level
+        raise ConfigError(f"two grid points share the level tag {shared[0]}")
     center = grid.get("missing_center", "random")  # of a kind every spec has checked
     if center != "random" and center >= reference.n:
         raise ConfigError(f"missing_center must be an index below {reference.n}, got {center!r}")

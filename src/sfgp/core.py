@@ -267,14 +267,14 @@ def default_sigma2_init(reference: PointSet) -> float:
 class CorrespondenceState:
     """Soft correspondences and the inlier/missing partition they induce.
 
-    P:       (N_R, N_S) responsibilities, entries in [0, 1].
-    nu:      expected match count per reference point, summed over the
-             full row of P (not only the kept pairs, p_ij > p_min).
-    ps:      (N_R, d) row moments P S of the target points S.
-    pss:     (N_R,) row moments P |s|^2 of their squared norms.
-    inliers: reference indices whose fused label noise, sigma2_i over the
-             kept mass of their row of P, is finite (sorted).
-    missing: the complementary reference indices (sorted).
+    P:        (N_R, N_S) responsibilities, entries in [0, 1].
+    nu:       expected match count per reference point, summed over the
+              full row of P (not only the kept pairs, p_ij > p_min).
+    ps:       (N_R, d) row moments P S of the target points S.
+    pss:      (N_R,) row moments P |s|^2 of their squared norms.
+    labelled: (N_R,) bool, True where the fused label noise, sigma2_i over
+              the kept mass of its row of P, is finite; `inliers` and
+              `missing` are its True and False indices, sorted.
 
     nu, ps and pss are all the variance update reads of P.  Inside a
     registration, P is a view of the run's workspace, which the posterior
@@ -286,14 +286,15 @@ class CorrespondenceState:
     nu: np.ndarray
     ps: np.ndarray
     pss: np.ndarray
-    inliers: np.ndarray
-    missing: np.ndarray
+    labelled: np.ndarray
 
-    def __post_init__(self):
-        n_r = self.P.shape[0]
-        part = np.sort(np.concatenate([self.inliers, self.missing]))
-        if not np.array_equal(part, np.arange(n_r)):
-            raise ValueError("inliers and missing must partition 0..N_R-1")
+    @property
+    def inliers(self) -> np.ndarray:
+        return np.flatnonzero(self.labelled)
+
+    @property
+    def missing(self) -> np.ndarray:
+        return np.flatnonzero(~self.labelled)
 
 
 @dataclass(frozen=True)

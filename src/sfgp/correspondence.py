@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ResponsibilityInputs:
-    """Inputs of one responsibility update.
+    """Inputs of one E-step, by either correspondence rule.
 
     sigma2:   (N_R,) per-reference mixture variances, strictly positive.
     post_var: (N_R,) posterior variance scalars from the previous fit
@@ -162,41 +162,37 @@ def _fuse(
             gemm(w_blk, s_aug[:, : d + 1], out=kept[blk])
             gemm(p[blk], s_aug, out=moments[blk])
         noise = sigma2 / kept[:, d]
-    inliers = np.isfinite(noise)
-    if not inliers.any():
+    labelled = np.isfinite(noise)
+    if not labelled.any():
         raise AllMissingError("no reference point has a label of finite noise")
     state = CorrespondenceState(
-        P=p, nu=moments[:, d], ps=moments[:, :d], pss=moments[:, d + 1],
-        inliers=np.flatnonzero(inliers), missing=np.flatnonzero(~inliers),
+        P=p, nu=moments[:, d], ps=moments[:, :d], pss=moments[:, d + 1], labelled=labelled
     )
-    delta_hat = kept[inliers, :d]  # a copy, divided and shifted in place
-    delta_hat /= kept[inliers, d:]
-    delta_hat -= deformed_ref.points[inliers]
-    ann = AnnotatedDeformations(delta_hat=delta_hat, sigma2_eff=noise[inliers])
+    delta_hat = kept[labelled, :d]  # a copy, divided and shifted in place
+    delta_hat /= kept[labelled, d:]
+    delta_hat -= deformed_ref.points[labelled]
+    ann = AnnotatedDeformations(delta_hat=delta_hat, sigma2_eff=noise[labelled])
     return state, ann
 
 
 def closest_point_correspondence(
-    target: PointSet, deformed_ref: PointSet, sigma_n2, *,
-    out: Optional[np.ndarray] = None,
+    inputs: ResponsibilityInputs, *, out: Optional[np.ndarray] = None
 ) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
     """Hard assignment baseline: each reference point annotates to its
-    Euclidean-nearest target point at variance sigma_n2, an (N_R,) array or
-    one float; nothing is ever declared missing.  Ties break to the lowest
-    target index.
+    Euclidean-nearest target point at variance sigma2_i; nothing is ever
+    declared missing.  Ties break to the lowest target index.  Of the
+    inputs `get_correspondences` takes, it ignores post_var and omega.
 
     The one-hot P, written to `out` when one is given, goes through the same
     fusion as `get_correspondences` at p_min = 0, which keeps exactly the
     nearest pair of every row: each row's kept mass is 1, so its label's
-    noise is its sigma_n2.
+    noise is its sigma2_i.
     """
-    if not np.all(np.asarray(sigma_n2) > 0.0):  # also False for NaN
-        raise ValueError("sigma_n2 must be positive")
-    n_r = deformed_ref.n
-    p = np.empty((n_r, target.n)) if out is None else out
+    target, ref = inputs.target, inputs.deformed_ref
+    p = np.empty((ref.n, target.n)) if out is None else out
     p.fill(0.0)
-    p[np.arange(n_r), nearest(deformed_ref.points, target.points)] = 1.0
-    return _fuse(p, target, deformed_ref, sigma_n2, 0.0)
+    p[np.arange(ref.n), nearest(ref.points, target.points)] = 1.0
+    return _fuse(p, target, ref, inputs.sigma2, 0.0)
 
 
 __all__ = [

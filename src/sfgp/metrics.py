@@ -63,10 +63,9 @@ def mean_sq_distance(
 def flagged_missing(result: RegistrationResult) -> np.ndarray:
     """Boolean mask of the reference points a registration result declared
     missing; all False when the run ended before any correspondence."""
-    flagged = np.zeros(result.deformed_reference.n, dtype=bool)
-    if result.state is not None:
-        flagged[result.state.missing] = True
-    return flagged
+    if result.state is None:
+        return np.zeros(result.deformed_reference.n, dtype=bool)
+    return ~result.state.labelled
 
 
 def missing_detection(

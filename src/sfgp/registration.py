@@ -50,7 +50,6 @@ from __future__ import annotations
 import logging
 import mmap
 import time
-from functools import partial
 
 import numpy as np
 
@@ -128,6 +127,10 @@ def register(
     None because each E-step overwrites the previous P.  An exact fit, whose
     labels and posterior mean are all zero, is no failure but a fixed point,
     which the stop rule ends as "converged" in the second iteration.
+
+    Each iteration hands one ResponsibilityInputs of the current fit to the
+    E-step rule cfg.correspondence_mode picks: `get_correspondences` or
+    `closest_point_correspondence`.
     """
     if reference.dim != target.dim:
         raise ValueError("reference and target dimensions differ")
@@ -147,29 +150,21 @@ def register(
     sigma2 = np.full(n_r, float(sigma2_init))
     post_var = np.zeros(n_r)
 
+    def e_step(inputs):
+        # both rules are looked up per call, so patched ones apply; p_min positional
+        if cfg.correspondence_mode == "closest_point":
+            return closest_point_correspondence(inputs, out=p_buf)
+        return get_correspondences(inputs, cfg.p_min, out=p_buf)
+
     posterior = None
     trace: list = []
     stop_reason = "max_iters"
     for it in range(1, cfg.max_iters + 1):  # max_iters >= 1, so it is bound
         t0 = time.perf_counter()
         state = None  # stays None when the E-step collapses
+        inputs = ResponsibilityInputs(target, r_bar, sigma2, post_var, cfg.omega)
         try:
-            if cfg.correspondence_mode == "closest_point":
-                e_step = partial(closest_point_correspondence, target, r_bar, sigma2, out=p_buf)
-            else:
-                e_step = partial(
-                    get_correspondences,
-                    ResponsibilityInputs(
-                        target=target,
-                        deformed_ref=r_bar,
-                        sigma2=sigma2,
-                        post_var=post_var,
-                        omega=cfg.omega,
-                    ),
-                    cfg.p_min,
-                    out=p_buf,
-                )
-            state, ann = e_step()
+            state, ann = e_step(inputs)
         except AllMissingError as exc:
             stop_reason = "first_iteration" if it == 1 else "mid_run_collapse"
             logger.warning("iter=%d correspondence collapse: %s", it, exc)
@@ -179,8 +174,9 @@ def register(
             # the labels are relative to r_bar; the posterior mean is the
             # total displacement of the reference, so the labels must be as
             # well.  The observed block is factored in work, over state.P.
+            inliers = state.inliers
             posterior = gpr_posterior(
-                prior, state.inliers, ann.delta_hat + (r_bar.points - ref_pts)[state.inliers],
+                prior, inliers, ann.delta_hat + (r_bar.points - ref_pts)[inliers],
                 ann.sigma2_eff, work=work,
             )
         except NumericalError as exc:
@@ -204,8 +200,8 @@ def register(
         record = IterationRecord(
             iteration=it,
             max_move=max_move,
-            n_inliers=int(state.inliers.size),
-            n_missing=int(state.missing.size),
+            n_inliers=int(inliers.size),
+            n_missing=n_r - int(inliers.size),
             mean_sigma2=mean_sigma2,
             elapsed_s=time.perf_counter() - t0,
         )
@@ -219,7 +215,7 @@ def register(
     if state is not None:
         # the posterior overwrote P: the same E-step on the same inputs
         # gives it back for the result
-        state, _ = e_step()
+        state, _ = e_step(inputs)
 
     return RegistrationResult(
         deformed_reference=r_bar,

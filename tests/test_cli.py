@@ -409,7 +409,10 @@ def test_unknown_config_keys_fail_cleanly(tmp_path, capsys, overrides, key):
     ({"registration": [1]}, "registration"),
     ({"grid": [0.2]}, "grid"),
     ({"kernel": {"type": "pca_file", "path": 3}}, "path"),
-], ids=["kernel", "sum_parts", "sum_part", "registration", "grid", "pca_path"])
+    ({"kernel": {"type": "matern"}}, "unknown kernel type"),
+    ({"kernel": {"amplitude2": 0.01}}, "unknown kernel type"),
+], ids=["kernel", "sum_parts", "sum_part", "registration", "grid", "pca_path", "kernel_type",
+        "kernel_without_type"])
 def test_block_of_the_wrong_kind_fails_cleanly(tmp_path, capsys, overrides, key):
     # an error naming the key, not a traceback from the code that reads it
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -490,12 +493,21 @@ def test_missing_center_outside_the_reference_fails_cleanly(tmp_path, capsys, co
     ("rotation_max", {"rotation_max": [0.1]}),
     ("warp_bandwidth", {"warp_bandwidth": None}),
     ("missing_widht", {"missing_widht": [0.3]}),
+    ("deformation_level", {"deformation_level": [float("nan")]}),
+    ("deformation_level", {"deformation_level": [-1]}),
+    ("deformation_level", {"deformation_level": [True]}),
+    ("deformation_level", {"deformation_level": ["1"]}),
+    ("mw0.2_ns0.02_or0_dl0", {"missing_width": [0.2, 0.2]}),
+    ("mw0.1_ns0.02_or0_dl0", {"missing_width": [0.1, 0.1000001]}),
 ], ids=["float_count", "negative_count", "true", "string", "negative", "nan", "list_setting",
-        "null_setting", "unknown_key"])
+        "null_setting", "unknown_key", "nan_level", "negative_level", "true_level",
+        "string_level", "equal_points", "points_equal_to_6_digits"])
 def test_malformed_grid_fails_cleanly(tmp_path, capsys, command, key, entries):
     # int() would run 2.5 as 2 and float() [true] as 1.0, a misspelt axis
-    # would run at its default: a ConfigError names the key before anything
-    # is generated, written or registered
+    # would run at its default, and two points with one level tag would
+    # write one instance directory and score one level twice: a ConfigError
+    # names the key, or the tag, before anything is generated, written or
+    # registered
     grid = {"missing_width": [0.3], "noise_std": [0.02], **entries}
     cfg = write_config(tmp_path / "cfg.json", grid=grid)
     out = tmp_path / "out"
@@ -535,7 +547,7 @@ def strip_runtime(rows):
     return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "abc", "2.5"])
 def test_sweep_threads_below_one_rejected(tmp_path, capsys, threads):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "sweep"

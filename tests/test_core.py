@@ -78,17 +78,22 @@ def test_pointset_requires_valid_dim_and_finite():
         PointSet(points=np.zeros((0, 2)))
 
 
-def test_correspondence_state_partition_enforced():
-    p = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        CorrespondenceState(
-            P=p,
-            nu=np.zeros(3),
-            ps=np.zeros((3, 2)),
-            pss=np.zeros(3),
-            inliers=np.array([0, 1]),
-            missing=np.array([1, 2]),
-        )
+def test_correspondence_state_partition_comes_from_its_mask():
+    # inliers and missing are the True and False indices of the one mask:
+    # sorted, disjoint, and together every reference index
+    rng = np.random.default_rng(5)
+    n = 40
+    labelled = rng.random(n) < 0.6
+    state = CorrespondenceState(
+        P=np.zeros((n, 2)), nu=np.zeros(n), ps=np.zeros((n, 2)), pss=np.zeros(n),
+        labelled=labelled,
+    )
+    inliers, missing = state.inliers, state.missing
+    assert 0 < inliers.size < n
+    assert np.all(np.diff(inliers) > 0) and np.all(np.diff(missing) > 0)
+    assert not np.intersect1d(inliers, missing).size
+    assert np.array_equal(np.sort(np.concatenate([inliers, missing])), np.arange(n))
+    assert np.all(labelled[inliers]) and not np.any(labelled[missing])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
@@ -183,3 +188,22 @@ def test_pointset_csv_roundtrip_is_lossless(tmp_path):
     sio.write_pointset_csv(path, ps)
     back = sio.read_pointset_csv(path)
     assert np.array_equal(back.points, ps.points)
+
+
+def test_points_csv_skips_a_header_and_blank_lines(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n\n0.5,1\n   \n-2,3.25\n\n")
+    assert sio.read_points_csv(path).tolist() == [[0.5, 1.0], [-2.0, 3.25]]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1,2\n3,4\nx,y\n", "could not convert"),
+    ("", "no points"),
+    ("x,y\n\n", "no points"),
+], ids=["text_after_data", "empty", "header_only"])
+def test_points_csv_rejects_text_after_data_and_a_file_with_no_points(tmp_path, text, error):
+    # only lines before the first point may be a header
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=error):
+        sio.read_points_csv(path)

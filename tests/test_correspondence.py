@@ -328,14 +328,14 @@ class TestGetCorrespondences:
 class TestClosestPoint:
     def test_identity(self):
         pts = np.random.default_rng(3).normal(size=(6, 2))
-        state, ann = closest_point_correspondence(pointset(pts), pointset(pts), 0.1)
+        state, ann = closest_point_correspondence(make_inputs(pts, pts, [0.1] * 6))
         np.testing.assert_allclose(ann.delta_hat, 0.0, atol=1e-15)
         assert state.missing.size == 0
 
     def test_single_target_forces_all(self):
         rng = np.random.default_rng(4)
         state, ann = closest_point_correspondence(
-            pointset([[2.0, 2.0]]), pointset(rng.normal(size=(5, 2))), 0.1
+            make_inputs([[2.0, 2.0]], rng.normal(size=(5, 2)), [0.1] * 5)
         )
         np.testing.assert_array_equal(state.P, 1.0)
         assert state.inliers.tolist() == list(range(5))
@@ -344,7 +344,7 @@ class TestClosestPoint:
         rng = np.random.default_rng(9)
         target = rng.uniform(-1, 1, size=(10, 2))
         ref = rng.uniform(-1, 1, size=(10, 2))
-        state, ann = closest_point_correspondence(pointset(target), pointset(ref), 0.2)
+        state, ann = closest_point_correspondence(make_inputs(target, ref, [0.2] * 10))
         for i in range(10):
             dists = np.linalg.norm(target - ref[i], axis=1)
             assert np.flatnonzero(state.P[i]).tolist() == [np.argmin(dists)]
@@ -352,5 +352,5 @@ class TestClosestPoint:
     def test_tie_breaks_to_lowest_index(self):
         target = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ref = np.array([[0.0, 0.0]])
-        state, _ = closest_point_correspondence(pointset(target), pointset(ref), 0.1)
+        state, _ = closest_point_correspondence(make_inputs(target, ref, [0.1]))
         assert state.P[0].tolist() == [1.0, 0.0]

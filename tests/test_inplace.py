@@ -284,7 +284,8 @@ def test_fusion_matches_full_w_at_block_edges(edge_blocks, n_r, missing):
     )
     np.testing.assert_allclose(ann.sigma2_eff, sigma2[inliers] / mass, rtol=1e-12)
 
-    nearest, _ = closest_point_correspondence(target, ref, 0.1)
+    nearest, _ = closest_point_correspondence(
+        ResponsibilityInputs(target, ref, np.full(n_r, 0.1), np.zeros(n_r), 0.0))
     full = np.argmin(sq_dists(ref.points, target.points), axis=1)
     assert np.array_equal(nearest.P.argmax(axis=1), full)
 

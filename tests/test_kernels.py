@@ -211,6 +211,32 @@ class TestBuildPCAKernel:
         with pytest.raises(ValueError, match="finite"):
             PCAKernel(eigenvalues=np.array(lam), eigenvectors=np.array(vec), anchor=anchor)
 
+    @pytest.mark.parametrize("lam, vec, needle", [
+        ([], np.zeros((4, 0)), "nonempty"),
+        ([[1.0]], [[1.0], [0.0], [0.0], [0.0]], "nonempty"),
+        ([0.0], [[1.0], [0.0], [0.0], [0.0]], "positive"),
+        ([-1.0], [[1.0], [0.0], [0.0], [0.0]], "positive"),
+        ([1.0, 2.0], np.eye(4)[:, :2], "nonincreasing"),
+        ([1.0], [[1.0], [0.0], [0.0]], "shape"),
+        ([1.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], "shape"),
+    ], ids=["empty", "matrix", "zero", "negative", "increasing", "short_vectors",
+            "extra_column"])
+    def test_malformed_spectrum_rejected(self, lam, vec, needle):
+        anchor = pointset([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=needle):
+            PCAKernel(eigenvalues=np.array(lam), eigenvectors=np.array(vec), anchor=anchor)
+
+    @pytest.mark.parametrize("samples, rank, error, needle", [
+        (np.ones((1, 4)), 1, ValueError, "at least 2"),
+        (np.ones(4), 1, ValueError, "at least 2"),
+        (np.arange(15.0).reshape(3, 5), 1, ValueError, "N_R \\* d"),
+        (np.random.default_rng(1).normal(size=(3, 4)), 0, RankTooLargeError, "rank must be"),
+    ], ids=["one_sample", "vector", "wrong_width", "rank_zero"])
+    def test_malformed_training_set_rejected(self, samples, rank, error, needle):
+        anchor = pointset([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(error, match=needle):
+            build_pca_kernel(samples, rank=rank, anchor=anchor)
+
 
 @pytest.mark.parametrize("make, field", [
     (lambda: SquaredExponential(amplitude2=True), "amplitude2"),

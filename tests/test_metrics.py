@@ -10,15 +10,14 @@ from helpers import pointset
 
 def make_result(deformed_pts, missing_ids=(), n_ref=None, failed=False):
     n = len(deformed_pts) if n_ref is None else n_ref
-    missing = np.asarray(sorted(missing_ids), dtype=int)
-    inliers = np.asarray([i for i in range(n) if i not in set(missing.tolist())])
+    labelled = np.ones(n, dtype=bool)
+    labelled[list(missing_ids)] = False
     state = CorrespondenceState(
         P=np.zeros((n, 1)),
         nu=np.zeros(n),
         ps=np.zeros((n, np.shape(deformed_pts)[1])),
         pss=np.zeros(n),
-        inliers=inliers,
-        missing=missing,
+        labelled=labelled,
     )
     return RegistrationResult(
         deformed_reference=pointset(deformed_pts),

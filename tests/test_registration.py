@@ -454,5 +454,6 @@ def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
     for noise, sigma2 in zip(noises[1:res.iters], updates):
         assert np.array_equal(noise, sigma2)
     assert np.array_equal(noises[-1], noises[-2])
-    _, ann = closest_point_correspondence(inst.target, res.deformed_reference, res.sigma2)
+    _, ann = closest_point_correspondence(ResponsibilityInputs(
+        inst.target, res.deformed_reference, res.sigma2, res.posterior.var_diag, cfg.omega))
     assert np.array_equal(ann.sigma2_eff, res.sigma2)

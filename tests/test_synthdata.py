@@ -14,7 +14,7 @@ from sfgp.synthdata import (
     write_instance,
 )
 
-from helpers import pointset
+from helpers import fibonacci_sphere, pointset
 
 
 def test_fish_reference_shape():
@@ -180,6 +180,30 @@ class TestGenerate:
         assert np.array_equal(inst.target.points, inst.ground_truth.points)
         assert not np.array_equal(inst.ground_truth.points, warp_rbf(
             fish, 0.03, 0.3, 5, seed=_first_subseed(42)).points)
+
+    def test_rotation_of_a_3d_shape_is_proper_and_rigid(self, tmp_path):
+        # a 3-D shape turns about a random axis through its centroid; with no
+        # warp the ground truth is the reference turned by one proper rotation
+        sphere = pointset(fibonacci_sphere(200))
+        spec = PerturbationSpec(rotation_max=0.5, seed=11)
+        inst = generate(sphere, spec)
+        ref, gt = sphere.points, inst.ground_truth.points
+        np.testing.assert_allclose(gt.mean(axis=0), ref.mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(gt[:, None] - gt[None], axis=2),
+                                   np.linalg.norm(ref[:, None] - ref[None], axis=2),
+                                   rtol=0.0, atol=1e-14)
+        ref_c, gt_c = ref - ref.mean(axis=0), gt - gt.mean(axis=0)
+        rot_t, *_ = np.linalg.lstsq(ref_c, gt_c, rcond=None)
+        np.testing.assert_allclose(ref_c @ rot_t, gt_c, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(rot_t.T @ rot_t, np.eye(3), atol=1e-13)
+        assert np.linalg.det(rot_t) == pytest.approx(1.0, abs=1e-13)
+        angle = np.arccos((np.trace(rot_t) - 1.0) / 2.0)
+        assert 0.0 < angle <= 0.5 + 1e-12
+
+        write_instance(tmp_path / "a", inst)
+        write_instance(tmp_path / "b", generate(sphere, spec))
+        for name in ("target.csv", "ground_truth.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_instance_roundtrip(self, tmp_path):
         fish = fish_reference()
