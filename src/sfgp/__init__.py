@@ -10,7 +10,6 @@ from .core import (
     VARIANTS,
     AllMissingError,
     AnchorMismatchError,
-    AnnotatedDeformations,
     ConfigError,
     CorrespondenceState,
     DegenerateInstanceError,

@@ -356,6 +356,9 @@ def cmd_sweep(args) -> int:
     if not (isinstance(variants, list) and variants):
         raise ConfigError(f"variants must be a nonempty list, got {variants!r}")
     cfgs = [(name, variant_config(name, base)) for name in variants]
+    for name in variants:
+        if variants.count(name) > 1:  # each task would run, and write its row, twice
+            raise ConfigError(f"variants lists {name!r} more than once")
     tasks = [
         (variant, tag, reference, kernel, cfg, spec)
         for tag, _, _, spec in _instances(config, reference)

@@ -298,23 +298,6 @@ class CorrespondenceState:
 
 
 @dataclass(frozen=True)
-class AnnotatedDeformations:
-    """Precision-fused deformation labels for the inlier reference points.
-
-    delta_hat:  (C, d) fused deformation per inlier, aligned with the
-                inlier index order of the owning CorrespondenceState.
-    sigma2_eff: (C,) effective noise variance per inlier.
-    """
-
-    delta_hat: np.ndarray
-    sigma2_eff: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(self.sigma2_eff > 0.0):  # also False for NaN
-            raise ValueError("sigma2_eff must be strictly positive")
-
-
-@dataclass(frozen=True)
 class PosteriorDeformation:
     """Posterior mean displacement and per-point variance scalars.
 
@@ -399,7 +382,6 @@ __all__ = [
     "sq_dists",
     "default_sigma2_init",
     "CorrespondenceState",
-    "AnnotatedDeformations",
     "PosteriorDeformation",
     "IterationRecord",
     "STOP_REASONS",

@@ -3,7 +3,7 @@
 Each target point is explained by a mixture over reference points (isotropic
 Gaussian per reference point, individual variance) plus a uniform outlier
 component with weight omega.  Responsibilities feed the fusion, which forms
-the precision-fused deformation labels and the inlier/missing partition in
+the fused target points (barycentres) and the inlier/missing partition in
 one pass, and the expected match counts used by the variance update.
 
 P is the one (N_R, N_S) array of a correspondence step, written to the
@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     AllMissingError,
-    AnnotatedDeformations,
     CorrespondenceState,
     PointSet,
     gemm,
@@ -116,28 +115,30 @@ def responsibilities(
 
 def get_correspondences(
     inputs: ResponsibilityInputs, p_min: float, *, out: Optional[np.ndarray] = None
-) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
-    """Responsibilities, partition, and fused labels in one pass.
+) -> Tuple[CorrespondenceState, np.ndarray, np.ndarray]:
+    """Responsibilities, partition, and fused targets in one pass.
 
     Every pair (i, j) with p_ij > p_min annotates reference point i with the
-    label s_j - r_bar_i at variance sigma2_i / p_ij; see `_fuse`.  P is
+    target point s_j at variance sigma2_i / p_ij; see `_fuse`.  P is
     formed in `out` as by `responsibilities`.
     """
     p = responsibilities(inputs, out=out)
-    return _fuse(p, inputs.target, inputs.deformed_ref, inputs.sigma2, p_min)
+    return _fuse(p, inputs.target, inputs.sigma2, p_min)
 
 
 def _fuse(
-    p: np.ndarray, target: PointSet, deformed_ref: PointSet, sigma2, p_min: float
-) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
-    """Fuse the labels of the kept pairs, p_ij > p_min, and partition `p`.
+    p: np.ndarray, target: PointSet, sigma2, p_min: float
+) -> Tuple[CorrespondenceState, np.ndarray, np.ndarray]:
+    """Fuse the kept pairs, p_ij > p_min, and partition `p`.
 
     The precision-weighted fusion is the closed-form barycentre over
-    W = P * [P > p_min]: delta_hat_i = (W S)_i / sum_j W_ij - r_bar_i and
-    sigma2_eff_i = sigma2_i / sum_j W_ij, for sigma2 an (N_R,) array or one
-    float.  Point i is an inlier exactly when sigma2_eff_i is finite; with no
-    kept pair, or kept mass so small that the division overflows, its label
-    has infinite noise, which is no label, and it is missing.
+    W = P * [P > p_min]: barycentre_i = (W S)_i / sum_j W_ij at noise
+    sigma2_i / sum_j W_ij, for sigma2 an (N_R,) array or one float.  Point i
+    is an inlier exactly when its noise is finite; with no kept pair, or kept
+    mass so small that the division overflows, its noise is infinite, which
+    is no label, and it is missing.  Returns the state, the (C, d)
+    barycentres and the (C,) noise of the C inliers, in their index order;
+    a label is a barycentre minus the undeformed reference point.
 
     The state also carries the row moments nu = P 1, ps = P S and
     pss = P |s|^2, so the variance update needs no P.  Every sum is a column
@@ -168,16 +169,14 @@ def _fuse(
     state = CorrespondenceState(
         P=p, nu=moments[:, d], ps=moments[:, :d], pss=moments[:, d + 1], labelled=labelled
     )
-    delta_hat = kept[labelled, :d]  # a copy, divided and shifted in place
-    delta_hat /= kept[labelled, d:]
-    delta_hat -= deformed_ref.points[labelled]
-    ann = AnnotatedDeformations(delta_hat=delta_hat, sigma2_eff=noise[labelled])
-    return state, ann
+    barycentres = kept[labelled, :d]  # a copy, divided in place
+    barycentres /= kept[labelled, d:]
+    return state, barycentres, noise[labelled]
 
 
 def closest_point_correspondence(
     inputs: ResponsibilityInputs, *, out: Optional[np.ndarray] = None
-) -> Tuple[CorrespondenceState, AnnotatedDeformations]:
+) -> Tuple[CorrespondenceState, np.ndarray, np.ndarray]:
     """Hard assignment baseline: each reference point annotates to its
     Euclidean-nearest target point at variance sigma2_i; nothing is ever
     declared missing.  Ties break to the lowest target index.  Of the
@@ -185,14 +184,14 @@ def closest_point_correspondence(
 
     The one-hot P, written to `out` when one is given, goes through the same
     fusion as `get_correspondences` at p_min = 0, which keeps exactly the
-    nearest pair of every row: each row's kept mass is 1, so its label's
-    noise is its sigma2_i.
+    nearest pair of every row: each row's kept mass is 1, so its barycentre
+    is its nearest target point, at noise sigma2_i.
     """
     target, ref = inputs.target, inputs.deformed_ref
     p = np.empty((ref.n, target.n)) if out is None else out
     p.fill(0.0)
     p[np.arange(ref.n), nearest(ref.points, target.points)] = 1.0
-    return _fuse(p, target, ref, inputs.sigma2, 0.0)
+    return _fuse(p, target, inputs.sigma2, 0.0)
 
 
 __all__ = [

@@ -299,7 +299,18 @@ def save_pca_kernel(path, kernel: PCAKernel) -> None:
 
 
 def load_pca_kernel(path, anchor: PointSet) -> PCAKernel:
-    with np.load(path) as payload:
+    """The PCA kernel save_pca_kernel wrote to `path`.  Raises ValueError,
+    naming the file, when it is no .npz archive or lacks one of the arrays."""
+    try:
+        payload = np.load(path)
+    except ValueError:  # neither .npy nor .npz, so NumPy refuses it as a pickle
+        payload = None
+    if not isinstance(payload, np.lib.npyio.NpzFile):  # an .npy gives one array
+        raise ValueError(f"{path} is not a spectrum archive (.npz)")
+    with payload:
+        lacking = sorted({"eigenvalues", "eigenvectors", "anchor_hash"} - set(payload.files))
+        if lacking:
+            raise ValueError(f"spectrum archive {path} lacks {', '.join(lacking)}")
         stored = str(payload["anchor_hash"])
         if stored != anchor_hash(anchor):
             raise AnchorMismatchError(

@@ -130,7 +130,8 @@ def register(
 
     Each iteration hands one ResponsibilityInputs of the current fit to the
     E-step rule cfg.correspondence_mode picks: `get_correspondences` or
-    `closest_point_correspondence`.
+    `closest_point_correspondence`; the labels are the barycentres it fuses
+    minus the undeformed reference points.
     """
     if reference.dim != target.dim:
         raise ValueError("reference and target dimensions differ")
@@ -164,21 +165,17 @@ def register(
         state = None  # stays None when the E-step collapses
         inputs = ResponsibilityInputs(target, r_bar, sigma2, post_var, cfg.omega)
         try:
-            state, ann = e_step(inputs)
+            state, barycentres, noise = e_step(inputs)
         except AllMissingError as exc:
             stop_reason = "first_iteration" if it == 1 else "mid_run_collapse"
             logger.warning("iter=%d correspondence collapse: %s", it, exc)
             break
 
         try:
-            # the labels are relative to r_bar; the posterior mean is the
-            # total displacement of the reference, so the labels must be as
-            # well.  The observed block is factored in work, over state.P.
+            # the observed block is factored in work, over state.P
             inliers = state.inliers
-            posterior = gpr_posterior(
-                prior, inliers, ann.delta_hat + (r_bar.points - ref_pts)[inliers],
-                ann.sigma2_eff, work=work,
-            )
+            labels = barycentres - ref_pts[inliers]
+            posterior = gpr_posterior(prior, inliers, labels, noise, work=work)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
 
@@ -215,7 +212,7 @@ def register(
     if state is not None:
         # the posterior overwrote P: the same E-step on the same inputs
         # gives it back for the result
-        state, _ = e_step(inputs)
+        state = e_step(inputs)[0]
 
     return RegistrationResult(
         deformed_reference=r_bar,

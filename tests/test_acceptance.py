@@ -176,7 +176,7 @@ def test_criterion_2_single_iteration_matches_direct_update():
         post_var = rng.uniform(0.0, 0.3, size=n)
         omega = float(rng.uniform(0.0, 0.5))
         gram = gp_prior(SquaredExponential(1.0, 0.7), ref, 0.0)
-        state, ann = get_correspondences(
+        state, bary, noise = get_correspondences(
             ResponsibilityInputs(
                 target=target, deformed_ref=ref, sigma2=sigma2,
                 post_var=post_var, omega=omega,
@@ -184,7 +184,7 @@ def test_criterion_2_single_iteration_matches_direct_update():
             p_min=0.0,
         )
         assert state.missing.size == 0
-        post = gpr_posterior(gram, state.inliers, ann.delta_hat, ann.sigma2_eff)
+        post = gpr_posterior(gram, state.inliers, bary - ref.points[state.inliers], noise)
         mu_o, var_o = direct_deformation_update(
             dense_gram(gram), 2, state.P, target.points, ref.points, sigma2
         )
@@ -249,7 +249,7 @@ def test_criterion_4_closed_form_correspondence_identities():
             target=target, deformed_ref=rbar, sigma2=sigma2,
             post_var=np.zeros(n_r), omega=float(rng.uniform(0.0, 0.4)),
         )
-        state, ann = get_correspondences(inputs, BENCH_P_MIN)
+        state, barycentres, noise = get_correspondences(inputs, BENCH_P_MIN)
         for k, i in enumerate(state.inliers):
             js = np.flatnonzero(state.P[i] > BENCH_P_MIN)
             w = state.P[i, js]
@@ -258,9 +258,9 @@ def test_criterion_4_closed_form_correspondence_identities():
             delta_closed = bary - rbar.points[i]
             worst = max(
                 worst,
-                abs(ann.sigma2_eff[k] - sig_closed) / sig_closed,
+                abs(noise[k] - sig_closed) / sig_closed,
                 float(
-                    np.max(np.abs(ann.delta_hat[k] - delta_closed))
+                    np.max(np.abs(barycentres[k] - rbar.points[i] - delta_closed))
                     / max(np.max(np.abs(delta_closed)), 1e-30)
                 ),
             )

@@ -448,10 +448,13 @@ def test_config_that_is_no_json_object_fails_cleanly(tmp_path, capsys):
     ("generate", {"grid": {"missing_width": [], "noise_std": [0.02]}}, "missing_width"),
     ("sweep", {"grid": {"missing_width": [], "noise_std": [0.02]}}, "missing_width"),
     ("sweep", {"variants": []}, "variants"),
-], ids=["generate_axis", "sweep_axis", "sweep_variants"])
+    ("sweep", {"variants": ["SFGP_Full", "GPClosestPnt", "SFGP_Full"]}, "'SFGP_Full'"),
+], ids=["generate_axis", "sweep_axis", "sweep_variants", "sweep_variant_twice"])
 def test_empty_list_fails_cleanly(tmp_path, capsys, command, overrides, key):
     # an empty axis or variant list runs nothing; like instances: 0 it is an
-    # error, not a header-only metrics.csv or a half-written dataset
+    # error, not a header-only metrics.csv or a half-written dataset.  A
+    # variant listed twice would run every one of its tasks twice and write
+    # two rows with one (variant, level, seed)
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -718,6 +721,27 @@ def test_pca_sum_kernel_agrees_across_sweep_and_files(tmp_path):
     assert len(serial) == 2 and all(r["success"] == 1 for r in serial)
     assert strip_runtime(sio.read_csv_rows(tmp_path / "sweep2" / "metrics.csv")) == serial
     assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == serial
+
+
+@pytest.mark.parametrize("name, write, needle", [
+    ("spectrum.npy", lambda p: np.save(p, np.ones(3)), "not a spectrum archive"),
+    ("spectrum.csv", lambda p: p.write_text("0.1,0.2\n"), "not a spectrum archive"),
+    ("spectrum.npz", lambda p: np.savez(p, eigenvalues=np.ones(2), eigenvectors=np.eye(196, 2)),
+     "anchor_hash"),
+], ids=["npy", "text", "npz_without_anchor_hash"])
+def test_pca_file_that_is_no_spectrum_archive_fails_cleanly(tmp_path, capsys, name, write,
+                                                            needle):
+    # np.load gives an .npy's one array, which is no context manager, takes
+    # a text file for a pickle, and an archive's KeyError would read as a
+    # missing config key
+    path = tmp_path / name
+    write(path)
+    cfg = write_config(tmp_path / "cfg.json", kernel={"type": "pca_file", "path": str(path)})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(path) in err and needle in err
+    assert not out.exists()
 
 
 def test_register_mid_run_collapse_writes_placeholders(tmp_path, monkeypatch):

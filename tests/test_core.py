@@ -5,7 +5,6 @@ import pytest
 
 from sfgp import core
 from sfgp.core import (
-    AnnotatedDeformations,
     ConfigError,
     CorrespondenceState,
     PointSet,
@@ -94,12 +93,6 @@ def test_correspondence_state_partition_comes_from_its_mask():
     assert not np.intersect1d(inliers, missing).size
     assert np.array_equal(np.sort(np.concatenate([inliers, missing])), np.arange(n))
     assert np.all(labelled[inliers]) and not np.any(labelled[missing])
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
-def test_annotated_deformations_reject_noise_that_is_not_positive(bad):
-    with pytest.raises(ValueError, match="sigma2_eff"):
-        AnnotatedDeformations(delta_hat=np.zeros((2, 2)), sigma2_eff=np.array([1.0, bad]))
 
 
 def test_default_sigma2_init_is_squared_nn_distance():

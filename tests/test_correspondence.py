@@ -142,48 +142,46 @@ class TestAnnotatorVariance:
     label variance sigma2_i / p_ij as its effective variance."""
 
     def test_direct_formula(self):
-        state, ann = get_correspondences(
+        state, _, noise = get_correspondences(
             make_inputs([[0.3, 0.1]], [[0.0, 0.0]], [0.5], omega=0.4), 0.01
         )
         p = state.P[0, 0]
         assert 0.01 < p < 1.0
-        assert ann.sigma2_eff[0] == pytest.approx(0.5 / p, rel=1e-15)
+        assert noise[0] == pytest.approx(0.5 / p, rel=1e-15)
 
     def test_confident_match_keeps_base(self):
-        state, ann = get_correspondences(make_inputs([[0.3, 0.1]], [[0.0, 0.0]], [0.7]), 0.01)
+        state, _, noise = get_correspondences(make_inputs([[0.3, 0.1]], [[0.0, 0.0]], [0.7]), 0.01)
         assert state.P[0, 0] == 1.0
-        assert ann.sigma2_eff[0] == 0.7
+        assert noise[0] == 0.7
 
     def test_monotone_blowup_as_probability_vanishes(self):
         values = []
         for dist in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-            state, ann = get_correspondences(
+            state, _, noise = get_correspondences(
                 make_inputs([[dist, 0.0]], [[0.0, 0.0]], [1.0], omega=0.5), 0.0
             )
             assert state.P[0, 0] > 0.0
-            values.append(ann.sigma2_eff[0])
+            values.append(noise[0])
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_zero_probability_pair_excluded(self):
         # the far target's density is exactly zero: even with the threshold
         # off it must not annotate, so the label comes from target 0 alone
         inputs = make_inputs([[0.2, 0.1], [1e160, 1e160]], [[0.0, 0.0]], [0.5], omega=0.2)
-        state, ann = get_correspondences(inputs, 0.0)
+        state, bary, noise = get_correspondences(inputs, 0.0)
+        label = bary[0] - inputs.deformed_ref.points[0]
         assert state.P[0, 1] == 0.0
-        assert np.all(np.isfinite(ann.delta_hat))
-        np.testing.assert_allclose(ann.delta_hat[0], [0.2, 0.1], rtol=1e-15)
-        assert ann.sigma2_eff[0] == pytest.approx(0.5 / state.P[0, 0], rel=1e-15)
+        assert np.all(np.isfinite(bary))
+        np.testing.assert_allclose(label, [0.2, 0.1], rtol=1e-15)
+        assert noise[0] == pytest.approx(0.5 / state.P[0, 0], rel=1e-15)
 
 
 def partition(p, p_min, sigma2=None):
     """The CorrespondenceState `_fuse` builds from P alone: the partition and
-    nu read only P and sigma2, so the points are placeholders."""
+    nu read only P and sigma2, so the target is a placeholder."""
     n_r, n_s = p.shape
     sigma2 = np.ones(n_r) if sigma2 is None else sigma2
-    state, _ = correspondence._fuse(
-        p, pointset(np.zeros((n_s, 2))), pointset(np.zeros((n_r, 2))), sigma2, p_min
-    )
-    return state
+    return correspondence._fuse(p, pointset(np.zeros((n_s, 2))), sigma2, p_min)[0]
 
 
 class TestThreshold:
@@ -261,27 +259,26 @@ class TestThreshold:
 
 class TestGetCorrespondences:
     def test_single_pair(self):
-        state, ann = get_correspondences(
-            make_inputs([[1.0, 1.0]], [[0.0, 0.0]], [0.5]), 0.01
-        )
-        np.testing.assert_allclose(ann.delta_hat[0], [1.0, 1.0], rtol=1e-12)
-        assert ann.sigma2_eff[0] == pytest.approx(0.5, rel=1e-12)
+        inputs = make_inputs([[1.0, 1.0]], [[0.0, 0.0]], [0.5])
+        state, bary, noise = get_correspondences(inputs, 0.01)
+        label = bary[0] - inputs.deformed_ref.points[0]
+        np.testing.assert_allclose(label, [1.0, 1.0], rtol=1e-12)
+        assert noise[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_two_equidistant_targets(self):
         # symmetric cross: each target splits evenly between the two
         # references, so each row carries p = (0.5, 0.5) with unit mass
-        state, ann = get_correspondences(
-            make_inputs(
-                [[0.0, 1.0], [0.0, -1.0]], [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]
-            ),
-            0.01,
+        inputs = make_inputs(
+            [[0.0, 1.0], [0.0, -1.0]], [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]
         )
+        state, bary, noise = get_correspondences(inputs, 0.01)
         np.testing.assert_allclose(state.P, 0.5, rtol=1e-12)
         # fused label is the midpoint of the two targets minus the reference
-        np.testing.assert_allclose(ann.delta_hat[0], [-1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(ann.delta_hat[1], [1.0, 0.0], atol=1e-12)
+        labels = bary - inputs.deformed_ref.points[state.inliers]
+        np.testing.assert_allclose(labels[0], [-1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(labels[1], [1.0, 0.0], atol=1e-12)
         # total mass 1: effective variance equals the base variance
-        np.testing.assert_allclose(ann.sigma2_eff, 0.5, rtol=1e-12)
+        np.testing.assert_allclose(noise, 0.5, rtol=1e-12)
 
     def test_closed_form_identities_random(self):
         rng = np.random.default_rng(11)
@@ -291,17 +288,17 @@ class TestGetCorrespondences:
             target = rng.uniform(-1, 1, size=(n_s, 2))
             sigma2 = rng.uniform(0.05, 0.6, size=n_r)
             inputs = make_inputs(target, rbar, sigma2, omega=float(rng.uniform(0, 0.5)))
-            state, ann = get_correspondences(inputs, 0.01)
+            state, bary, noise = get_correspondences(inputs, 0.01)
             p = state.P
             for k, i in enumerate(state.inliers):
                 js = np.flatnonzero(p[i] > 0.01)
                 w = p[i, js]
                 np.testing.assert_allclose(
-                    ann.sigma2_eff[k], sigma2[i] / w.sum(), rtol=1e-12
+                    noise[k], sigma2[i] / w.sum(), rtol=1e-12
                 )
                 barycenter = (w[:, None] * target[js]).sum(axis=0) / w.sum()
                 np.testing.assert_allclose(
-                    ann.delta_hat[k], barycenter - rbar[i], rtol=1e-12, atol=1e-14
+                    bary[k] - rbar[i], barycenter - rbar[i], rtol=1e-12, atol=1e-14
                 )
 
     def test_all_missing_raises(self):
@@ -317,24 +314,24 @@ class TestGetCorrespondences:
         inputs = make_inputs(
             [[0.0, 0.0], [0.0, 0.05]], [[0.0, 0.0], [1.2166, 0.0], [0.0, 0.05]], [1e-3] * 3
         )
-        state, ann = get_correspondences(inputs, 0.0)
+        state, bary, noise = get_correspondences(inputs, 0.0)
         assert 0.0 < state.P[1].max() < np.finfo(float).tiny
         assert state.missing.tolist() == [1]
         assert state.inliers.tolist() == [0, 2]
-        assert np.all(np.isfinite(ann.sigma2_eff))
-        assert np.all(np.isfinite(ann.delta_hat))
+        assert np.all(np.isfinite(noise))
+        assert np.all(np.isfinite(bary))
 
 
 class TestClosestPoint:
     def test_identity(self):
         pts = np.random.default_rng(3).normal(size=(6, 2))
-        state, ann = closest_point_correspondence(make_inputs(pts, pts, [0.1] * 6))
-        np.testing.assert_allclose(ann.delta_hat, 0.0, atol=1e-15)
+        state, bary, _ = closest_point_correspondence(make_inputs(pts, pts, [0.1] * 6))
+        np.testing.assert_allclose(bary - pts, 0.0, atol=1e-15)
         assert state.missing.size == 0
 
     def test_single_target_forces_all(self):
         rng = np.random.default_rng(4)
-        state, ann = closest_point_correspondence(
+        state, _, _ = closest_point_correspondence(
             make_inputs([[2.0, 2.0]], rng.normal(size=(5, 2)), [0.1] * 5)
         )
         np.testing.assert_array_equal(state.P, 1.0)
@@ -344,7 +341,7 @@ class TestClosestPoint:
         rng = np.random.default_rng(9)
         target = rng.uniform(-1, 1, size=(10, 2))
         ref = rng.uniform(-1, 1, size=(10, 2))
-        state, ann = closest_point_correspondence(make_inputs(target, ref, [0.2] * 10))
+        state, _, _ = closest_point_correspondence(make_inputs(target, ref, [0.2] * 10))
         for i in range(10):
             dists = np.linalg.norm(target - ref[i], axis=1)
             assert np.flatnonzero(state.P[i]).tolist() == [np.argmin(dists)]
@@ -352,5 +349,5 @@ class TestClosestPoint:
     def test_tie_breaks_to_lowest_index(self):
         target = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ref = np.array([[0.0, 0.0]])
-        state, _ = closest_point_correspondence(make_inputs(target, ref, [0.1]))
+        state, _, _ = closest_point_correspondence(make_inputs(target, ref, [0.1]))
         assert state.P[0].tolist() == [1.0, 0.0]

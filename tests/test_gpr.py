@@ -40,8 +40,8 @@ def random_fusion(rng, n_r=5, n_s=8):
     target = rng.uniform(-1, 1, size=(n_s, 2))
     rbar = rng.uniform(-1, 1, size=(n_r, 2))
     sigma2 = rng.uniform(0.05, 0.6, size=n_r)
-    state, ann = fuse(target, rbar, sigma2, omega=float(rng.uniform(0, 0.4)))
-    return target, rbar, sigma2, state, ann
+    state, bary, noise = fuse(target, rbar, sigma2, omega=float(rng.uniform(0, 0.4)))
+    return target, rbar, sigma2, state, bary, noise
 
 
 class TestAggregation:
@@ -50,30 +50,30 @@ class TestAggregation:
     threshold annotates label s_j - r_bar_i at variance sigma2_i / p_ij."""
 
     def test_singleton_identity(self):
-        _, ann = fuse([[1.0, 0.0]], [[0.0, 0.0]], [0.3])
-        assert np.array_equal(ann.delta_hat[0], [1.0, 0.0])
-        assert ann.sigma2_eff[0] == 0.3  # a certain match keeps its variance exactly
+        _, bary, noise = fuse([[1.0, 0.0]], [[0.0, 0.0]], [0.3])
+        assert np.array_equal(bary[0] - [0.0, 0.0], [1.0, 0.0])
+        assert noise[0] == 0.3  # a certain match keeps its variance exactly
 
     def test_equal_weights_average(self):
         # one reference point and no outlier mass: both targets match it with p = 1
-        state, ann = fuse([[1.0, 0.0], [3.0, 0.0]], [[0.0, 0.0]], [2.0])
+        state, bary, noise = fuse([[1.0, 0.0], [3.0, 0.0]], [[0.0, 0.0]], [2.0])
         np.testing.assert_array_equal(state.P, 1.0)
-        np.testing.assert_allclose(ann.delta_hat[0], [2.0, 0.0], rtol=1e-15)
-        assert ann.sigma2_eff[0] == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(bary[0] - [0.0, 0.0], [2.0, 0.0], rtol=1e-15)
+        assert noise[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_precision_weighting_hand_oracle(self):
         # the fused label against the per-annotation precision sums:
         # 1/var = sum_j p_ij / sigma2_i, delta = var * sum_j (p_ij / sigma2_i) (s_j - r_bar_i)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            target, rbar, sigma2, state, ann = random_fusion(rng)
+            target, rbar, sigma2, state, bary, noise = random_fusion(rng)
             for k, i in enumerate(state.inliers):
                 js = np.flatnonzero(state.P[i] > 0.01)
                 precisions = 1.0 / (sigma2[i] / state.P[i, js])
                 var = 1.0 / precisions.sum()
                 delta = var * (precisions[:, None] * (target[js] - rbar[i])).sum(axis=0)
-                assert ann.sigma2_eff[k] == pytest.approx(var, rel=1e-12)
-                np.testing.assert_allclose(ann.delta_hat[k], delta, rtol=1e-12, atol=1e-14)
+                assert noise[k] == pytest.approx(var, rel=1e-12)
+                np.testing.assert_allclose(bary[k] - rbar[i], delta, rtol=1e-12, atol=1e-14)
 
     def test_empty_list_rejected(self):
         # a point without annotations carries no label; with no labels at
@@ -105,21 +105,21 @@ class TestAggregation:
     def test_effective_variance_never_exceeds_best_annotation(self, target, sigma2, omega):
         rbar = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
         try:
-            state, ann = fuse(target, rbar, sigma2, omega)
+            state, _, noise = fuse(target, rbar, sigma2, omega)
         except AllMissingError:
             assume(False)
         for k, i in enumerate(state.inliers):
             best = sigma2[i] / state.P[i].max()
-            assert ann.sigma2_eff[k] <= best * (1 + 1e-12)
+            assert noise[k] <= best * (1 + 1e-12)
 
     def test_reciprocal_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            _, _, sigma2, state, ann = random_fusion(rng)
+            _, _, sigma2, state, _, noise = random_fusion(rng)
             for k, i in enumerate(state.inliers):
                 row = state.P[i]
                 precision = np.sum(row[row > 0.01]) / sigma2[i]
-                assert 1.0 / ann.sigma2_eff[k] == pytest.approx(precision, rel=1e-12)
+                assert 1.0 / noise[k] == pytest.approx(precision, rel=1e-12)
 
 
 class TestPosterior:
@@ -242,11 +242,11 @@ class TestPosterior:
         # one annotation each, at the shared variance
         sigma_n2 = 1e-4
         target = ref + rng.normal(scale=0.002, size=ref.shape)
-        state, ann = fuse(target, ref, np.full(7, sigma_n2))
+        state, bary, noise = fuse(target, ref, np.full(7, sigma_n2))
         assert state.inliers.tolist() == list(range(7))
-        assert np.all(ann.sigma2_eff == sigma_n2)  # singleton fusion is exact
-        delta = ann.delta_hat
-        post = gpr_posterior(prior, state.inliers, delta, ann.sigma2_eff)
+        assert np.all(noise == sigma_n2)  # singleton fusion is exact
+        delta = bary - ref[state.inliers]
+        post = gpr_posterior(prior, state.inliers, delta, noise)
         uniform = gpr_posterior(prior, np.arange(7), delta, np.full(7, sigma_n2))
         np.testing.assert_array_equal(post.mu, uniform.mu)
         np.testing.assert_array_equal(post.var_diag, uniform.var_diag)

@@ -272,20 +272,21 @@ def edge_instance(n_r, missing, d=2):
 def test_fusion_matches_full_w_at_block_edges(edge_blocks, n_r, missing):
     rng, ref, target, p = edge_instance(n_r, missing)
     sigma2 = rng.uniform(0.01, 0.1, size=n_r)
-    state, ann = correspondence._fuse(p, target, ref, sigma2, 0.01)
+    state, bary, noise = correspondence._fuse(p, target, sigma2, 0.01)
     w = np.where(p > 0.01, p, 0.0)
     inliers = np.flatnonzero(w.sum(axis=1) > 0)
     mass = w.sum(axis=1)[inliers]
     assert np.array_equal(state.inliers, inliers)
     assert np.array_equal(state.missing, np.array(sorted(missing), dtype=int))
     np.testing.assert_allclose(
-        ann.delta_hat, (w @ target.points)[inliers] / mass[:, None] - ref.points[inliers],
+        bary - ref.points[inliers],
+        (w @ target.points)[inliers] / mass[:, None] - ref.points[inliers],
         rtol=1e-12, atol=1e-15,
     )
-    np.testing.assert_allclose(ann.sigma2_eff, sigma2[inliers] / mass, rtol=1e-12)
+    np.testing.assert_allclose(noise, sigma2[inliers] / mass, rtol=1e-12)
 
-    nearest, _ = closest_point_correspondence(
-        ResponsibilityInputs(target, ref, np.full(n_r, 0.1), np.zeros(n_r), 0.0))
+    nearest = closest_point_correspondence(
+        ResponsibilityInputs(target, ref, np.full(n_r, 0.1), np.zeros(n_r), 0.0))[0]
     full = np.argmin(sq_dists(ref.points, target.points), axis=1)
     assert np.array_equal(nearest.P.argmax(axis=1), full)
 
@@ -300,14 +301,14 @@ def test_fusion_sums_match_row_sums_at_block_edges(edge_blocks, n_r):
     target = pointset(rng.uniform(-1.0, 1.0, size=(n_r + 5, 3)))
     sigma2 = rng.uniform(0.02, 0.2, size=n_r)
     inputs = ResponsibilityInputs(target, ref, sigma2, rng.uniform(0.0, 0.01, size=n_r), 0.1)
-    state, ann = get_correspondences(inputs, 0.2)
+    state, _, noise = get_correspondences(inputs, 0.2)
     w = np.where(state.P > 0.2, state.P, 0.0)
     kept = w.sum(axis=1)
     assert 0 < state.inliers.size < n_r
     assert np.array_equal(state.inliers, np.flatnonzero(kept > 0.0))
     np.testing.assert_allclose(state.nu, state.P.sum(axis=1), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(
-        ann.sigma2_eff, sigma2[state.inliers] / kept[state.inliers], rtol=1e-14, atol=0.0
+        noise, sigma2[state.inliers] / kept[state.inliers], rtol=1e-14, atol=0.0
     )
 
 
@@ -335,7 +336,7 @@ def test_update_sigma2_matches_literal_at_block_edges(edge_blocks, n_r, missing)
     p[list(missing)] = 0.0  # no mass: these rows keep their previous value
     post_var = rng.uniform(0.0, 0.05, size=n_r)
     prev = rng.uniform(0.01, 0.1, size=n_r)
-    state, _ = correspondence._fuse(p, target, ref, prev, 0.01)
+    state = correspondence._fuse(p, target, prev, 0.01)[0]
     moments = (state.nu, state.ps, state.pss)
     got = update_sigma2(*moments, ref, post_var, "per_point", prev_sigma2=prev)
     live = state.nu > 0.0
@@ -425,7 +426,7 @@ def record_e_steps(monkeypatch, variant):
 
 
 def assert_state_is_a_fresh_e_step(state, original, args):
-    fresh, _ = original(*args)  # no workspace: a P of its own
+    fresh = original(*args)[0]  # no workspace: a P of its own
     assert state.P.tobytes() == fresh.P.tobytes()
     assert snapshot(state.nu, state.ps, state.pss, state.inliers) == snapshot(
         fresh.nu, fresh.ps, fresh.pss, fresh.inliers)

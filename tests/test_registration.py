@@ -9,6 +9,7 @@ from sfgp.core import (
     NumericalError,
     PosteriorDeformation,
     RegistrationConfig,
+    nearest,
 )
 from sfgp.correspondence import (
     ResponsibilityInputs,
@@ -173,9 +174,9 @@ class TestCoupledUpdateEquivalence:
             post_var=post_var,
             omega=omega,
         )
-        state, ann = get_correspondences(inputs, p_min=0.0)
+        state, bary, noise = get_correspondences(inputs, p_min=0.0)
         assert state.missing.size == 0, "equivalence needs full correspondence"
-        post = gpr_posterior(prior, state.inliers, ann.delta_hat, ann.sigma2_eff)
+        post = gpr_posterior(prior, state.inliers, bary - ref.points[state.inliers], noise)
         return prior, state.P, post
 
     def test_matches_direct_formulas(self):
@@ -439,9 +440,9 @@ def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
         return updates[-1]
 
     def e_step(*args, **kwargs):
-        state, ann = closest_point_correspondence(*args, **kwargs)
-        noises.append(ann.sigma2_eff.copy())
-        return state, ann
+        state, bary, noise = closest_point_correspondence(*args, **kwargs)
+        noises.append(noise.copy())
+        return state, bary, noise
 
     monkeypatch.setattr(registration, "update_sigma2", update)
     monkeypatch.setattr(registration, "closest_point_correspondence", e_step)
@@ -454,6 +455,39 @@ def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
     for noise, sigma2 in zip(noises[1:res.iters], updates):
         assert np.array_equal(noise, sigma2)
     assert np.array_equal(noises[-1], noises[-2])
-    _, ann = closest_point_correspondence(ResponsibilityInputs(
-        inst.target, res.deformed_reference, res.sigma2, res.posterior.var_diag, cfg.omega))
-    assert np.array_equal(ann.sigma2_eff, res.sigma2)
+    noise = closest_point_correspondence(ResponsibilityInputs(
+        inst.target, res.deformed_reference, res.sigma2, res.posterior.var_diag, cfg.omega))[2]
+    assert np.array_equal(noise, res.sigma2)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_posterior_labels_are_barycentres_minus_the_reference(monkeypatch, variant):
+    # the E-step returns fused target points; the posterior is fitted to them
+    # minus the undeformed reference, formed once, in every iteration
+    fish = fish_reference()
+    inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, missing_width=0.3,
+                                           noise_std=0.02, seed=3))
+    closest = VARIANTS[variant].get("correspondence_mode") == "closest_point"
+    name = "closest_point_correspondence" if closest else "get_correspondences"
+    original, e_steps, posteriors = getattr(registration, name), [], []
+
+    def e_step(inputs, *args, **kwargs):
+        state, barycentres, noise = original(inputs, *args, **kwargs)
+        e_steps.append((inputs.deformed_ref.points, barycentres.copy(), noise.copy()))
+        return state, barycentres, noise
+
+    def posterior(prior, inliers, labels, noise, **kwargs):
+        posteriors.append((inliers.copy(), labels.copy(), noise.copy()))
+        return gpr_posterior(prior, inliers, labels, noise, **kwargs)
+
+    monkeypatch.setattr(registration, name, e_step)
+    monkeypatch.setattr(registration, "gpr_posterior", posterior)
+    cfg = variant_config(variant, RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=10))
+    target = inst.target.points
+    res = register(fish, inst.target, SquaredExponential(0.01, 0.2), cfg)
+    assert res.iters == 10 and len(posteriors) == 10 and len(e_steps) == 11
+    for (r_bar, barycentres, noise), (inliers, labels, got_noise) in zip(e_steps, posteriors):
+        assert np.array_equal(labels, barycentres - fish.points[inliers])
+        assert np.array_equal(got_noise, noise)
+        if closest:
+            assert np.array_equal(barycentres, target[nearest(r_bar, target)])
