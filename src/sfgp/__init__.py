@@ -9,7 +9,6 @@ import importlib
 from .core import (
     VARIANTS,
     AllMissingError,
-    AnchorMismatchError,
     ConfigError,
     CorrespondenceState,
     DegenerateInstanceError,

@@ -32,19 +32,12 @@ class SFGPError(Exception):
 
 
 class ConfigError(SFGPError, ValueError):
-    """A configuration field violates its allowed range."""
+    """A setting is out of range: a field of a settings type, a variant name,
+    a PCA rank, or a kernel's anchor or spectrum file."""
 
 
 class NumericalError(SFGPError):
     """A matrix factorization failed even after jitter stabilization."""
-
-
-class AnchorMismatchError(SFGPError):
-    """A data-driven kernel was evaluated at points other than its anchor set."""
-
-
-class RankTooLargeError(SFGPError, ValueError):
-    """Requested more principal components than the data spectrum supports."""
 
 
 class AllMissingError(SFGPError):
@@ -156,11 +149,11 @@ def variant_config(name: str, base: Optional[RegistrationConfig] = None) -> Regi
     """`base` with the settings of the named VARIANTS entry applied on top.
 
     A variant's own settings override `base`: GPReg_noTresh runs at
-    p_min = 0 whatever `base.p_min` says.  Raises ValueError, naming the
-    choices, for an unknown variant.
+    p_min = 0 whatever `base.p_min` says.  Raises ConfigError, naming the
+    choices, for a name that is no VARIANTS key, a string or not.
     """
-    if name not in VARIANTS:
-        raise ValueError(
+    if not (isinstance(name, str) and name in VARIANTS):  # a list is unhashable
+        raise ConfigError(
             f"unknown variant {name!r}; choose one of {', '.join(sorted(VARIANTS))}"
         )
     base = base if base is not None else RegistrationConfig()
@@ -371,8 +364,6 @@ __all__ = [
     "SFGPError",
     "ConfigError",
     "NumericalError",
-    "AnchorMismatchError",
-    "RankTooLargeError",
     "AllMissingError",
     "DegenerateInstanceError",
     "PointSet",

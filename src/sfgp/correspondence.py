@@ -49,6 +49,13 @@ class ResponsibilityInputs:
     omega: float
 
     def __post_init__(self):
+        # a float sigma2 would fail inside the soft rule alone, and a short
+        # one in a NumPy broadcast
+        for name in ("sigma2", "post_var"):
+            shape = np.shape(getattr(self, name))
+            if shape != (self.deformed_ref.n,):
+                raise ValueError(f"{name} must be an (N_R,) array, N_R = "
+                                 f"{self.deformed_ref.n}, got shape {shape}")
         if not np.all(self.sigma2 > 0.0):  # also False for NaN
             raise ValueError("sigma2 must be strictly positive")
         if not np.all(self.post_var >= 0.0):
@@ -133,7 +140,7 @@ def _fuse(
 
     The precision-weighted fusion is the closed-form barycentre over
     W = P * [P > p_min]: barycentre_i = (W S)_i / sum_j W_ij at noise
-    sigma2_i / sum_j W_ij, for sigma2 an (N_R,) array or one float.  Point i
+    sigma2_i / sum_j W_ij, for sigma2 an (N_R,) array.  Point i
     is an inlier exactly when its noise is finite; with no kept pair, or kept
     mass so small that the division overflows, its noise is infinite, which
     is no label, and it is missing.  Returns the state, the (C, d)

@@ -31,20 +31,33 @@ def write_points_csv(path, points: np.ndarray) -> None:
     _write_lines(path, [",".join(FLOAT_FMT % v for v in row) for row in points])
 
 
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def read_points_csv(path) -> np.ndarray:
+    """The (N, d) points of a CSV, one per line.  Blank lines are skipped,
+    and so is a line before the first point none of whose fields is a
+    number, a header.  Any other line that is not a row of numbers as wide
+    as the first raises ValueError naming the file and the line."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(",")
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError:
-                if rows:
-                    raise
-                continue  # header line
+            values = [_number(v) for v in line.split(",")]
+            if not rows and all(v is None for v in values):
+                continue  # a header
+            if None in values:
+                raise ValueError(f"{path}, line {lineno}: could not convert {line!r} to numbers")
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{path}, line {lineno}: {len(values)} values, "
+                                 f"but the first point has {len(rows[0])}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"no points found in {path}")
     return np.asarray(rows, dtype=float)
@@ -66,7 +79,10 @@ def write_json(path, payload: dict) -> None:
 
 def read_json(path) -> dict:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} in {path}")

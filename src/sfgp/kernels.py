@@ -22,10 +22,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    AnchorMismatchError,
+    ConfigError,
     NumericalError,
     PointSet,
-    RankTooLargeError,
     buffer_view,
     is_number,
     row_blocks,
@@ -48,7 +47,7 @@ class SquaredExponential(KernelSpec):
         for name in ("amplitude2", "lengthscale"):
             value = getattr(self, name)
             if not (is_number(value) and 0.0 < value < np.inf):  # also False for NaN
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
             object.__setattr__(self, name, float(value))
 
 
@@ -70,15 +69,15 @@ class PCAKernel(KernelSpec):
         lam = np.asarray(self.eigenvalues, dtype=float)
         vec = np.asarray(self.eigenvectors, dtype=float)
         if lam.ndim != 1 or lam.size < 1:
-            raise ValueError("eigenvalues must be a nonempty vector")
+            raise ConfigError("eigenvalues must be a nonempty vector")
         if not np.all((lam > 0.0) & (lam < np.inf)):
-            raise ValueError("eigenvalues must be positive and finite")
+            raise ConfigError("eigenvalues must be positive and finite")
         if np.any(np.diff(lam) > 0.0):
-            raise ValueError("eigenvalues must be nonincreasing")
+            raise ConfigError("eigenvalues must be nonincreasing")
         if vec.shape != (self.anchor.n * self.anchor.dim, lam.size):
-            raise ValueError("eigenvectors must have shape (N_R*d, m)")
+            raise ConfigError("eigenvectors must have shape (N_R*d, m)")
         if not np.all(np.isfinite(vec)):
-            raise ValueError("eigenvectors must be finite")
+            raise ConfigError("eigenvectors must be finite")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
 
@@ -89,7 +88,7 @@ class SumKernel(KernelSpec):
 
     def __init__(self, *parts: KernelSpec):
         if not parts:
-            raise ValueError("sum kernel needs at least one part")
+            raise ConfigError("sum kernel needs at least one part")
         object.__setattr__(self, "parts", tuple(parts))
 
 
@@ -100,7 +99,7 @@ class ScaledKernel(KernelSpec):
 
     def __post_init__(self):
         if not (is_number(self.factor) and 0.0 < self.factor < np.inf):
-            raise ValueError(f"factor must be positive and finite, got {self.factor!r}")
+            raise ConfigError(f"factor must be positive and finite, got {self.factor!r}")
         object.__setattr__(self, "factor", float(self.factor))
 
 
@@ -199,7 +198,7 @@ def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) ->
     jitter=None applies the default stabilization, 1e-8 times the mean of
     the full kernel diagonal.  Raises NumericalError when k0 or the jitter is
     not finite (amplitudes whose product or trace overflows), and
-    AnchorMismatchError when a PCA summand is evaluated away from its anchor.
+    ConfigError when a PCA summand is evaluated away from its anchor.
     No Gram is filled or factored here: every kernel spec is positive
     semi-definite by construction, and the posterior factors each observed
     block plus a positive noise diagonal: a block that fails to factor
@@ -215,9 +214,7 @@ def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) ->
         if part.anchor.n != n or part.anchor.dim != d or not np.array_equal(
             part.anchor.points, ref.points
         ):
-            raise AnchorMismatchError(
-                "PCA kernel can only be assembled on its anchor reference"
-            )
+            raise ConfigError("PCA kernel can only be assembled on its anchor reference")
     u = lam = None
     if lowrank_parts:  # one part's basis is not copied: the run holds u throughout
         us = [part.eigenvectors for _, part in lowrank_parts]
@@ -250,7 +247,9 @@ def build_pca_kernel(
     """Fit a rank-m kernel from stacked training deformation vectors.
 
     Samples are mean-centered; the retained eigenpairs are those of the
-    sample covariance (normalization by n_samples - 1).
+    sample covariance (normalization by n_samples - 1).  Raises ValueError
+    for training data of the wrong shape, and ConfigError for a rank outside
+    [1, min(n_samples - 1, N_R * d)] or above the count of nonzero eigenvalues.
     """
     data = np.asarray(training_deformations, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -259,9 +258,7 @@ def build_pca_kernel(
     if width != anchor.n * anchor.dim:
         raise ValueError("training vectors must have length N_R * d")
     if rank < 1 or rank > min(n_samples - 1, width):
-        raise RankTooLargeError(
-            f"rank must be in [1, {min(n_samples - 1, width)}], got {rank}"
-        )
+        raise ConfigError(f"rank must be in [1, {min(n_samples - 1, width)}], got {rank}")
 
     centered = data - data.mean(axis=0)
     # SVD of the centered sample matrix gives the covariance eigenpairs
@@ -271,9 +268,7 @@ def build_pca_kernel(
     tol = max(n_samples, width) * np.finfo(float).eps * (lam_all[0] if lam_all.size else 0.0)
     n_nonzero = int(np.sum(lam_all > tol))
     if rank > n_nonzero:
-        raise RankTooLargeError(
-            f"rank {rank} exceeds the nonzero spectrum ({n_nonzero} components)"
-        )
+        raise ConfigError(f"rank {rank} exceeds the nonzero spectrum ({n_nonzero} components)")
     return PCAKernel(
         eigenvalues=lam_all[:rank],
         eigenvectors=vt[:rank].T.copy(),
@@ -299,23 +294,22 @@ def save_pca_kernel(path, kernel: PCAKernel) -> None:
 
 
 def load_pca_kernel(path, anchor: PointSet) -> PCAKernel:
-    """The PCA kernel save_pca_kernel wrote to `path`.  Raises ValueError,
-    naming the file, when it is no .npz archive or lacks one of the arrays."""
+    """The PCA kernel save_pca_kernel wrote to `path`.  Raises ConfigError,
+    naming the file, when it is no .npz archive or lacks one of the arrays,
+    and when it was built for another anchor."""
     try:
         payload = np.load(path)
     except ValueError:  # neither .npy nor .npz, so NumPy refuses it as a pickle
         payload = None
     if not isinstance(payload, np.lib.npyio.NpzFile):  # an .npy gives one array
-        raise ValueError(f"{path} is not a spectrum archive (.npz)")
+        raise ConfigError(f"{path} is not a spectrum archive (.npz)")
     with payload:
         lacking = sorted({"eigenvalues", "eigenvectors", "anchor_hash"} - set(payload.files))
         if lacking:
-            raise ValueError(f"spectrum archive {path} lacks {', '.join(lacking)}")
+            raise ConfigError(f"spectrum archive {path} lacks {', '.join(lacking)}")
         stored = str(payload["anchor_hash"])
         if stored != anchor_hash(anchor):
-            raise AnchorMismatchError(
-                "spectrum file was built for a different anchor reference"
-            )
+            raise ConfigError("spectrum file was built for a different anchor reference")
         return PCAKernel(
             eigenvalues=payload["eigenvalues"],
             eigenvectors=payload["eigenvectors"],

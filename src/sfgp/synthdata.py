@@ -14,7 +14,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import DegenerateInstanceError, PointSet, is_number
+from .core import ConfigError, DegenerateInstanceError, PointSet, is_number
 from . import io as sio
 
 # documented benchmark scale for the unit-extent shapes below:
@@ -45,15 +45,18 @@ class PerturbationSpec:
                      "noise_std", "rotation_max"):
             value = getattr(self, name)
             if not (is_number(value) and 0.0 <= value < np.inf):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.warp_amplitude > 0.0 and self.warp_bandwidth == 0.0:
-            raise ValueError("warp_bandwidth must be > 0 when warping, got 0.0")
-        if not (is_number(self.warp_controls, integer=True) and self.warp_controls >= 0):
-            raise ValueError(f"warp_controls must be an integer >= 0, got {self.warp_controls!r}")
+            raise ConfigError("warp_bandwidth must be > 0 when warping, got 0.0")
+        # generate would fail inside NumPy on a float or a negative value, and run True as 1
+        for name in ("warp_controls", "seed"):
+            value = getattr(self, name)
+            if not (is_number(value, integer=True) and value >= 0):
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         center = self.missing_center
         if center != "random" and not (is_number(center, integer=True) and center >= 0):
-            raise ValueError(f'missing_center must be "random" or an integer >= 0, got {center!r}')
+            raise ConfigError(f'missing_center must be "random" or an integer >= 0, got {center!r}')
 
 
 @dataclass(frozen=True)

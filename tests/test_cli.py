@@ -435,6 +435,40 @@ def test_reference_that_is_no_string_fails_cleanly(tmp_path, capsys, command, re
     assert not out.exists()
 
 
+def _fish_csv_with(tmp_path, first_row_end):
+    """fish98 as a point CSV whose first row ends in `first_row_end`."""
+    path = tmp_path / "fish.csv"
+    sio.write_points_csv(path, fish_reference().points)
+    lines = path.read_text().splitlines()
+    lines[0] += first_row_end
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("generate", "trailing_comma"), ("generate", "ragged"), ("sweep", "ragged"),
+    ("register", "trailing_comma"), ("generate", "json"), ("sweep", "json"),
+])
+def test_malformed_input_file_is_named(tmp_path, capsys, command, bad):
+    # a trailing comma would drop the row as a header, a ragged row would
+    # fail inside NumPy and a JSON syntax error would name no file
+    path = _fish_csv_with(tmp_path, "," if bad == "trailing_comma" else ",0.5")
+    out = tmp_path / "out"
+    if command == "register":  # the file is the target, the reference fish98
+        cfg = write_config(tmp_path / "cfg.json")
+        extra = ["--target", str(path)]
+    else:
+        cfg = write_config(tmp_path / "cfg.json", reference=str(path))
+        extra = []
+    if bad == "json":
+        cfg.write_text(cfg.read_text()[:-1] + ",}")
+        path = cfg
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert not out.exists()
+
+
 def test_config_that_is_no_json_object_fails_cleanly(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1]")
@@ -449,12 +483,16 @@ def test_config_that_is_no_json_object_fails_cleanly(tmp_path, capsys):
     ("sweep", {"grid": {"missing_width": [], "noise_std": [0.02]}}, "missing_width"),
     ("sweep", {"variants": []}, "variants"),
     ("sweep", {"variants": ["SFGP_Full", "GPClosestPnt", "SFGP_Full"]}, "'SFGP_Full'"),
-], ids=["generate_axis", "sweep_axis", "sweep_variants", "sweep_variant_twice"])
+    ("sweep", {"variants": [["SFGP_Full"]]}, "unknown variant ['SFGP_Full']"),
+    ("sweep", {"variants": [{"name": "SFGP_Full"}]}, "unknown variant {'name'"),
+], ids=["generate_axis", "sweep_axis", "sweep_variants", "sweep_variant_twice",
+        "sweep_variant_list", "sweep_variant_object"])
 def test_empty_list_fails_cleanly(tmp_path, capsys, command, overrides, key):
     # an empty axis or variant list runs nothing; like instances: 0 it is an
     # error, not a header-only metrics.csv or a half-written dataset.  A
     # variant listed twice would run every one of its tasks twice and write
-    # two rows with one (variant, level, seed)
+    # two rows with one (variant, level, seed), and one that is no string
+    # is no variant, not a TypeError
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1

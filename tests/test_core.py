@@ -9,12 +9,24 @@ from sfgp.core import (
     CorrespondenceState,
     PointSet,
     RegistrationConfig,
+    SFGPError,
     default_sigma2_init,
     nearest,
     sq_dists,
+    variant_config,
 )
 from sfgp import io as sio
-from sfgp.synthdata import fish_reference
+from sfgp.kernels import (
+    PCAKernel,
+    ScaledKernel,
+    SquaredExponential,
+    SumKernel,
+    build_pca_kernel,
+    gp_prior,
+    load_pca_kernel,
+    save_pca_kernel,
+)
+from sfgp.synthdata import PerturbationSpec, fish_reference
 
 from helpers import fibonacci_sphere, kdtree_sigma2_init
 
@@ -66,6 +78,62 @@ def test_replaced_config_is_checked_again():
 def test_omega_one_message():
     with pytest.raises(ConfigError, match="omega must be < 1"):
         RegistrationConfig(omega=1.0)
+
+
+ANCHOR = PointSet(points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+OTHER = PointSet(points=ANCHOR.points + 0.5)
+TRAINING = np.random.default_rng(3).normal(size=(4, 6))
+
+
+def _archive(tmp_path, **arrays):
+    path = tmp_path / "spectrum.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+def _saved(tmp_path):
+    path = tmp_path / "spectrum.npz"
+    save_pca_kernel(path, build_pca_kernel(TRAINING, 2, ANCHOR))
+    return path
+
+
+def _npy(tmp_path):
+    path = tmp_path / "spectrum.npy"
+    np.save(path, np.ones(3))
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: RegistrationConfig(p_min=1.0),
+    lambda tmp: SquaredExponential(amplitude2=0.0),
+    lambda tmp: SquaredExponential(lengthscale=np.nan),
+    lambda tmp: ScaledKernel(-1.0, SquaredExponential()),
+    lambda tmp: SumKernel(),
+    lambda tmp: PCAKernel(np.array([-1.0]), np.eye(6, 1), ANCHOR),
+    lambda tmp: PCAKernel(np.array([1.0]), np.eye(5, 1), ANCHOR),
+    lambda tmp: PerturbationSpec(noise_std=-0.1),
+    lambda tmp: PerturbationSpec(warp_amplitude=0.03, warp_bandwidth=0.0),
+    lambda tmp: PerturbationSpec(warp_controls=2.5),
+    lambda tmp: PerturbationSpec(missing_center="middle"),
+    lambda tmp: PerturbationSpec(seed=-1),
+    lambda tmp: variant_config("SFGP_full"),
+    lambda tmp: variant_config(["SFGP_Full"]),
+    lambda tmp: build_pca_kernel(TRAINING, 0, ANCHOR),
+    lambda tmp: build_pca_kernel(np.ones((4, 6)), 1, ANCHOR),
+    lambda tmp: gp_prior(build_pca_kernel(TRAINING, 2, ANCHOR), OTHER),
+    lambda tmp: load_pca_kernel(_saved(tmp), OTHER),
+    lambda tmp: load_pca_kernel(_npy(tmp), ANCHOR),
+    lambda tmp: load_pca_kernel(_archive(tmp, eigenvalues=np.ones(1)), ANCHOR),
+], ids=["registration", "amplitude2", "lengthscale", "factor", "sum_parts", "eigenvalues",
+        "eigenvectors", "noise_std", "warp_bandwidth", "warp_controls", "missing_center",
+        "seed", "variant", "variant_of_wrong_kind", "rank", "spectrum_rank", "prior_anchor",
+        "archive_anchor", "npy_file", "archive_without_arrays"])
+def test_every_setting_out_of_range_is_a_config_error(tmp_path, make):
+    # one class for every setting, whichever type holds it; it is still a
+    # ValueError, and an SFGPError like every error the engine raises
+    with pytest.raises(ConfigError) as exc:
+        make(tmp_path)
+    assert isinstance(exc.value, SFGPError) and isinstance(exc.value, ValueError)
 
 
 def test_pointset_requires_valid_dim_and_finite():
@@ -193,9 +261,14 @@ def test_points_csv_skips_a_header_and_blank_lines(tmp_path):
     ("1,2\n3,4\nx,y\n", "could not convert"),
     ("", "no points"),
     ("x,y\n\n", "no points"),
-], ids=["text_after_data", "empty", "header_only"])
+    ("1,2,\n3,4\n", "line 1: could not convert"),
+    ("x,1\n3,4\n", "line 1: could not convert"),
+    ("x,y\n1,2\n\n3,4,5\n", "line 4: 3 values"),
+], ids=["text_after_data", "empty", "header_only", "trailing_comma", "header_with_a_number",
+        "ragged"])
 def test_points_csv_rejects_text_after_data_and_a_file_with_no_points(tmp_path, text, error):
-    # only lines before the first point may be a header
+    # only lines before the first point, none of whose fields is a number,
+    # may be a header; a trailing comma would otherwise drop a point unseen
     path = tmp_path / "points.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=error):

@@ -38,10 +38,16 @@ class TestResponsibilities:
             ([0.5, np.nan], [0.0, 0.0], "sigma2"),
             ([0.5, 0.5], [0.0, -1.0], "post_var"),
             ([0.5, 0.5], [0.0, np.nan], "post_var"),
+            (0.5, [0.0, 0.0], "sigma2"),
+            ([0.5], [0.0, 0.0], "sigma2"),
+            ([0.5, 0.5], 0.0, "post_var"),
+            ([0.5, 0.5], [0.0, 0.0, 0.0], "post_var"),
         ],
-        ids=["sigma2_zero", "sigma2_negative", "sigma2_nan", "post_var_negative", "post_var_nan"],
+        ids=["sigma2_zero", "sigma2_negative", "sigma2_nan", "post_var_negative", "post_var_nan",
+             "sigma2_float", "sigma2_short", "post_var_float", "post_var_long"],
     )
     def test_inputs_out_of_range_rejected(self, sigma2, post_var, needle):
+        # both rules take one ResponsibilityInputs, so both reject the same inputs
         with pytest.raises(ValueError, match=needle):
             make_inputs([[0.0, 0.0]], [[0.3, 0.1], [0.0, 0.2]], sigma2, post_var, omega=0.1)
 

@@ -239,10 +239,11 @@ def test_spec_out_of_range_names_its_field(field, bad):
     ("missing_center", 3.7), ("missing_center", -1), ("missing_center", "middle"),
     ("missing_width", True), ("noise_std", "0.1"), ("rotation_max", [0.1]),
     ("warp_bandwidth", None), ("warp_bandwidth", 0),
+    ("seed", 1.5), ("seed", -1), ("seed", True),
 ])
 def test_spec_value_of_wrong_kind_names_its_field(field, bad):
     # generate would truncate a center of 3.7 to 3 and fail inside NumPy on
-    # 2.5 controls; True would run as 1
+    # 2.5 controls or a seed of 1.5 or -1; True would run as 1
     with pytest.raises(ValueError, match=field):
         PerturbationSpec(warp_amplitude=0.03, **{field: bad})
 
