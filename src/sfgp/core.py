@@ -310,7 +310,8 @@ class PosteriorDeformation:
 class IterationRecord:
     """One iteration of a registration run.  max_move is the largest distance
     a reference point moved in the iteration, the quantity the stop rule reads;
-    mean_sigma2 is taken after the variance update."""
+    mean_sigma2 is taken after the variance update; extrapolated is True when
+    the iteration started from a SQUAREM extrapolation (see registration)."""
 
     iteration: int
     max_move: float
@@ -318,6 +319,7 @@ class IterationRecord:
     n_missing: int
     mean_sigma2: float
     elapsed_s: float
+    extrapolated: bool
 
 
 STOP_REASONS = ("converged", "max_iters", "first_iteration", "mid_run_collapse")

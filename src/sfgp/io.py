@@ -32,6 +32,10 @@ def write_points_csv(path, points: np.ndarray) -> None:
 
 
 def _number(text: str):
+    """The float a CSV field spells, or None.  Python's float also reads
+    digit-group underscores ("1_0" as 10.0); a field with one is no number."""
+    if "_" in text:
+        return None
     try:
         return float(text)
     except ValueError:
@@ -107,13 +111,19 @@ def write_csv_rows(path, fieldnames, rows) -> None:
 
 
 def read_csv_rows(path) -> list:
-    """Read dict rows back, recovering int/float/None cell types."""
+    """Read dict rows back, recovering int/float/None cell types.  A row
+    whose cell count differs from the header's raises ValueError naming the
+    file and the line."""
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    fieldnames = lines[0].split(",")
+        lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
+                 if line.strip()]
+    fieldnames = lines[0][1].split(",")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split(",")
+        if len(cells) != len(fieldnames):
+            raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, "
+                             f"but the header has {len(fieldnames)}")
         row = {}
         for name, cell in zip(fieldnames, cells):
             if cell == "":

@@ -11,10 +11,26 @@ applied as the total displacement: r_bar = reference + mu.  With labels taken
 relative to the current deformed reference instead, the update would be an
 involution and the loop would cycle with period 2.
 
-From the second iteration on, the loop stops at a fixed point: when no
-reference point moved by more than rel_tol * sqrt(mean sigma2) in the last
-iteration, with sigma2 taken after its update.  It does not stop on the
-mixture log-likelihood, which per-point variances keep raising.
+The iterations run in SQUAREM cycles (Varadhan & Roland 2008, scheme S3) on
+the state theta = (deformed points, sigma2), with sigma2 in linear space.
+A cycle takes two plain EM steps, theta1 = F(theta0) and theta2 = F(theta1),
+forms r = theta1 - theta0 and v = theta2 - theta1 - r, and takes
+alpha = -|r| / |v| clamped to [-step_max, -1].  step_max starts at 1 and is
+multiplied by 4 each time alpha reaches it.  At alpha = -1 the extrapolation
+is theta2 itself, which starts the next cycle.  Otherwise one more step goes
+from theta' = theta0 - 2 alpha r + alpha^2 v, with post_var from theta2's
+step and each sigma2 entry of theta' below SIGMA2_FLOOR replaced by
+theta2's, and its output starts the next cycle.  An E-step at theta' that
+collapses is no failure: it is not counted, and the next cycle starts from
+theta2.  A collapse in a plain step ends the run.
+
+Every call of F but a collapse at theta' is one iteration: `iters` counts
+them, max_iters caps them, and each completed one appends an IterationRecord,
+marked `extrapolated` when it started from theta'.  From the second
+iteration on, the loop stops at a fixed point: when no reference point moved
+by more than rel_tol * sqrt(mean sigma2) from the step's input to its
+output, with sigma2 taken after its update.  It does not stop on the mixture
+log-likelihood, which per-point variances keep raising.
 
 A run holds one full-size array: a workspace of N_R * max(N_R, N_S)
 doubles.  It holds in turn each iteration's P (N_R x N_S) and each
@@ -116,6 +132,24 @@ def update_sigma2(
     return np.maximum(out, SIGMA2_FLOOR, out=out)
 
 
+def _extrapolate(theta0, theta1, theta2, step_max, n_pts):
+    """SQUAREM-3's extrapolation from a cycle's three states, each the points
+    (n_pts values) followed by sigma2.  Returns theta' and the next step_max;
+    theta' is None where alpha = -1, since it would be theta2."""
+    r = theta1 - theta0
+    v = theta2 - theta1 - r
+    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    alpha = -step_max if norm_r >= step_max * norm_v else min(-1.0, -norm_r / norm_v)
+    if alpha == -step_max:
+        step_max *= 4.0
+    if alpha == -1.0:
+        return None, step_max
+    theta = theta0 - 2.0 * alpha * r + alpha**2 * v
+    low = theta[n_pts:] < SIGMA2_FLOOR
+    theta[n_pts:][low] = theta2[n_pts:][low]
+    return theta, step_max
+
+
 def register(
     reference: PointSet,
     target: PointSet,
@@ -146,10 +180,7 @@ def register(
     )
 
     ref_pts = reference.points
-    n_r = reference.n
-    r_bar = reference
-    sigma2 = np.full(n_r, float(sigma2_init))
-    post_var = np.zeros(n_r)
+    n_r, n_pts = reference.n, reference.points.size
 
     def e_step(inputs):
         # both rules are looked up per call, so patched ones apply; p_min positional
@@ -157,19 +188,22 @@ def register(
             return closest_point_correspondence(inputs, out=p_buf)
         return get_correspondences(inputs, cfg.p_min, out=p_buf)
 
-    posterior = None
     trace: list = []
-    stop_reason = "max_iters"
-    for it in range(1, cfg.max_iters + 1):  # max_iters >= 1, so it is bound
+    inputs = posterior = None  # of the last completed iteration
+
+    def em_step(it, theta, post_var, extrapolated):
+        """F: one EM iteration from theta = (points, sigma2) flattened.
+        Returns the next theta and post_var and whether the stop rule fired,
+        or None when the E-step collapses."""
+        nonlocal inputs, posterior
         t0 = time.perf_counter()
-        state = None  # stays None when the E-step collapses
-        inputs = ResponsibilityInputs(target, r_bar, sigma2, post_var, cfg.omega)
+        r_bar, sigma2 = PointSet(points=theta[:n_pts].reshape(ref_pts.shape)), theta[n_pts:]
+        step_inputs = ResponsibilityInputs(target, r_bar, sigma2, post_var, cfg.omega)
         try:
-            state, barycentres, noise = e_step(inputs)
+            state, barycentres, noise = e_step(step_inputs)
         except AllMissingError as exc:
-            stop_reason = "first_iteration" if it == 1 else "mid_run_collapse"
             logger.warning("iter=%d correspondence collapse: %s", it, exc)
-            break
+            return None
 
         try:
             # the observed block is factored in work, over state.P
@@ -178,22 +212,23 @@ def register(
             posterior = gpr_posterior(prior, inliers, labels, noise, work=work)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
+        inputs = step_inputs
 
-        prev_pts = r_bar.points
-        r_bar = PointSet(points=ref_pts + posterior.mu)
-        post_var = posterior.var_diag
-        sigma2 = update_sigma2(
+        out = np.empty_like(theta)
+        points = out[:n_pts].reshape(ref_pts.shape)
+        np.add(ref_pts, posterior.mu, out=points)
+        out[n_pts:] = update_sigma2(
             state.nu,
             state.ps,
             state.pss,
-            r_bar,
-            post_var,
+            PointSet(points=points),
+            posterior.var_diag,
             cfg.variance_mode,
             prev_sigma2=sigma2,
         )
 
-        max_move = float(np.max(np.linalg.norm(r_bar.points - prev_pts, axis=1)))
-        mean_sigma2 = float(np.mean(sigma2))
+        max_move = float(np.max(np.linalg.norm(points - r_bar.points, axis=1)))
+        mean_sigma2 = float(np.mean(out[n_pts:]))
         record = IterationRecord(
             iteration=it,
             max_move=max_move,
@@ -201,24 +236,47 @@ def register(
             n_missing=n_r - int(inliers.size),
             mean_sigma2=mean_sigma2,
             elapsed_s=time.perf_counter() - t0,
+            extrapolated=extrapolated,
         )
         trace.append(record)
         logger.info("%s", record)
+        return out, posterior.var_diag, it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2)
 
-        if it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2):
+    theta = np.concatenate([ref_pts.ravel(), np.full(n_r, float(sigma2_init))])
+    post_var = np.zeros(n_r)
+    cycle = [theta]  # the cycle's plain states: theta0, theta1, theta2
+    step_max = 1.0
+    stop_reason = "max_iters"
+    while len(trace) < cfg.max_iters:  # max_iters >= 1, so it is bound
+        it, theta_x = len(trace) + 1, None
+        if len(cycle) == 3:
+            theta_x, step_max = _extrapolate(*cycle, step_max, n_pts)
+            cycle = [cycle[2]]  # starts the next cycle, unless theta' does
+        extrapolated = theta_x is not None
+
+        step = em_step(it, theta_x if extrapolated else cycle[-1], post_var, extrapolated)
+        if step is None:
+            if extrapolated:
+                continue  # uncounted: the next cycle starts from theta2
+            stop_reason = "first_iteration" if it == 1 else "mid_run_collapse"
+            break
+        theta, post_var, converged = step
+        cycle = [theta] if extrapolated else cycle + [theta]
+        if converged:
             stop_reason = "converged"
             break
 
-    if state is not None:
+    state = None  # a collapse leaves none
+    if stop_reason in ("converged", "max_iters"):
         # the posterior overwrote P: the same E-step on the same inputs
         # gives it back for the result
         state = e_step(inputs)[0]
 
     return RegistrationResult(
-        deformed_reference=r_bar,
+        deformed_reference=PointSet(points=theta[:n_pts].reshape(ref_pts.shape)),
         state=state,
         posterior=posterior,
-        sigma2=sigma2,
+        sigma2=theta[n_pts:],
         iters=it,
         stop_reason=stop_reason,
         trace=tuple(trace),

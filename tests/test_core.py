@@ -273,3 +273,19 @@ def test_points_csv_rejects_text_after_data_and_a_file_with_no_points(tmp_path, 
     path.write_text(text)
     with pytest.raises(ValueError, match=error):
         sio.read_points_csv(path)
+
+
+def test_points_csv_rejects_digit_group_underscores(tmp_path):
+    # Python's float reads "1_0" as 10.0; a point CSV field with one is no number
+    path = tmp_path / "points.csv"
+    path.write_text("1_0,2\n3,4\n")
+    with pytest.raises(ValueError, match="line 1: could not convert"):
+        sio.read_points_csv(path)
+
+
+def test_csv_rows_reject_a_row_whose_width_differs_from_the_header(tmp_path):
+    # zipped with the header, a short row would lack its last keys unseen
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c\n1,2,3\n\n1,2\n")
+    with pytest.raises(ValueError, match=r"rows\.csv, line 4: 2 cells, but the header has 3"):
+        sio.read_csv_rows(path)

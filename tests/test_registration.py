@@ -352,6 +352,61 @@ class TestRegister:
         assert not res.converged and not res.failed
         assert all(rec.max_move > 0.0 for rec in res.trace)
 
+    @pytest.mark.parametrize("max_iters", range(1, 8))
+    def test_every_em_step_is_one_counted_iteration(self, max_iters):
+        # extrapolation cycles of three steps do not round the count: a run
+        # capped at any max_iters takes exactly that many steps
+        fish = fish_reference()
+        inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
+        cfg = RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=max_iters)
+        res = register(fish, inst.target, self.kernel, cfg)
+        assert res.iters == max_iters == len(res.trace)
+        assert [rec.iteration for rec in res.trace] == list(range(1, max_iters + 1))
+
+    def test_extrapolated_steps_keep_sigma2_above_the_floor(self, monkeypatch):
+        fish = fish_reference()
+        inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, missing_width=0.3,
+                                               noise_std=0.02, seed=5))
+        sigma2s = []
+
+        def e_step(inputs, *args, **kwargs):
+            sigma2s.append(inputs.sigma2.copy())
+            return get_correspondences(inputs, *args, **kwargs)
+
+        monkeypatch.setattr(registration, "get_correspondences", e_step)
+        res = register(fish, inst.target, self.kernel, RegistrationConfig(p_min=0.05))
+        assert res.iters >= 20 and not res.failed
+        assert any(rec.extrapolated for rec in res.trace)
+        assert not res.trace[0].extrapolated and not res.trace[1].extrapolated
+        assert all(np.all(sigma2 >= SIGMA2_FLOOR) for sigma2 in sigma2s)
+
+    def test_collapse_at_an_extrapolation_goes_on_from_the_last_plain_step(self, monkeypatch):
+        # the E-step collapses at the first extrapolated point: no failure
+        # and no iteration, and the next cycle starts from the plain step
+        # before it
+        fish = fish_reference()
+        inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
+        cfg = RegistrationConfig(p_min=0.05)
+        plain = register(fish, inst.target, self.kernel, cfg)
+        first = next(rec.iteration for rec in plain.trace if rec.extrapolated)
+        calls = []
+
+        def e_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == first:
+                raise AllMissingError("collapsed")
+            return get_correspondences(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "get_correspondences", e_step)
+        res = register(fish, inst.target, self.kernel, cfg)
+        assert res.stop_reason in ("converged", "max_iters") and not res.failed
+        assert res.state is not None
+        assert len(calls) == res.iters + 2  # the collapse and the rerun after the loop
+        assert [rec.iteration for rec in res.trace] == list(range(1, res.iters + 1))
+        moves = [rec.max_move for rec in res.trace]
+        assert moves[:first - 1] == [rec.max_move for rec in plain.trace[:first - 1]]
+        assert not res.trace[first - 1].extrapolated
+
     def test_zero_rel_tol_stops_when_nothing_moves(self, monkeypatch):
         # a posterior that never changes moves the reference once, in iteration 1
         fish = fish_reference()
@@ -429,8 +484,9 @@ def test_variant_table():
 
 
 def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
-    # each E-step's labels carry the sigma2 the previous update returned,
-    # over a kept mass of 1 per row, and that sigma2 is one value
+    # each E-step's labels carry one sigma2 value, over a kept mass of 1 per
+    # row: in a plain step the one the previous update returned, in a step
+    # from an extrapolation the extrapolated one
     fish = fish_reference()
     inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
     updates, noises = [], []
@@ -452,8 +508,11 @@ def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
     assert np.all(res.sigma2 == res.sigma2[0])
     # one E-step per iteration, and the last one's rerun after the loop
     assert len(updates) == res.iters and len(noises) == res.iters + 1
-    for noise, sigma2 in zip(noises[1:res.iters], updates):
-        assert np.array_equal(noise, sigma2)
+    assert all(np.all(noise == noise[0]) for noise in noises)
+    assert any(rec.extrapolated for rec in res.trace)
+    for rec, noise, sigma2 in zip(res.trace[1:], noises[1:res.iters], updates):
+        if not rec.extrapolated:
+            assert np.array_equal(noise, sigma2)
     assert np.array_equal(noises[-1], noises[-2])
     noise = closest_point_correspondence(ResponsibilityInputs(
         inst.target, res.deformed_reference, res.sigma2, res.posterior.var_diag, cfg.omega))[2]
