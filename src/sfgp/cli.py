@@ -38,7 +38,7 @@ from .kernels import (
     SumKernel,
     load_pca_kernel,
 )
-from .metrics import SUBSETS, detection_scores, flagged_missing, subset_error
+from .metrics import SCORE_FIELDS, score_run
 from .synthdata import (
     DEFORMATION_AMPLITUDE_PER_LEVEL,
     PerturbationSpec,
@@ -59,23 +59,9 @@ CONFIG_KEYS = ("schema_version", "reference", "kernel", "registration", "grid", 
 KERNEL_KEYS = {"squared_exponential": ("amplitude2", "lengthscale"), "sum": ("parts",),
                "scaled": ("factor", "inner"), "pca_file": ("path",)}
 
-SWEEP_FIELDS = (
-    "variant",
-    "level",
-    "seed",
-    "error_all",
-    "error_missing",
-    "error_nonmissing",
-    "success",
-    "recall",
-    "precision",
-    "iters",
-    "stop_reason",
-    "runtime_ms",
-)
-
-# a run that stopped otherwise, in FAILED_STOPS or by an error, has no scores
-SCORED_STOPS = ("converged", "max_iters")
+# what register writes to result.json besides the variant, and a sweep row holds
+RUN_FIELDS = ("iters", "stop_reason", "runtime_ms")
+SWEEP_FIELDS = ("variant", "level", "seed", *SCORE_FIELDS, *RUN_FIELDS)
 
 SUMMARY_FIELDS = ("ref_index", "is_missing", "best_target", "best_p", "nu")
 
@@ -230,22 +216,15 @@ def _write_register_outputs(out_dir: Path, meta: dict, result=None):
     sio.write_pointset_csv(out_dir / "deformed_reference.csv", result.deformed_reference)
     n = result.deformed_reference.n
     if result.state is None:  # the run failed: no correspondence state
-        best, best_p, nu = np.full(n, -1), np.zeros(n), np.zeros(n)
+        flagged, best, best_p, nu = np.zeros(n, bool), np.full(n, -1), np.zeros(n), np.zeros(n)
     else:
         P = result.state.P
-        best, best_p, nu = P.argmax(1), P.max(1), result.state.nu
-    columns = (range(n), flagged_missing(result).astype(int).tolist(), best.tolist(),
-               best_p.tolist(), nu.tolist())
-    sio.write_csv_rows(
-        out_dir / "correspondence_summary.csv",
-        SUMMARY_FIELDS,
-        [dict(zip(SUMMARY_FIELDS, row)) for row in zip(*columns)],
-    )
-    sio.write_csv_rows(
-        out_dir / "trace.csv",
-        [f.name for f in fields(IterationRecord)],
-        [asdict(r) for r in result.trace],
-    )
+        flagged, best, best_p, nu = ~result.state.labelled, P.argmax(1), P.max(1), result.state.nu
+    columns = (range(n), flagged.astype(int).tolist(), best.tolist(), best_p.tolist(), nu.tolist())
+    sio.write_csv_rows(out_dir / "correspondence_summary.csv", SUMMARY_FIELDS,
+                       [dict(zip(SUMMARY_FIELDS, row)) for row in zip(*columns)])
+    sio.write_csv_rows(out_dir / "trace.csv", [f.name for f in fields(IterationRecord)],
+                       [asdict(r) for r in result.trace])
 
 
 def cmd_register(args) -> int:
@@ -262,40 +241,42 @@ def cmd_register(args) -> int:
              read_instance(Path(args.dataset) / entry["path"]).target)
             for entry in dataset["instances"]
         ]
-    from .registration import register  # after the config checks, before any clock
     for out_dir, target in runs:
-        t0 = time.perf_counter()
-        try:
-            result = register(reference, target, kernel, cfg)
-        except SFGPError as exc:
-            # recorded as the sweep records it; the next run goes on
-            logger.warning("%s %s: %s", args.variant, out_dir, exc)
-            result, iters, stop_reason = None, 0, type(exc).__name__
-        else:
-            iters, stop_reason = result.iters, result.stop_reason
-        meta = {"variant": args.variant, "iters": iters, "stop_reason": stop_reason,
-                "runtime_ms": (time.perf_counter() - t0) * 1e3}
-        _write_register_outputs(out_dir, meta, result)
+        result, run = _register(f"{args.variant} {out_dir}", reference, lambda: target,
+                                kernel, cfg)
+        _write_register_outputs(out_dir, {"variant": args.variant, **run}, result)
         # the result's P is a view of its run's workspace: dropped, the
         # next run's workspace takes its place instead of joining it
         del result
     return 0
 
 
-def _metrics_row(variant, tag, seed, runtime_ms, iters, stop_reason, scores) -> dict:
-    """One SWEEP_FIELDS row of a run that ended after `iters` iterations
-    with `stop_reason`: the result's, or the class name of the SFGPError the
-    run raised.  A run that stopped in SCORED_STOPS is scored from what
-    `scores()` returns, (ground truth, true missing mask, fitted points,
-    flagged mask); any other failed and has success 0 and no scores."""
-    if stop_reason in SCORED_STOPS:
-        gt, true_missing, fitted, flagged = scores()
-        errors = tuple(subset_error(gt, fitted, true_missing, s) for s in SUBSETS)
-        success, detection = 1, detection_scores(flagged, true_missing)
+def _register(label: str, reference, make_target, kernel, cfg) -> tuple:
+    """(result, RUN_FIELDS) of registering the target `make_target()` builds.
+    An SFGPError from either is logged under `label` and recorded, never
+    raised, so the next run goes on: result None, `iters` 0, and the error's
+    class name as `stop_reason`.  `runtime_ms` times the registration alone."""
+    from .registration import register  # before the clock starts
+
+    t0 = time.perf_counter()
+    try:
+        target = make_target()
+        t0 = time.perf_counter()
+        result = register(reference, target, kernel, cfg)
+    except SFGPError as exc:
+        logger.warning("%s: %s", label, exc)
+        result, iters, stop_reason = None, 0, type(exc).__name__
     else:
-        errors, success, detection = (None,) * len(SUBSETS), 0, (None, None)
-    return dict(zip(SWEEP_FIELDS, (variant, tag, seed, *errors, success, *detection,
-                                   int(iters), stop_reason, runtime_ms)))
+        iters, stop_reason = result.iters, result.stop_reason
+    return result, dict(zip(RUN_FIELDS, (iters, stop_reason, (time.perf_counter() - t0) * 1e3)))
+
+
+def _metrics_row(variant, tag, seed, run: dict, arrays) -> dict:
+    """One SWEEP_FIELDS row: the identity columns, the run's RUN_FIELDS, and
+    the scores `metrics.score_run` builds from its stop reason and `arrays`."""
+    return {"variant": variant, "level": tag, "seed": seed,
+            **{name: run[name] for name in RUN_FIELDS},
+            **score_run(run["stop_reason"], arrays)}
 
 
 def _write_metrics(path: Path, rows: list) -> None:
@@ -305,25 +286,19 @@ def _write_metrics(path: Path, rows: list) -> None:
 
 
 def _sweep_task(task: tuple) -> dict:
-    from .registration import register
-
     variant, tag, reference, kernel, cfg, spec = task
-    t0 = time.perf_counter()
-    try:
+    inst = None
+
+    def target():  # inside the guard: a broken instance is recorded, never aborts the sweep
+        nonlocal inst
         inst = generate(reference, spec)
-        t0 = time.perf_counter()  # runtime_ms times the registration alone
-        result = register(reference, inst.target, kernel, cfg)
-    except SFGPError as exc:
-        # a broken instance is recorded, never aborts the sweep
-        logger.warning("%s %s seed=%d: %s", variant, tag, spec.seed, exc)
-        result, iters, stop_reason = None, 0, type(exc).__name__
-    else:
-        iters, stop_reason = result.iters, result.stop_reason
-    runtime_ms = (time.perf_counter() - t0) * 1e3
+        return inst.target
+
+    result, run = _register(f"{variant} {tag} seed={spec.seed}", reference, target, kernel, cfg)
     return _metrics_row(
-        variant, tag, spec.seed, runtime_ms, iters, stop_reason,
+        variant, tag, spec.seed, run,
         lambda: (inst.ground_truth.points, inst.missing_mask,
-                 result.deformed_reference.points, flagged_missing(result)))
+                 result.deformed_reference.points, ~result.state.labelled))
 
 
 @contextlib.contextmanager
@@ -385,11 +360,20 @@ def cmd_sweep(args) -> int:
 
 
 def _read_scores(inst, run_dir: Path) -> tuple:
-    """The arrays `_metrics_row` scores, of the run `register` wrote to run_dir."""
-    summary = sio.read_csv_rows(run_dir / "correspondence_summary.csv")
+    """The arrays `score_run` scores, of the run `register` wrote to run_dir.
+    A summary with a row count other than the reference's, or an is_missing
+    cell other than 0 or 1, raises ValueError naming it."""
+    path = run_dir / "correspondence_summary.csv"
+    flags = [r.get("is_missing") for r in sio.read_csv_rows(path)]
+    if len(flags) != inst.ground_truth.n:
+        raise ValueError(f"{path}: {len(flags)} rows, but the reference has "
+                         f"{inst.ground_truth.n} points")
+    bad = [f for f in flags if type(f) is not int or f not in (0, 1)]
+    if bad:
+        raise ValueError(f"{path}: is_missing must be 0 or 1, got {bad[0]!r}")
     return (inst.ground_truth.points, inst.missing_mask,
             sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
-            np.array([bool(r["is_missing"]) for r in summary]))
+            np.array(flags, dtype=bool))
 
 
 def cmd_eval(args) -> int:
@@ -401,8 +385,7 @@ def cmd_eval(args) -> int:
         inst = read_instance(dataset_dir / entry["path"])
         run_dir = results_dir / entry["level"] / str(entry["index"])
         meta = sio.read_json(run_dir / "result.json")
-        rows.append(_metrics_row(meta["variant"], entry["level"], entry["seed"],
-                                 meta["runtime_ms"], meta["iters"], meta["stop_reason"],
+        rows.append(_metrics_row(meta["variant"], entry["level"], entry["seed"], meta,
                                  lambda: _read_scores(inst, run_dir)))
     out = Path(args.out)
     _write_metrics(out / "aggregate.csv", rows)
@@ -411,15 +394,10 @@ def cmd_eval(args) -> int:
     for level in sorted(set(r["level"] for r in rows)):
         sub = [r for r in rows if r["level"] == level]
         ok = [r for r in sub if r["success"]]
-        errs = [r["error_all"] for r in ok if r["error_all"] is not None]
-        recs = [r["recall"] for r in ok if r["recall"] is not None]
-        precs = [r["precision"] for r in ok if r["precision"] is not None]
-        lines.append(
-            f"{level:<28} {len(sub):>3} {len(ok) / len(sub):>8.2f} "
-            f"{np.mean(errs) if errs else float('nan'):>12.6f} "
-            f"{np.mean(recs) if recs else float('nan'):>8.3f} "
-            f"{np.mean(precs) if precs else float('nan'):>10.3f}"
-        )
+        err, rec, prec = (np.mean(v) if v else float("nan") for v in (
+            [r[k] for r in ok if r[k] is not None] for k in ("error_all", "recall", "precision")))
+        lines.append(f"{level:<28} {len(sub):>3} {len(ok) / len(sub):>8.2f} "
+                     f"{err:>12.6f} {rec:>8.3f} {prec:>10.3f}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     logger.info("wrote %s", out / "summary.txt")
     return 0

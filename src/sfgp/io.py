@@ -31,15 +31,18 @@ def write_points_csv(path, points: np.ndarray) -> None:
     _write_lines(path, [",".join(FLOAT_FMT % v for v in row) for row in points])
 
 
-def _number(text: str):
-    """The float a CSV field spells, or None.  Python's float also reads
-    digit-group underscores ("1_0" as 10.0); a field with one is no number."""
+def _number(text: str, kinds=(float,)):
+    """The number of the first of `kinds` that reads CSV field `text`, or
+    None.  Python's int and float also read digit-group underscores ("1_0" as
+    10); a field with one is no number."""
     if "_" in text:
         return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
+    for kind in kinds:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return None
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -111,9 +114,10 @@ def write_csv_rows(path, fieldnames, rows) -> None:
 
 
 def read_csv_rows(path) -> list:
-    """Read dict rows back, recovering int/float/None cell types.  A row
-    whose cell count differs from the header's raises ValueError naming the
-    file and the line."""
+    """Read dict rows back, recovering int/float/None cell types by
+    `_number`'s rule, so a cell with a digit-group underscore stays text.  A
+    row whose cell count differs from the header's raises ValueError naming
+    the file and the line."""
     with open(path) as fh:
         lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
                  if line.strip()]
@@ -124,19 +128,10 @@ def read_csv_rows(path) -> list:
         if len(cells) != len(fieldnames):
             raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, "
                              f"but the header has {len(fieldnames)}")
-        row = {}
-        for name, cell in zip(fieldnames, cells):
-            if cell == "":
-                row[name] = None
-            else:
-                try:
-                    row[name] = int(cell)
-                except ValueError:
-                    try:
-                        row[name] = float(cell)
-                    except ValueError:
-                        row[name] = cell
-        rows.append(row)
+        numbers = [_number(cell, (int, float)) for cell in cells]
+        # a cell that is no number stays text, and an empty one is None
+        rows.append({name: (cell or None) if number is None else number
+                     for name, cell, number in zip(fieldnames, cells, numbers)})
     return rows
 
 

@@ -16,7 +16,7 @@ from sfgp.core import RegistrationConfig
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences, responsibilities
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import SquaredExponential, gp_prior
-from sfgp.metrics import mean_sq_distance, missing_detection
+from sfgp.metrics import mean_sq_distance, missing_detection, score_run
 from sfgp.registration import SIGMA2_FLOOR, register, variant_config
 from sfgp.synthdata import PerturbationSpec, fish_reference, generate
 from sfgp import io as sio
@@ -65,23 +65,12 @@ def run_missing_trend(master_seed):
                     variant, RegistrationConfig(omega=0.0, p_min=BENCH_P_MIN)
                 )
                 res = register(fish, inst.target, BENCH_KERNEL, cfg)
-                recall, precision = missing_detection(res, inst)
-                rows.append(
-                    {
-                        "variant": variant,
-                        "level": f"w{width:g}",
-                        "seed": seed,
-                        "error_all": None if res.failed else mean_sq_distance(res, inst, "all"),
-                        "error_missing": None if res.failed else mean_sq_distance(res, inst, "missing"),
-                        "error_nonmissing": None if res.failed else mean_sq_distance(res, inst, "non_missing"),
-                        "success": int(not res.failed),
-                        "recall": recall,
-                        "precision": precision,
-                        "iters": res.iters,
-                        "stop_reason": res.stop_reason,
-                        "runtime_ms": 0.0,
-                    }
-                )
+                scores = score_run(res.stop_reason, lambda: (
+                    inst.ground_truth.points, inst.missing_mask,
+                    res.deformed_reference.points, ~res.state.labelled))
+                rows.append({"variant": variant, "level": f"w{width:g}", "seed": seed,
+                             "iters": res.iters, "stop_reason": res.stop_reason,
+                             "runtime_ms": 0.0, **scores})
                 artifacts.append((width, seed, variant, res, inst))
     return rows, artifacts
 

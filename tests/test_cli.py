@@ -852,6 +852,73 @@ def test_register_records_a_raising_run_as_the_sweep_does(tmp_path):
     assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == swept
 
 
+@pytest.mark.parametrize("stop_reason, iters, fails", [
+    ("first_iteration", 1, lambda n: True),
+    # each run's second E-step finds no label, and a collapse ends it there
+    ("mid_run_collapse", 2, lambda n: n % 2 == 0),
+])
+def test_register_and_eval_score_a_failed_stop_as_the_sweep_does(
+        tmp_path, monkeypatch, stop_reason, iters, fails):
+    calls = []
+
+    def e_step(*args, **kwargs):
+        calls.append(1)
+        if fails(len(calls)):
+            raise AllMissingError("collapsed")
+        return get_correspondences(*args, **kwargs)
+
+    monkeypatch.setattr(registration, "get_correspondences", e_step)
+    cfg = write_config(tmp_path / "cfg.json")
+    data, runs, report = tmp_path / "data", tmp_path / "runs", tmp_path / "report"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(report)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
+                 "--threads", "1"]) == 0  # in this process, so patched
+    swept = strip_runtime(sio.read_csv_rows(tmp_path / "sweep" / "metrics.csv"))
+    assert len(swept) == 4
+    scores = ("error_all", "error_missing", "error_nonmissing", "recall", "precision")
+    assert all(r["success"] == 0 and all(r[k] is None for k in scores)
+               and r["iters"] == iters and r["stop_reason"] == stop_reason for r in swept)
+    assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == swept
+
+
+def registered_run(tmp_path):
+    """The dataset and the runs of one fish98 instance with a missing box."""
+    cfg = write_config(tmp_path / "cfg.json", instances=1, grid={"missing_width": 0.3})
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
+    [summary] = runs.rglob("correspondence_summary.csv")
+    return data, runs, summary
+
+
+@pytest.mark.parametrize("n_rows", [1, 99])
+def test_eval_rejects_a_summary_of_the_wrong_length(tmp_path, capsys, n_rows):
+    # one row would broadcast its is_missing against all 98 points
+    data, runs, summary = registered_run(tmp_path)
+    header, *rows = summary.read_text().splitlines()
+    rows = (rows * 2)[:n_rows]
+    summary.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "report"
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(summary) in err
+    assert f"{len(rows)} rows, but the reference has 98 points" in err
+
+
+@pytest.mark.parametrize("cell", ["2", "1.0", "-1", "yes", ""])
+def test_eval_rejects_an_is_missing_cell_other_than_0_or_1(tmp_path, capsys, cell):
+    data, runs, summary = registered_run(tmp_path)
+    rows = sio.read_csv_rows(summary)
+    rows[5]["is_missing"] = cell
+    sio.write_csv_rows(summary, list(rows[0]), rows)
+    out = tmp_path / "report"
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(summary) in err and "is_missing must be 0 or 1" in err
+
+
 @pytest.mark.parametrize("path", [("kernel",), ("kernel", "lengthscale")])
 def test_missing_key_is_named(tmp_path, capsys, path):
     cfg = write_config(tmp_path / "cfg.json")

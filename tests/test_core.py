@@ -289,3 +289,14 @@ def test_csv_rows_reject_a_row_whose_width_differs_from_the_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n\n1,2\n")
     with pytest.raises(ValueError, match=r"rows\.csv, line 4: 2 cells, but the header has 3"):
         sio.read_csv_rows(path)
+
+
+def test_csv_rows_read_a_cell_with_digit_group_underscores_as_text(tmp_path):
+    # int() and float() read "1_0" as 10 and "2_5.0" as 25.0; by the point
+    # CSVs' rule such a cell is no number, as a level tag's underscores are
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c,level\n1_0,2_5.0,x,mw0.1_or0\n10,2.5,,1e3\n")
+    assert sio.read_csv_rows(path) == [
+        {"a": "1_0", "b": "2_5.0", "c": "x", "level": "mw0.1_or0"},
+        {"a": 10, "b": 2.5, "c": None, "level": 1000.0},
+    ]

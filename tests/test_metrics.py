@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sfgp.core import CorrespondenceState, RegistrationResult
-from sfgp.metrics import mean_sq_distance, missing_detection
+from sfgp.core import FAILED_STOPS, CorrespondenceState, RegistrationResult
+from sfgp.metrics import (
+    SCORE_FIELDS, mean_sq_distance, missing_detection, score_run,
+)
 from sfgp.synthdata import PerturbationSpec, SyntheticInstance
 
 from helpers import pointset
@@ -87,7 +89,7 @@ class TestMeanSqDistance:
     def test_failed_result_rejected(self):
         inst = make_instance([[0.0, 0.0]], [False])
         res = make_result([[0.0, 0.0]], failed=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'first_iteration' has no scores"):
             mean_sq_distance(res, inst)
 
     def test_permutation_of_target_indices_is_irrelevant(self):
@@ -128,6 +130,13 @@ class TestMissingDetection:
         assert recall == 0.0
         assert precision is None
 
+    def test_failed_result_rejected(self):
+        # a failed run has no scores: not recall 0 from its empty flagged set
+        inst = make_instance([[0.0, 0.0], [1.0, 0.0]], [True, False])
+        res = make_result([[0.0, 0.0], [1.0, 0.0]], failed=True)
+        with pytest.raises(ValueError, match="'first_iteration' has no scores"):
+            missing_detection(res, inst)
+
     def test_matches_confusion_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -142,3 +151,32 @@ class TestMissingDetection:
             tp = len(truth & flagged)
             assert recall == (tp / len(truth) if truth else None)
             assert precision == (tp / len(flagged) if flagged else None)
+
+
+class TestScoreRun:
+    def test_scored_run_matches_the_result_wrappers(self):
+        rng = np.random.default_rng(11)
+        gt = rng.normal(size=(12, 2))
+        fitted = gt + rng.normal(scale=0.1, size=(12, 2))
+        mask = rng.random(12) < 0.4
+        inst = make_instance(gt, mask)
+        res = make_result(fitted, missing_ids=[0, 3, 5])
+        scores = score_run(res.stop_reason, lambda: (
+            gt, mask, fitted, ~res.state.labelled))
+        recall, precision = missing_detection(res, inst)
+        assert scores == {
+            "error_all": mean_sq_distance(res, inst, "all"),
+            "error_missing": mean_sq_distance(res, inst, "missing"),
+            "error_nonmissing": mean_sq_distance(res, inst, "non_missing"),
+            "success": 1, "recall": recall, "precision": precision,
+        }
+        assert tuple(scores) == SCORE_FIELDS
+
+    @pytest.mark.parametrize("stop_reason", [*FAILED_STOPS, "NumericalError"])
+    def test_failed_run_has_no_scores_and_reads_no_arrays(self, stop_reason):
+        def arrays():
+            raise AssertionError("a failed run's arrays were read")
+
+        scores = score_run(stop_reason, arrays)
+        assert scores == {**dict.fromkeys(SCORE_FIELDS), "success": 0}
+        assert tuple(scores) == SCORE_FIELDS
