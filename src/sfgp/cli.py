@@ -361,19 +361,22 @@ def cmd_sweep(args) -> int:
 
 def _read_scores(inst, run_dir: Path) -> tuple:
     """The arrays `score_run` scores, of the run `register` wrote to run_dir.
-    A summary with a row count other than the reference's, or an is_missing
-    cell other than 0 or 1, raises ValueError naming it."""
+    A summary or a deformed reference with a row count other than the
+    reference's, or an is_missing cell other than 0 or 1, raises ValueError
+    naming its file."""
+    n = inst.ground_truth.n
     path = run_dir / "correspondence_summary.csv"
     flags = [r.get("is_missing") for r in sio.read_csv_rows(path)]
-    if len(flags) != inst.ground_truth.n:
-        raise ValueError(f"{path}: {len(flags)} rows, but the reference has "
-                         f"{inst.ground_truth.n} points")
+    if len(flags) != n:
+        raise ValueError(f"{path}: {len(flags)} rows, but the reference has {n} points")
     bad = [f for f in flags if type(f) is not int or f not in (0, 1)]
     if bad:
         raise ValueError(f"{path}: is_missing must be 0 or 1, got {bad[0]!r}")
-    return (inst.ground_truth.points, inst.missing_mask,
-            sio.read_pointset_csv(run_dir / "deformed_reference.csv").points,
-            np.array(flags, dtype=bool))
+    fitted_path = run_dir / "deformed_reference.csv"
+    fitted = sio.read_pointset_csv(fitted_path)
+    if fitted.n != n:
+        raise ValueError(f"{fitted_path}: {fitted.n} rows, but the reference has {n} points")
+    return inst.ground_truth.points, inst.missing_mask, fitted.points, np.array(flags, dtype=bool)
 
 
 def cmd_eval(args) -> int:

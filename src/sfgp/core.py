@@ -92,9 +92,9 @@ CORRESPONDENCE_MODES = ("multi_annotator", "closest_point")
 class RegistrationConfig:
     """Tunable parameters of a registration run.
 
-    sigma2_init and jitter may be None, meaning scale-aware defaults are
-    derived from the reference shape (squared mean nearest-neighbor
-    distance) and the Gram diagonal respectively.  p_min is the
+    The initial sigma2 and the prior's jitter are no settings: `register`
+    derives the one from the reference (`default_sigma2_init`) and
+    `kernels.gp_prior` the other from the kernel diagonal.  p_min is the
     correspondence threshold: only pairs with p_ij > p_min annotate, so
     p_min = 0 keeps every pair of positive probability (no threshold).
     rel_tol is the stop rule: from the second iteration on, the run has
@@ -105,10 +105,8 @@ class RegistrationConfig:
 
     omega: float = 0.0
     p_min: float = 0.01
-    sigma2_init: Optional[float] = None
     max_iters: int = 200
     rel_tol: float = 1e-3
-    jitter: Optional[float] = None
     variance_mode: str = "per_point"
     correspondence_mode: str = "multi_annotator"
 
@@ -119,15 +117,10 @@ class RegistrationConfig:
             raise ConfigError(f"omega must be < 1 and >= 0, got {self.omega!r}")
         if not (is_number(self.p_min) and 0.0 <= self.p_min < 1.0):
             raise ConfigError(f"p_min must be in [0, 1), got {self.p_min!r}")
-        if self.sigma2_init is not None and not (
-                is_number(self.sigma2_init) and 0.0 < self.sigma2_init < np.inf):
-            raise ConfigError(f"sigma2_init must be positive and finite, got {self.sigma2_init!r}")
         if not (is_number(self.max_iters, integer=True) and self.max_iters >= 1):
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (is_number(self.rel_tol) and 0.0 <= self.rel_tol < np.inf):
             raise ConfigError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-        if self.jitter is not None and not (is_number(self.jitter) and 0.0 <= self.jitter < np.inf):
-            raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter!r}")
         if self.variance_mode not in VARIANCE_MODES:
             raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
         if self.correspondence_mode not in CORRESPONDENCE_MODES:

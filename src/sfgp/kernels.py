@@ -16,7 +16,7 @@ and never expanded.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,13 +192,13 @@ def _collect(spec: KernelSpec, scale: float, scalar_parts, lowrank_parts):
         raise TypeError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) -> GPPrior:
+def gp_prior(spec: KernelSpec, ref: PointSet) -> GPPrior:
     """The prior of `spec` over `ref`: its SE parts, low-rank terms and jitter.
 
-    jitter=None applies the default stabilization, 1e-8 times the mean of
-    the full kernel diagonal.  Raises NumericalError when k0 or the jitter is
-    not finite (amplitudes whose product or trace overflows), and
-    ConfigError when a PCA summand is evaluated away from its anchor.
+    The jitter is 1e-8 times the mean of the full kernel diagonal, so it
+    scales with the kernel and is no setting.  Raises NumericalError when
+    the jitter is not finite (amplitudes whose product or trace overflows),
+    and ConfigError when a PCA summand is evaluated away from its anchor.
     No Gram is filled or factored here: every kernel spec is positive
     semi-definite by construction, and the posterior factors each observed
     block plus a positive noise diagonal: a block that fails to factor
@@ -216,29 +216,24 @@ def gp_prior(spec: KernelSpec, ref: PointSet, jitter: Optional[float] = None) ->
         ):
             raise ConfigError("PCA kernel can only be assembled on its anchor reference")
     u = lam = None
+    # the amplitudes are Python floats, whose products and sums overflow to
+    # inf without a warning; the mean is taken through the trace, so a
+    # diagonal whose sum overflows, or an eigenvalue that does, gives a
+    # jitter that is not finite
+    trace = n * d * sum(a2 for a2, _ in scalar_parts)
     if lowrank_parts:  # one part's basis is not copied: the run holds u throughout
         us = [part.eigenvectors for _, part in lowrank_parts]
         u = us[0] if len(us) == 1 else np.hstack(us)
-        with np.errstate(over="ignore"):  # checked with the jitter below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked with the jitter
             lam = np.concatenate([scale * part.eigenvalues for scale, part in lowrank_parts])
-    prior = GPPrior(ref.points, tuple(scalar_parts), 0.0, lowrank_u=u, lowrank_lam=lam)
-
-    # the amplitudes are Python floats, whose products and sums overflow to
-    # inf without a warning; the mean is taken through the trace, so a
-    # diagonal whose sum overflows gives a jitter that is not finite
-    k0 = prior.k0
-    finite_lam = u is None or bool(np.all(np.isfinite(lam)))
-    if jitter is None:
-        trace = n * d * k0
-        if u is not None and finite_lam:
-            with np.errstate(over="ignore"):
-                trace += float(np.sum(u**2 * lam))
-        jitter = 1e-8 * trace / (n * d)
+            trace += float(np.sum(u**2 * lam))
+    jitter = 1e-8 * trace / (n * d)
+    # the trace is at least n d k0, so a finite jitter proves k0 finite, and
     # each SE part is largest at distance 0, so a finite k0 proves every
     # kernel block finite: the posterior scans none
-    if not (np.isfinite(k0) and finite_lam and np.isfinite(jitter)):
+    if not np.isfinite(jitter):
         raise NumericalError(f"gram matrix is not finite (jitter={jitter:g})")
-    return replace(prior, jitter=jitter)
+    return GPPrior(ref.points, tuple(scalar_parts), jitter, lowrank_u=u, lowrank_lam=lam)
 
 
 def build_pca_kernel(

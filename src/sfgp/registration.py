@@ -11,6 +11,11 @@ applied as the total displacement: r_bar = reference + mu.  With labels taken
 relative to the current deformed reference instead, the update would be an
 involution and the loop would cycle with period 2.
 
+The loop starts from the undeformed reference with every sigma2_i at
+`default_sigma2_init(reference)`, h^2 for the mean nearest-neighbour spacing
+h, under the prior `kernels.gp_prior` builds with its own jitter.  Both are
+derived, not set: no setting of RegistrationConfig moves either.
+
 The iterations run in SQUAREM cycles (Varadhan & Roland 2008, scheme S3) on
 the state theta = (deformed points, sigma2), with sigma2 in linear space.
 A cycle takes two plain EM steps, theta1 = F(theta0) and theta2 = F(theta1),
@@ -53,7 +58,7 @@ stay resident beside the next run's workspace.  On the dense 3-D benchmark
 and 104 MB in 2; the map read 104-105 MB in 10 of 10.
 
 The other full-size products (the kernel blocks, the nearest-neighbour
-distances of the default sigma2_init, the fusion weights and the posterior's
+distances of `default_sigma2_init`, the fusion weights and the posterior's
 cross-covariance) are worked one block of core.ROW_BLOCK rows at a time, and
 no step scans a full-size array for finiteness.  Besides its workspace a run
 so holds at most a few blocks of ROW_BLOCK * max(N_R, N_S) doubles and a few
@@ -174,10 +179,7 @@ def register(
     size = reference.n * max(reference.n, target.n)
     work = np.frombuffer(mmap.mmap(-1, size * np.dtype(float).itemsize), dtype=float)
     p_buf = buffer_view(work, (reference.n, target.n))
-    prior = gp_prior(kernel, reference, cfg.jitter)
-    sigma2_init = (
-        cfg.sigma2_init if cfg.sigma2_init is not None else default_sigma2_init(reference)
-    )
+    prior = gp_prior(kernel, reference)
 
     ref_pts = reference.points
     n_r, n_pts = reference.n, reference.points.size
@@ -242,7 +244,7 @@ def register(
         logger.info("%s", record)
         return out, posterior.var_diag, it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2)
 
-    theta = np.concatenate([ref_pts.ravel(), np.full(n_r, float(sigma2_init))])
+    theta = np.concatenate([ref_pts.ravel(), np.full(n_r, default_sigma2_init(reference))])
     post_var = np.zeros(n_r)
     cycle = [theta]  # the cycle's plain states: theta0, theta1, theta2
     step_max = 1.0

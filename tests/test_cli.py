@@ -13,7 +13,7 @@ import pytest
 from sfgp import cli, registration
 from sfgp import io as sio
 from sfgp.cli import BLAS_THREAD_VARS, _one_blas_thread_per_worker, main
-from sfgp.core import AllMissingError, RegistrationConfig
+from sfgp.core import AllMissingError, ConfigError, RegistrationConfig
 from sfgp.correspondence import get_correspondences
 from sfgp.kernels import build_pca_kernel, save_pca_kernel
 from sfgp.synthdata import fish_reference, warp_rbf
@@ -501,12 +501,20 @@ def test_empty_list_fails_cleanly(tmp_path, capsys, command, overrides, key):
     assert not out.exists()
 
 
-def test_registration_numbers_and_nulls_are_accepted():
-    cfg = cli.registration_config_from(
-        {"omega": 0, "p_min": 0.05, "rel_tol": 1, "max_iters": 5, "sigma2_init": None,
-         "jitter": None}
-    )
+def test_registration_numbers_are_accepted():
+    cfg = cli.registration_config_from({"omega": 0, "p_min": 0.05, "rel_tol": 1, "max_iters": 5})
     assert cfg == RegistrationConfig(omega=0, p_min=0.05, rel_tol=1, max_iters=5)
+
+
+@pytest.mark.parametrize("payload", [
+    {"jitter": 0}, {"sigma2_init": 1e-3}, {"jitter": None}, {"sigma2_init": None},
+], ids=["jitter", "sigma2_init", "jitter_null", "sigma2_init_null"])
+def test_registration_has_no_key_for_the_initial_sigma2_or_the_jitter(payload):
+    # both are derived, from the reference and from the kernel diagonal, so
+    # a config that sets either, to a number or to null, names the key
+    [key] = payload
+    with pytest.raises(ConfigError, match=f"unknown registration keys: {key}$"):
+        cli.registration_config_from({"p_min": 0.05, **payload})
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
@@ -815,9 +823,7 @@ def test_register_first_iteration_failure_writes_placeholders(tmp_path):
     reference_csv, target_csv = tmp_path / "ref.csv", tmp_path / "target.csv"
     sio.write_points_csv(reference_csv, [[0.0, 0.0], [1.0, 0.0]])
     sio.write_points_csv(target_csv, [[1e160, 1e160]])
-    cfg = write_config(
-        tmp_path / "cfg.json", reference=str(reference_csv), registration={"sigma2_init": 1e-6}
-    )
+    cfg = write_config(tmp_path / "cfg.json", reference=str(reference_csv))
     out = tmp_path / "run"
     code = main(["register", "--config", str(cfg), "--target", str(target_csv), "--out", str(out)])
     assert code == 0
@@ -829,17 +835,12 @@ def test_register_first_iteration_failure_writes_placeholders(tmp_path):
 
 
 def test_register_records_a_raising_run_as_the_sweep_does(tmp_path):
-    # at zero jitter the observed block of a reference with twins is singular
-    # for a huge amplitude over a vanishing noise: every registration raises
-    # NumericalError, which register records, as the sweep does, and goes on
-    fish = fish_reference().points
-    reference_csv = tmp_path / "ref.csv"
-    sio.write_points_csv(reference_csv, np.vstack([fish, fish[:10]]))
-    cfg = write_config(
-        tmp_path / "cfg.json", reference=str(reference_csv), instances=1,
-        kernel={"type": "squared_exponential", "amplitude2": 1e8, "lengthscale": 0.2},
-        registration={"jitter": 0, "sigma2_init": 1e-12, "p_min": 0.05},
-    )
+    # amplitudes whose kernel diagonal sums past the largest float give a
+    # jitter that is not finite: every registration raises NumericalError,
+    # which register records, as the sweep does, and goes on
+    se = {"type": "squared_exponential", "amplitude2": 1.5e154, "lengthscale": 0.2}
+    cfg = write_config(tmp_path / "cfg.json", instances=1,
+                       kernel={"type": "scaled", "factor": 1e154, "inner": se})
     data, runs, report = tmp_path / "data", tmp_path / "runs", tmp_path / "report"
     assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
     assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
@@ -905,6 +906,20 @@ def test_eval_rejects_a_summary_of_the_wrong_length(tmp_path, capsys, n_rows):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(summary) in err
     assert f"{len(rows)} rows, but the reference has 98 points" in err
+
+
+@pytest.mark.parametrize("n_rows", [1, 99])
+def test_eval_rejects_a_deformed_reference_of_the_wrong_length(tmp_path, capsys, n_rows):
+    # the fitted points are scored index by index against the ground truth
+    data, runs, summary = registered_run(tmp_path)
+    fitted = summary.parent / "deformed_reference.csv"
+    points = sio.read_pointset_csv(fitted).points
+    sio.write_points_csv(fitted, np.vstack([points, points])[:n_rows])
+    out = tmp_path / "report"
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(fitted) in err
+    assert f"{n_rows} rows, but the reference has 98 points" in err
 
 
 @pytest.mark.parametrize("cell", ["2", "1.0", "-1", "yes", ""])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,15 @@ from helpers import fibonacci_sphere, kdtree_sigma2_init
 
 
 def test_config_accepts_reference_settings():
-    RegistrationConfig(omega=0.1, p_min=0.01, sigma2_init=1.0, max_iters=100)
+    cfg = RegistrationConfig(omega=0.1, p_min=0.01, max_iters=100, rel_tol=1e-4,
+                             variance_mode="scalar", correspondence_mode="closest_point")
+    assert (cfg.omega, cfg.p_min, cfg.max_iters, cfg.rel_tol) == (0.1, 0.01, 100, 1e-4)
+
+
+def test_config_has_no_setting_for_the_initial_sigma2_or_the_jitter():
+    # both are derived: sigma2 from the reference, the jitter from the kernel
+    assert [f.name for f in fields(RegistrationConfig)] == [
+        "omega", "p_min", "max_iters", "rel_tol", "variance_mode", "correspondence_mode"]
 
 
 @pytest.mark.parametrize(
@@ -42,22 +50,22 @@ def test_config_accepts_reference_settings():
         (dict(omega=-0.2), "omega"),
         (dict(p_min=-0.1), "p_min"),
         (dict(p_min=1.0), "p_min"),
-        (dict(sigma2_init=0.0), "sigma2_init"),
-        (dict(sigma2_init=-1.0), "sigma2_init"),
+        (dict(correspondence_mode="bogus"), "correspondence_mode"),
+        (dict(rel_tol=-1e-3), "rel_tol"),
         (dict(max_iters=0), "max_iters"),
-        (dict(jitter=-1e-9), "jitter"),
+        (dict(omega=float("nan")), "omega"),
         (dict(variance_mode="bogus"), "variance_mode"),
-        (dict(sigma2_init=float("nan")), "sigma2_init"),
+        (dict(p_min=float("nan")), "p_min"),
         (dict(rel_tol=float("inf")), "rel_tol"),
-        (dict(jitter=float("nan")), "jitter"),
+        (dict(variance_mode=None), "variance_mode"),
         (dict(max_iters=2.5), "max_iters"),
         (dict(max_iters=float("inf")), "max_iters"),
         (dict(max_iters=float("nan")), "max_iters"),
         (dict(max_iters=True), "max_iters"),
         (dict(p_min=False), "p_min"),
-        (dict(jitter=False), "jitter"),
+        (dict(rel_tol=True), "rel_tol"),
         (dict(omega=None), "omega"),
-        (dict(sigma2_init="1e-3"), "sigma2_init"),
+        (dict(omega="0.1"), "omega"),
         (dict(rel_tol=[1e-3]), "rel_tol"),
     ],
 )

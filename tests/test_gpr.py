@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfgp.core import AllMissingError
+from sfgp.core import AllMissingError, NumericalError
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences
 from sfgp.gpr import gpr_posterior
 from sfgp.kernels import (
@@ -22,7 +23,8 @@ from helpers import dense_gpr, pointset, random_points
 
 
 def two_point_prior():
-    return gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0], [5.0, 0.0]]), 0.0)
+    ref = pointset([[0.0, 0.0], [5.0, 0.0]])
+    return replace(gp_prior(SquaredExponential(1.0, 1.0), ref), jitter=0.0)
 
 
 def fuse(target_pts, rbar_pts, sigma2, omega=0.0, p_min=0.01):
@@ -124,7 +126,8 @@ class TestAggregation:
 
 class TestPosterior:
     def test_one_point_closed_form(self):
-        prior = gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.3, -0.2]]), 0.0)
+        ref = pointset([[0.3, -0.2]])
+        prior = replace(gp_prior(SquaredExponential(1.0, 1.0), ref), jitter=0.0)
         post = gpr_posterior(prior, np.array([0]), np.array([[1.0, -2.0]]), np.array([1.0]))
         np.testing.assert_allclose(post.mu[0], [0.5, -1.0], rtol=1e-15)
         assert post.var_diag[0] == pytest.approx(0.5, rel=1e-15)
@@ -132,7 +135,7 @@ class TestPosterior:
     def test_infinite_noise_collapses_to_prior_mean(self):
         rng = np.random.default_rng(8)
         ref = pointset(random_points(rng, 6, 2))
-        prior = gp_prior(SquaredExponential(1.0, 0.5), ref, 0.0)
+        prior = replace(gp_prior(SquaredExponential(1.0, 0.5), ref), jitter=0.0)
         delta = rng.normal(size=(6, 2))
         post = gpr_posterior(prior, np.arange(6), delta, np.full(6, 1e12))
         assert np.linalg.norm(post.mu) <= 1e-6 * np.linalg.norm(delta)
@@ -140,7 +143,7 @@ class TestPosterior:
     def test_matches_dense_oracle_full_correspondence(self):
         rng = np.random.default_rng(23)
         ref = pointset(random_points(rng, 5, 2, min_sep=0.2))
-        prior = gp_prior(SquaredExponential(1.2, 0.6), ref, 0.0)
+        prior = replace(gp_prior(SquaredExponential(1.2, 0.6), ref), jitter=0.0)
         delta = rng.normal(size=(5, 2))
         noise = rng.uniform(0.05, 1.0, size=5)
         post = gpr_posterior(prior, np.arange(5), delta, noise)
@@ -153,7 +156,7 @@ class TestPosterior:
         for _ in range(10):
             n = int(rng.integers(3, 9))
             ref = pointset(random_points(rng, n, 2, min_sep=0.15))
-            prior = gp_prior(SquaredExponential(1.0, 0.7), ref, 0.0)
+            prior = replace(gp_prior(SquaredExponential(1.0, 0.7), ref), jitter=0.0)
             c = int(rng.integers(1, n))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(size=(c, 2))
@@ -172,7 +175,7 @@ class TestPosterior:
             samples = rng.normal(size=(9, n * d))
             pca = build_pca_kernel(samples, rank=3, anchor=anchor)
             spec = SumKernel(SquaredExponential(0.8, 0.5), pca)
-            prior = gp_prior(spec, anchor, 1e-10)
+            prior = replace(gp_prior(spec, anchor), jitter=1e-10)
             c = int(rng.integers(1, n + 1))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(size=(c, d))
@@ -191,7 +194,8 @@ class TestPosterior:
         n, d = ref.n, ref.dim
         for _ in range(8):
             pca = build_pca_kernel(rng.normal(scale=0.02, size=(6, n * d)), rank=3, anchor=ref)
-            prior = gp_prior(SumKernel(SquaredExponential(0.01, 0.2), pca), ref, 1e-10)
+            spec = SumKernel(SquaredExponential(0.01, 0.2), pca)
+            prior = replace(gp_prior(spec, ref), jitter=1e-10)
             c = int(rng.integers(40, n + 1))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             delta = rng.normal(scale=0.05, size=(c, d))
@@ -213,7 +217,7 @@ class TestPosterior:
             ref = pointset(random_points(rng, n, d))
             pca = build_pca_kernel(rng.normal(size=(8, n * d)), 5, ref)
             spec = SumKernel(SquaredExponential(0.01, 0.3), ScaledKernel(1e4, pca))
-            prior = gp_prior(spec, ref, 1e-10)
+            prior = replace(gp_prior(spec, ref), jitter=1e-10)
             inliers = np.sort(rng.choice(n, size=10, replace=False))
             noise = np.full(10, 1e-4)
             post = gpr_posterior(prior, inliers, rng.normal(size=(10, d)), noise)
@@ -225,7 +229,7 @@ class TestPosterior:
         n, d = 4, 2
         anchor = pointset(random_points(rng, n, d, min_sep=0.2))
         pca = build_pca_kernel(rng.normal(size=(7, n * d)), rank=2, anchor=anchor)
-        prior = gp_prior(pca, anchor, 1e-9)
+        prior = replace(gp_prior(pca, anchor), jitter=1e-9)
         inliers = np.array([0, 2, 3])
         delta = rng.normal(size=(3, d))
         noise = rng.uniform(0.1, 0.5, size=3)
@@ -237,7 +241,7 @@ class TestPosterior:
     def test_reduction_to_homoscedastic(self):
         rng = np.random.default_rng(61)
         ref = random_points(rng, 7, 2, min_sep=0.15)
-        prior = gp_prior(SquaredExponential(1.0, 0.6), pointset(ref), 0.0)
+        prior = replace(gp_prior(SquaredExponential(1.0, 0.6), pointset(ref)), jitter=0.0)
         # narrow mixtures make every target a certain match of its own point:
         # one annotation each, at the shared variance
         sigma_n2 = 1e-4
@@ -256,7 +260,7 @@ class TestPosterior:
         for _ in range(10):
             n = int(rng.integers(2, 9))
             ref = pointset(random_points(rng, n, 2, min_sep=0.12))
-            prior = gp_prior(SquaredExponential(1.5, 0.5), ref, 0.0)
+            prior = replace(gp_prior(SquaredExponential(1.5, 0.5), ref), jitter=0.0)
             c = int(rng.integers(1, n + 1))
             inliers = np.sort(rng.choice(n, size=c, replace=False))
             post = gpr_posterior(
@@ -267,7 +271,7 @@ class TestPosterior:
     def test_interpolation_limit(self):
         rng = np.random.default_rng(83)
         ref = pointset(random_points(rng, 5, 2, min_sep=0.25))
-        prior = gp_prior(SquaredExponential(1.0, 0.5), ref, 0.0)
+        prior = replace(gp_prior(SquaredExponential(1.0, 0.5), ref), jitter=0.0)
         delta = rng.normal(size=(5, 2))
         post = gpr_posterior(prior, np.arange(5), delta, np.full(5, 1e-12))
         np.testing.assert_allclose(post.mu, delta, atol=1e-6)
@@ -275,19 +279,32 @@ class TestPosterior:
     def test_missing_point_removal_does_not_perturb_others(self):
         rng = np.random.default_rng(97)
         ref = pointset(random_points(rng, 6, 2, min_sep=0.15))
-        prior = gp_prior(SquaredExponential(1.0, 0.6), ref, 0.0)
+        prior = replace(gp_prior(SquaredExponential(1.0, 0.6), ref), jitter=0.0)
         inliers = np.array([0, 1, 2, 3])  # 4 and 5 are missing
         delta = rng.normal(size=(4, 2))
         noise = rng.uniform(0.05, 0.5, size=4)
         post_full = gpr_posterior(prior, inliers, delta, noise)
 
         smaller = pointset(ref.points[:5])  # drop missing point 5
-        prior_small = gp_prior(SquaredExponential(1.0, 0.6), smaller, 0.0)
+        prior_small = replace(gp_prior(SquaredExponential(1.0, 0.6), smaller), jitter=0.0)
         post_small = gpr_posterior(prior_small, inliers, delta, noise)
         np.testing.assert_allclose(post_full.mu[:5], post_small.mu, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(
             post_full.var_diag[:5], post_small.var_diag, rtol=1e-12, atol=1e-15
         )
+
+    def test_singular_observed_block_raises_numerical_error(self):
+        # twins give equal rows of the Gram: at zero jitter, a noise far below
+        # the amplitude's rounding leaves the observed block singular in
+        # floating point, and its Cholesky factorization reports it; the
+        # default jitter, 1e-8 of the amplitude, is what makes it factor
+        fish = fish_reference().points
+        ref = pointset(np.vstack([fish, fish[:10]]))
+        prior = gp_prior(SquaredExponential(1e8, 0.2), ref)
+        inliers, labels, noise = np.arange(ref.n), np.zeros((ref.n, 2)), np.full(ref.n, 1e-12)
+        with pytest.raises(NumericalError, match="observed-block"):
+            gpr_posterior(replace(prior, jitter=0.0), inliers, labels, noise)
+        assert np.all(gpr_posterior(prior, inliers, labels, noise).mu == 0.0)
 
     @pytest.mark.parametrize("with_pca", [False, True])
     def test_huge_label_noise_matches_dropping_the_labels(self, with_pca):
@@ -300,7 +317,7 @@ class TestPosterior:
         spec = SquaredExponential(1.0, 0.6)
         if with_pca:
             spec = SumKernel(spec, build_pca_kernel(rng.normal(size=(8, n * d)), 3, ref))
-        prior = gp_prior(spec, ref, 1e-10)
+        prior = replace(gp_prior(spec, ref), jitter=1e-10)
         inliers = np.array([0, 2, 3, 5, 6, 8])
         delta = rng.normal(size=(6, d))
         noise = rng.uniform(0.05, 0.5, size=6)

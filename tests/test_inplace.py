@@ -15,6 +15,7 @@ edges.  A step given a workspace returns the same bits as without one.
 import inspect
 import mmap
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,7 +320,7 @@ def test_posterior_matches_dense_oracle_at_block_edges(edge_blocks, n_r, missing
     spec = SquaredExponential(1.0, 0.7)
     if lowrank:
         spec = SumKernel(spec, build_pca_kernel(rng.normal(size=(6, n_r * 2)), 3, ref))
-    prior = gp_prior(spec, ref, 1e-10)
+    prior = replace(gp_prior(spec, ref), jitter=1e-10)
     inliers = np.setdiff1d(np.arange(n_r), missing)
     delta = rng.normal(size=(inliers.size, 2))
     noise = rng.uniform(0.05, 0.8, size=inliers.size)
@@ -358,8 +359,8 @@ def test_blocked_gram_matches_the_full_formula(edge_blocks, n_r):
     # lower triangle left of the diagonal blocks, which LAPACK does not
     # read, keeps the workspace's contents
     rng = np.random.default_rng(n_r)
-    prior = gp_prior(SumKernel(SquaredExponential(0.7, 0.4), SquaredExponential(0.2, 1.3)),
-                     pointset(rng.uniform(-1.0, 1.0, size=(n_r, 3))), 0.0)
+    spec = SumKernel(SquaredExponential(0.7, 0.4), SquaredExponential(0.2, 1.3))
+    prior = replace(gp_prior(spec, pointset(rng.uniform(-1.0, 1.0, size=(n_r, 3)))), jitter=0.0)
     want = dense_gram(prior) + 0.25 * np.eye(n_r)
     got = prior.upper_gram(np.arange(n_r), 0.25, work=np.full(n_r * n_r, np.nan))
     first = np.arange(n_r) // EDGE_BLOCK * EDGE_BLOCK  # each row's first written column
@@ -389,7 +390,7 @@ def test_posterior_matches_dense_oracle_at_the_row_block_edge(kernel, offset):
     n_r = core.ROW_BLOCK + offset
     rng = np.random.default_rng(200 + n_r)
     ref = pointset(random_points(rng, n_r, 3, min_sep=0.05))
-    prior = gp_prior(edge_kernels(rng, ref)[kernel], ref, 1e-8)
+    prior = replace(gp_prior(edge_kernels(rng, ref)[kernel], ref), jitter=1e-8)
     missing = [0, 5, n_r // 2, n_r - 2, n_r - 1]
     inliers = np.setdiff1d(np.arange(n_r), missing)
     delta = rng.normal(scale=0.1, size=(inliers.size, 3))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_se_symmetry(a2, ell, xs, ys):
 
 
 def test_gram_single_point():
-    prior = gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0]]), 0.0)
+    prior = replace(gp_prior(SquaredExponential(1.0, 1.0), pointset([[0.0, 0.0]])), jitter=0.0)
     g = full_gram(prior)
     assert g.shape == (1, 1)
     assert g[0, 0] == pytest.approx(1.0)
@@ -75,7 +76,7 @@ def test_gram_single_point():
 
 def test_gram_collinear_points():
     ref = pointset([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    g = full_gram(gp_prior(SquaredExponential(1.0, 1.0), ref, 1e-10))
+    g = full_gram(replace(gp_prior(SquaredExponential(1.0, 1.0), ref), jitter=1e-10))
     assert g[0, 1] == pytest.approx(np.exp(-0.5), rel=1e-14)
     assert g[1, 2] == pytest.approx(np.exp(-0.5), rel=1e-14)
     assert g[0, 2] == pytest.approx(np.exp(-2.0), rel=1e-14)
@@ -84,7 +85,7 @@ def test_gram_collinear_points():
 def test_gram_spd_after_jitter():
     rng = np.random.default_rng(11)
     ref = pointset(rng.uniform(-1, 1, size=(10, 2)))
-    g = full_gram(gp_prior(SquaredExponential(1.0, 0.5), ref, 1e-8))
+    g = full_gram(replace(gp_prior(SquaredExponential(1.0, 0.5), ref), jitter=1e-8))
     # dense symmetric eigendecomposition oracle
     evals = np.linalg.eigvalsh(g + 1e-8 * np.eye(10))
     assert np.all(evals > 0)
@@ -104,7 +105,7 @@ def test_gram_random_specs_spd_property():
                 SquaredExponential(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.2, 2.0))),
             ),
         )
-        prior = gp_prior(spec, ref, 1e-8)
+        prior = replace(gp_prior(spec, ref), jitter=1e-8)
         g = full_gram(prior)
         assert np.allclose(g, g.T, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(g, dense_gram(prior), rtol=1e-12, atol=1e-15)
@@ -118,29 +119,27 @@ def test_gram_composition_linearity():
     k2 = SquaredExponential(0.4, 1.9)
 
     def gram(spec):
-        return full_gram(gp_prior(spec, ref, 0.0))
+        return full_gram(replace(gp_prior(spec, ref), jitter=0.0))
 
     np.testing.assert_allclose(gram(SumKernel(k1, k2)), gram(k1) + gram(k2), rtol=1e-12)
     np.testing.assert_allclose(gram(ScaledKernel(2.5, k1)), 2.5 * gram(k1), rtol=1e-12)
 
 
-@pytest.mark.parametrize("spec, jitter", [
-    (ScaledKernel(1e300, SquaredExponential(1e300, 0.2)), None),  # amplitudes overflow
-    (ScaledKernel(1e154, SquaredExponential(1.5e154, 0.2)), None),  # the jitter overflows
-    (SquaredExponential(1.0, 0.2), float("nan")),
-    (SquaredExponential(1.0, 0.2), float("inf")),
+@pytest.mark.parametrize("spec", [
+    ScaledKernel(1e300, SquaredExponential(1e300, 0.2)),  # amplitudes overflow
+    ScaledKernel(1e154, SquaredExponential(1.5e154, 0.2)),  # the jitter overflows
+    SumKernel(SquaredExponential(1e308, 0.2), SquaredExponential(1e308, 0.2)),  # k0 overflows
 ])
-def test_non_finite_gram_raises_numerical_error(spec, jitter):
+def test_non_finite_gram_raises_numerical_error(spec):
     # the posterior's factorization skips SciPy's finiteness scan, so the
     # check is made here, and an overflow is reported by the error alone
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not finite"):
-            gp_prior(spec, fish_reference(), jitter)
+            gp_prior(spec, fish_reference())
 
 
-@pytest.mark.parametrize("jitter", [None, 1e-8])
-def test_overflowing_pca_amplitude_raises_numerical_error(jitter):
+def test_overflowing_pca_amplitude_raises_numerical_error():
     # scale times eigenvalue overflows: reported by the error alone
     rng = np.random.default_rng(9)
     ref = pointset(rng.normal(size=(5, 2)))
@@ -148,14 +147,26 @@ def test_overflowing_pca_amplitude_raises_numerical_error(jitter):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not finite"):
-            gp_prior(ScaledKernel(1e300, pca), ref, jitter)
+            gp_prior(ScaledKernel(1e300, pca), ref)
+
+
+def test_jitter_is_a_fixed_fraction_of_the_mean_prior_diagonal():
+    # 1e-8 times the mean of the kernel diagonal: k0 on the isotropic path,
+    # and k0 plus each point's low-rank variance averaged with PCA
+    rng = np.random.default_rng(12)
+    ref = pointset(rng.normal(size=(6, 2)))
+    se = SquaredExponential(0.3, 0.5)
+    assert gp_prior(ScaledKernel(2.0, se), ref).jitter == pytest.approx(1e-8 * 0.6, rel=1e-15)
+    pca = build_pca_kernel(rng.normal(size=(5, 12)), 2, ref)
+    prior = gp_prior(SumKernel(se, pca), ref)
+    assert prior.jitter == pytest.approx(1e-8 * np.diag(expand_kernel(prior)).mean(), rel=1e-12)
 
 
 def test_kronecker_block_solve_matches_dense_expansion():
     rng = np.random.default_rng(99)
     for n, d in [(4, 2), (6, 3), (8, 2)]:
         ref = pointset(random_points(rng, n, d, min_sep=0.15))
-        prior = gp_prior(SquaredExponential(1.0, 0.8), ref, 1e-10)
+        prior = replace(gp_prior(SquaredExponential(1.0, 0.8), ref), jitter=1e-10)
         k = expand_kernel(prior)
         b = rng.normal(size=(n, d))
         x_dense = np.linalg.solve(k + 1e-10 * np.eye(n * d), b.reshape(-1)).reshape(n, d)
@@ -260,11 +271,11 @@ def test_pca_gram_requires_anchor():
     anchor = pointset(rng.normal(size=(4, 2)))
     samples = rng.normal(size=(6, 8))
     spec = build_pca_kernel(samples, rank=2, anchor=anchor)
-    prior = gp_prior(SumKernel(SquaredExponential(1.0, 1.0), spec), anchor, 1e-8)
+    prior = replace(gp_prior(SumKernel(SquaredExponential(1.0, 1.0), spec), anchor), jitter=1e-8)
     assert prior.lowrank_u is not None
     other = pointset(rng.normal(size=(4, 2)))
     with pytest.raises(ConfigError):
-        gp_prior(spec, other, 1e-8)
+        gp_prior(spec, other)
 
 
 def test_pca_gram_expansion_matches_truncated_covariance():
@@ -272,7 +283,7 @@ def test_pca_gram_expansion_matches_truncated_covariance():
     anchor = pointset(rng.normal(size=(4, 2)))
     samples = rng.normal(size=(7, 8))
     spec = build_pca_kernel(samples, rank=3, anchor=anchor)
-    prior = gp_prior(spec, anchor, 1e-9)
+    prior = replace(gp_prior(spec, anchor), jitter=1e-9)
     np.testing.assert_array_equal(full_gram(prior), 0.0)  # no scalar part
     k = expand_kernel(prior)
     manual = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T

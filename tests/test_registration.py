@@ -47,6 +47,17 @@ def with_twins(ref, k):
     return pointset(np.vstack([ref.points, ref.points[:k]]))
 
 
+def start_sigma2_at(monkeypatch, sigma2):
+    """Make `register` start every sigma2_i at `sigma2`, not at h^2."""
+    monkeypatch.setattr(registration, "default_sigma2_init", lambda reference: sigma2)
+
+
+def build_priors_at_zero_jitter(monkeypatch):
+    """Make `register` build its prior at jitter 0, not at 1e-8 k0."""
+    monkeypatch.setattr(registration, "gp_prior",
+                        lambda spec, ref: replace(gp_prior(spec, ref), jitter=0.0))
+
+
 class TestUpdateSigma2:
     def test_zero_residual_hits_floor(self):
         s = pointset([[1.0, 2.0]])
@@ -166,7 +177,7 @@ class TestCoupledUpdateEquivalence:
     direct coupled-update posterior (dense oracle) exactly."""
 
     def _one_iteration(self, ref, target, sigma2, post_var, omega):
-        prior = gp_prior(SquaredExponential(1.0, 0.7), ref, 0.0)
+        prior = replace(gp_prior(SquaredExponential(1.0, 0.7), ref), jitter=0.0)
         inputs = ResponsibilityInputs(
             target=target,
             deformed_ref=ref,
@@ -242,13 +253,15 @@ class TestRegister:
         assert full.iters == no_thresh.iters
         assert np.array_equal(full.state.missing, no_thresh.state.missing)
 
-    def test_subnormal_kept_mass_is_missing_not_a_crash(self):
-        # at p_min = 0 the first E-step leaves reference point 1 only
-        # subnormal pairs; its fused noise overflows, so it is missing and
-        # the prior predicts it, instead of an inf label reaching the posterior
+    def test_subnormal_kept_mass_is_missing_not_a_crash(self, monkeypatch):
+        # at p_min = 0 and sigma2 = 1e-3 the first E-step leaves reference
+        # point 1 only subnormal pairs; its fused noise overflows, so it is
+        # missing and the prior predicts it, instead of an inf label reaching
+        # the posterior
+        start_sigma2_at(monkeypatch, 1e-3)
         ref = pointset([[0.0, 0.0], [1.2166, 0.0], [0.0, 0.05]])
         target = pointset([[0.0, 0.0], [0.0, 0.05]])
-        cfg = variant_config("GPReg_noTresh", RegistrationConfig(sigma2_init=1e-3, max_iters=3))
+        cfg = variant_config("GPReg_noTresh", RegistrationConfig(max_iters=3))
         res = register(ref, target, self.kernel, cfg)
         assert not res.failed
         assert res.trace[0].n_missing == 1
@@ -272,8 +285,7 @@ class TestRegister:
     def test_first_iteration_failure(self):
         ref = pointset([[0.0, 0.0], [1.0, 0.0]])
         target = pointset([[1e160, 1e160]])
-        res = register(ref, target, SquaredExponential(1.0, 1.0),
-                       RegistrationConfig(sigma2_init=1e-6))
+        res = register(ref, target, SquaredExponential(1.0, 1.0), RegistrationConfig())
         assert res.stop_reason == "first_iteration" and res.state is None
         assert res.failed and not res.converged
         assert res.iters == 1
@@ -443,28 +455,30 @@ class TestRegister:
         assert np.array_equal(res.deformed_reference.points, fish.points + posteriors[0].mu)
         assert len(res.trace) == 1 and res.trace[0].iteration == 1
 
-    def test_duplicated_points_register_at_zero_jitter(self):
+    def test_duplicated_points_register_at_zero_jitter(self, monkeypatch):
         # the prior's Gram is singular, but the posterior factors only its
         # observed block plus a positive noise, so the run is no error; the
         # twins of a point see the same data and end where it ends
+        build_priors_at_zero_jitter(monkeypatch)
         fish = fish_reference()
         dup = with_twins(fish, 10)
         for variant in ("SFGP_Full", "SFGP_bcpdReg"):
-            res = register(dup, fish, self.kernel,
-                           variant_config(variant, RegistrationConfig(jitter=0.0)))
+            res = register(dup, fish, self.kernel, variant_config(variant, RegistrationConfig()))
             assert res.stop_reason == "converged", variant
             pts = res.deformed_reference.points
             assert np.array_equal(pts[fish.n:], pts[:10]), variant
 
-    def test_singular_observed_block_names_the_first_iteration(self):
-        # a huge amplitude over a vanishing noise leaves the observed block of
-        # the duplicated reference singular in floating point: the posterior's
-        # factorization, the one positive-definiteness check, reports it
+    def test_singular_observed_block_names_the_first_iteration(self, monkeypatch):
+        # a huge amplitude over a vanishing noise and no jitter leaves the
+        # observed block of the duplicated reference singular in floating
+        # point: the posterior's factorization, the one positive-definiteness
+        # check, reports it
+        build_priors_at_zero_jitter(monkeypatch)
+        start_sigma2_at(monkeypatch, 1e-12)
         fish = fish_reference()
         dup = with_twins(fish, 10)
-        cfg = RegistrationConfig(jitter=0.0, sigma2_init=1e-12, p_min=0.05)
         with pytest.raises(NumericalError, match="iteration 1"):
-            register(dup, fish, SquaredExponential(1e8, 0.2), cfg)
+            register(dup, fish, SquaredExponential(1e8, 0.2), RegistrationConfig(p_min=0.05))
 
     def test_dim_mismatch_rejected(self):
         ref = pointset([[0.0, 0.0], [1.0, 1.0]])
