@@ -114,11 +114,9 @@ def kernel_from_config(payload: dict, anchor: PointSet) -> KernelSpec:
 
 def registration_config_from(payload: dict) -> RegistrationConfig:
     _block(payload, "registration", [f.name for f in fields(RegistrationConfig)])
-    # the engine variant alone sets the modes; see VARIANTS
-    by_variant = sorted(set(payload) & {"variance_mode", "correspondence_mode"})
-    if by_variant:
-        raise ConfigError(f"registration keys set by --variant, not the config: "
-                          f"{', '.join(by_variant)}")
+    if "variant" in payload:
+        raise ConfigError("registration key variant is set by --variant, or by variants "
+                          "for a sweep, not the config")
     return RegistrationConfig(**payload)
 
 
@@ -431,8 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="register one target or a dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--variant", default="SFGP_Full", help=f"one of {', '.join(sorted(VARIANTS))}")
-    p.add_argument("--target", help="single target point CSV")
-    p.add_argument("--dataset", help="dataset directory from `generate`")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--target", help="single target point CSV")
+    inputs.add_argument("--dataset", help="dataset directory from `generate`")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_register)
 
@@ -458,9 +457,6 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s %(message)s",
     )
-    if args.command == "register" and bool(args.target) == bool(args.dataset):
-        print("register needs exactly one of --target or --dataset", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (SFGPError, ValueError, OSError, KeyError) as exc:

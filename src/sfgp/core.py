@@ -19,6 +19,7 @@ pooled sweep) never need it.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -84,8 +85,17 @@ def is_number(value, integer: bool = False) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-VARIANCE_MODES = ("per_point", "scalar")
-CORRESPONDENCE_MODES = ("multi_annotator", "closest_point")
+# The named engine variants exposed on the command line.  A variant's row
+# says what it runs: its sigma2 update, the `update_sigma2` mode "per_point"
+# or "scalar"; whether its E-step is the closest-point rule; and whether its
+# fusion reads p_min, or runs at p_min = 0.
+Variant = namedtuple("Variant", "sigma2_update closest_point reads_p_min")
+VARIANTS = {
+    "SFGP_Full": Variant("per_point", closest_point=False, reads_p_min=True),
+    "SFGP_bcpdReg": Variant("scalar", closest_point=False, reads_p_min=True),
+    "GPReg_noTresh": Variant("per_point", closest_point=False, reads_p_min=False),
+    "GPClosestPnt": Variant("scalar", closest_point=True, reads_p_min=False),
+}
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,16 @@ class RegistrationConfig:
     rel_tol is the stop rule: from the second iteration on, the run has
     converged once no reference point moved by more than
     rel_tol * sqrt(mean sigma2) in an iteration, so rel_tol = 0 runs to
-    max_iters unless the points stop moving exactly.
+    max_iters unless the points stop moving exactly.  variant names the
+    VARIANTS row the run follows; no variant rewrites a setting, but
+    GPReg_noTresh ignores p_min, and GPClosestPnt p_min and omega.
     """
 
     omega: float = 0.0
     p_min: float = 0.01
     max_iters: int = 200
     rel_tol: float = 1e-3
-    variance_mode: str = "per_point"
-    correspondence_mode: str = "multi_annotator"
+    variant: str = "SFGP_Full"
 
     def __post_init__(self):
         """Raise ConfigError, naming the field, unless every field is in range."""
@@ -121,36 +132,16 @@ class RegistrationConfig:
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (is_number(self.rel_tol) and 0.0 <= self.rel_tol < np.inf):
             raise ConfigError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-        if self.variance_mode not in VARIANCE_MODES:
-            raise ConfigError(f"variance_mode must be one of {VARIANCE_MODES}")
-        if self.correspondence_mode not in CORRESPONDENCE_MODES:
-            raise ConfigError(f"correspondence_mode must be one of {CORRESPONDENCE_MODES}")
-
-
-# named engine variants exposed on the command line
-VARIANTS = {
-    "SFGP_Full": dict(variance_mode="per_point", correspondence_mode="multi_annotator"),
-    "SFGP_bcpdReg": dict(variance_mode="scalar", correspondence_mode="multi_annotator"),
-    "GPReg_noTresh": dict(
-        variance_mode="per_point", correspondence_mode="multi_annotator", p_min=0.0
-    ),
-    "GPClosestPnt": dict(variance_mode="scalar", correspondence_mode="closest_point"),
-}
+        # a list is unhashable, so the str check comes first
+        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
+            raise ConfigError(f"unknown variant {self.variant!r}; "
+                              f"choose one of {', '.join(sorted(VARIANTS))}")
 
 
 def variant_config(name: str, base: Optional[RegistrationConfig] = None) -> RegistrationConfig:
-    """`base` with the settings of the named VARIANTS entry applied on top.
-
-    A variant's own settings override `base`: GPReg_noTresh runs at
-    p_min = 0 whatever `base.p_min` says.  Raises ConfigError, naming the
-    choices, for a name that is no VARIANTS key, a string or not.
-    """
-    if not (isinstance(name, str) and name in VARIANTS):  # a list is unhashable
-        raise ConfigError(
-            f"unknown variant {name!r}; choose one of {', '.join(sorted(VARIANTS))}"
-        )
-    base = base if base is not None else RegistrationConfig()
-    return replace(base, **VARIANTS[name])
+    """`base`, or the default config, set to run the named variant; a name
+    that is no VARIANTS key raises ConfigError naming the choices."""
+    return replace(base or RegistrationConfig(), variant=name)
 
 
 def gemm(
@@ -363,6 +354,7 @@ __all__ = [
     "DegenerateInstanceError",
     "PointSet",
     "RegistrationConfig",
+    "Variant",
     "VARIANTS",
     "variant_config",
     "sq_dists",

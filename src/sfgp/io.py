@@ -116,11 +116,13 @@ def write_csv_rows(path, fieldnames, rows) -> None:
 def read_csv_rows(path) -> list:
     """Read dict rows back, recovering int/float/None cell types by
     `_number`'s rule, so a cell with a digit-group underscore stays text.  A
-    row whose cell count differs from the header's raises ValueError naming
-    the file and the line."""
+    file with no header, empty or blank, or a row whose cell count differs
+    from the header's, raises ValueError naming the file."""
     with open(path) as fh:
         lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
                  if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no header row, the file is empty or blank")
     fieldnames = lines[0][1].split(",")
     rows = []
     for lineno, line in lines[1:]:

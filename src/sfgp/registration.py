@@ -168,7 +168,8 @@ def register(
     which the stop rule ends as "converged" in the second iteration.
 
     Each iteration hands one ResponsibilityInputs of the current fit to the
-    E-step rule cfg.correspondence_mode picks: `get_correspondences` or
+    E-step rule of the VARIANTS row cfg.variant names: `get_correspondences`,
+    at cfg.p_min or, for a variant that does not read it, at 0, or
     `closest_point_correspondence`; the labels are the barycentres it fuses
     minus the undeformed reference points.
     """
@@ -183,12 +184,14 @@ def register(
 
     ref_pts = reference.points
     n_r, n_pts = reference.n, reference.points.size
+    sigma2_update, closest_point, reads_p_min = VARIANTS[cfg.variant]
+    p_min = cfg.p_min if reads_p_min else 0.0
 
     def e_step(inputs):
         # both rules are looked up per call, so patched ones apply; p_min positional
-        if cfg.correspondence_mode == "closest_point":
+        if closest_point:
             return closest_point_correspondence(inputs, out=p_buf)
-        return get_correspondences(inputs, cfg.p_min, out=p_buf)
+        return get_correspondences(inputs, p_min, out=p_buf)
 
     trace: list = []
     inputs = posterior = None  # of the last completed iteration
@@ -225,7 +228,7 @@ def register(
             state.pss,
             PointSet(points=points),
             posterior.var_diag,
-            cfg.variance_mode,
+            sigma2_update,
             prev_sigma2=sigma2,
         )
 

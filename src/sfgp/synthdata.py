@@ -8,7 +8,7 @@ only.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -222,14 +222,20 @@ def write_instance(directory, instance: SyntheticInstance) -> None:
 
 
 def read_instance(directory) -> SyntheticInstance:
+    """The instance `write_instance` wrote to directory; a spec that is no
+    JSON object of PerturbationSpec fields raises ValueError naming the file."""
     directory = Path(directory)
     manifest = sio.read_json(directory / "manifest.json")
+    spec = manifest["spec"]
+    if not (isinstance(spec, dict) and set(spec) <= {f.name for f in fields(PerturbationSpec)}):
+        raise ValueError(f"{directory / 'manifest.json'}: spec must be a JSON object "
+                         f"of PerturbationSpec fields, got {spec!r}")
     return SyntheticInstance(
         target=sio.read_pointset_csv(directory / "target.csv"),
         ground_truth=sio.read_pointset_csv(directory / "ground_truth.csv"),
         missing_mask=np.asarray(manifest["missing_mask"], dtype=bool),
         outlier_mask=np.asarray(manifest["outlier_mask"], dtype=bool),
-        spec=PerturbationSpec(**manifest["spec"]),
+        spec=PerturbationSpec(**spec),
     )
 
 

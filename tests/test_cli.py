@@ -125,7 +125,12 @@ def test_register_dataset_produces_per_instance_results(tmp_path):
 
 def test_register_requires_target_xor_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
-    assert main(["register", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    for inputs in ([], ["--target", "t.csv", "--dataset", "data"]):  # neither, both
+        with pytest.raises(SystemExit) as exc:
+            main(["register", "--config", str(cfg), "--out", str(tmp_path / "o"), *inputs])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_unknown_variant_lists_choices(tmp_path, capsys):
@@ -327,12 +332,9 @@ def test_unknown_registration_key_fails_cleanly(tmp_path, capsys):
 
 
 def test_variant_keys_in_registration_block_fail_cleanly(tmp_path, capsys):
-    # the modes belong to --variant; a registration block must not set them
+    # the variant belongs to --variant; a registration block must not set it
     cfg = write_config(
-        tmp_path / "cfg.json",
-        registration={"p_min": 0.05, "variance_mode": "scalar",
-                      "correspondence_mode": "closest_point"},
-    )
+        tmp_path / "cfg.json", registration={"p_min": 0.05, "variant": "GPClosestPnt"})
     target_csv = tmp_path / "t.csv"
     sio.write_pointset_csv(target_csv, fish_reference())
     code = main([
@@ -342,9 +344,15 @@ def test_variant_keys_in_registration_block_fail_cleanly(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "variance_mode" in err and "correspondence_mode" in err
     assert "--variant" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_the_old_mode_keys_are_unknown_registration_keys():
+    with pytest.raises(ConfigError, match="unknown registration keys: "
+                                          "correspondence_mode, variance_mode$"):
+        cli.registration_config_from({"variance_mode": "scalar",
+                                      "correspondence_mode": "closest_point"})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -932,6 +940,36 @@ def test_eval_rejects_an_is_missing_cell_other_than_0_or_1(tmp_path, capsys, cel
     assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(summary) in err and "is_missing must be 0 or 1" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_eval_rejects_an_empty_summary(tmp_path, capsys, text):
+    data, runs, summary = registered_run(tmp_path)
+    summary.write_text(text)
+    out = tmp_path / "report"
+    assert main(["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(summary) in err and "no header row" in err
+
+
+@pytest.mark.parametrize("spec", [{"warp_amp": 0.03}, [0.03]], ids=["unknown_key", "list"])
+@pytest.mark.parametrize("command", ["eval", "register"])
+def test_a_bad_manifest_spec_names_the_manifest(tmp_path, capsys, command, spec):
+    data, runs, _ = registered_run(tmp_path)
+    [manifest] = data.rglob("manifest.json")
+    payload = json.loads(manifest.read_text())
+    payload["spec"] = dict(payload["spec"], **spec) if isinstance(spec, dict) else spec
+    manifest.write_text(json.dumps(payload))
+    out = tmp_path / "second"
+    if command == "eval":
+        argv = ["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]
+    else:
+        argv = ["register", "--config", str(tmp_path / "cfg.json"), "--dataset", str(data),
+                "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(manifest) in err and "spec must be" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", [("kernel",), ("kernel", "lengthscale")])

@@ -33,14 +33,16 @@ from helpers import fibonacci_sphere, kdtree_sigma2_init
 
 def test_config_accepts_reference_settings():
     cfg = RegistrationConfig(omega=0.1, p_min=0.01, max_iters=100, rel_tol=1e-4,
-                             variance_mode="scalar", correspondence_mode="closest_point")
-    assert (cfg.omega, cfg.p_min, cfg.max_iters, cfg.rel_tol) == (0.1, 0.01, 100, 1e-4)
+                             variant="GPClosestPnt")
+    assert (cfg.omega, cfg.p_min, cfg.max_iters, cfg.rel_tol, cfg.variant) == (
+        0.1, 0.01, 100, 1e-4, "GPClosestPnt")
 
 
 def test_config_has_no_setting_for_the_initial_sigma2_or_the_jitter():
-    # both are derived: sigma2 from the reference, the jitter from the kernel
+    # both are derived: sigma2 from the reference, the jitter from the kernel;
+    # and the variant's row, not a mode field, says what the run does
     assert [f.name for f in fields(RegistrationConfig)] == [
-        "omega", "p_min", "max_iters", "rel_tol", "variance_mode", "correspondence_mode"]
+        "omega", "p_min", "max_iters", "rel_tol", "variant"]
 
 
 @pytest.mark.parametrize(
@@ -50,14 +52,14 @@ def test_config_has_no_setting_for_the_initial_sigma2_or_the_jitter():
         (dict(omega=-0.2), "omega"),
         (dict(p_min=-0.1), "p_min"),
         (dict(p_min=1.0), "p_min"),
-        (dict(correspondence_mode="bogus"), "correspondence_mode"),
+        (dict(variant="bogus"), "variant"),
         (dict(rel_tol=-1e-3), "rel_tol"),
         (dict(max_iters=0), "max_iters"),
         (dict(omega=float("nan")), "omega"),
-        (dict(variance_mode="bogus"), "variance_mode"),
+        (dict(variant=["SFGP_Full"]), "variant"),
         (dict(p_min=float("nan")), "p_min"),
         (dict(rel_tol=float("inf")), "rel_tol"),
-        (dict(variance_mode=None), "variance_mode"),
+        (dict(variant=None), "variant"),
         (dict(max_iters=2.5), "max_iters"),
         (dict(max_iters=float("inf")), "max_iters"),
         (dict(max_iters=float("nan")), "max_iters"),
@@ -72,6 +74,13 @@ def test_config_has_no_setting_for_the_initial_sigma2_or_the_jitter():
 def test_config_rejections_name_the_field(kwargs, needle):
     with pytest.raises(ConfigError, match=needle):
         RegistrationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("variant", ["SFGP_full", ["SFGP_Full"], None])
+def test_config_rejects_a_variant_naming_the_choices(variant):
+    with pytest.raises(ConfigError, match="unknown variant .*; choose one of GPClosestPnt, "
+                                          "GPReg_noTresh, SFGP_Full, SFGP_bcpdReg$"):
+        RegistrationConfig(variant=variant)
 
 
 def test_config_accepts_a_numpy_integer_max_iters():

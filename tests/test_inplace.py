@@ -414,8 +414,8 @@ def test_gpr_posterior_bits_do_not_depend_on_its_workspace(dense, kernel):
 def record_e_steps(monkeypatch, variant):
     """Replace the E-step `register` calls for `variant` by one that records
     its positional inputs; returns (the original, the list of inputs)."""
-    name = ("closest_point_correspondence" if VARIANTS[variant].get("correspondence_mode")
-            == "closest_point" else "get_correspondences")
+    name = ("closest_point_correspondence" if VARIANTS[variant].closest_point
+            else "get_correspondences")
     original, calls = getattr(registration, name), []
 
     def e_step(*args, **kwargs):

@@ -489,12 +489,34 @@ class TestRegister:
 
 def test_variant_table():
     assert set(VARIANTS) == {"SFGP_Full", "SFGP_bcpdReg", "GPReg_noTresh", "GPClosestPnt"}
-    cfg = variant_config("SFGP_bcpdReg")
-    assert cfg.variance_mode == "scalar"
-    cfg = variant_config("GPReg_noTresh")
-    assert cfg.p_min == 0.0
+    assert VARIANTS["SFGP_bcpdReg"].sigma2_update == "scalar"
+    assert not VARIANTS["GPReg_noTresh"].reads_p_min
+    assert variant_config("SFGP_bcpdReg").variant == "SFGP_bcpdReg"
     with pytest.raises(ValueError, match="SFGP_Full"):
         variant_config("NoSuchThing")
+
+
+def test_variant_config_keeps_the_configured_p_min():
+    # a variant that does not read p_min ignores it; it never rewrites it
+    cfg = variant_config("GPReg_noTresh", RegistrationConfig(p_min=0.3))
+    assert (cfg.variant, cfg.p_min) == ("GPReg_noTresh", 0.3)
+
+
+@pytest.mark.parametrize("variant, settings", [
+    ("GPReg_noTresh", [dict(p_min=0.05), dict(p_min=0.3)]),
+    ("GPClosestPnt", [dict(omega=0.0, p_min=0.01), dict(omega=0.3, p_min=0.5)]),
+], ids=["GPReg_noTresh", "GPClosestPnt"])
+def test_a_variant_ignores_the_settings_it_does_not_read(variant, settings):
+    fish = fish_reference()
+    inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, missing_width=0.3,
+                                           outlier_ratio=0.5, noise_std=0.02, seed=5))
+    kernel = SquaredExponential(0.01, 0.2)
+    a, b = (register(fish, inst.target, kernel, RegistrationConfig(
+        max_iters=40, variant=variant, **kw)) for kw in settings)
+    assert np.array_equal(a.deformed_reference.points, b.deformed_reference.points)
+    assert np.array_equal(a.sigma2, b.sigma2)
+    assert (a.iters, a.stop_reason) == (b.iters, b.stop_reason)
+    assert np.array_equal(a.state.labelled, b.state.labelled)
 
 
 def test_closest_point_runs_on_one_shared_sigma2(monkeypatch):
@@ -540,7 +562,7 @@ def test_posterior_labels_are_barycentres_minus_the_reference(monkeypatch, varia
     fish = fish_reference()
     inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, missing_width=0.3,
                                            noise_std=0.02, seed=3))
-    closest = VARIANTS[variant].get("correspondence_mode") == "closest_point"
+    closest = VARIANTS[variant].closest_point
     name = "closest_point_correspondence" if closest else "get_correspondences"
     original, e_steps, posteriors = getattr(registration, name), [], []
 
