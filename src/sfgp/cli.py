@@ -51,7 +51,7 @@ from .synthdata import (
 logger = logging.getLogger(__name__)
 
 GRID_AXES = ("missing_width", "noise_std", "outlier_ratio", "deformation_level")
-GRID_SETTINGS = ("warp_bandwidth", "warp_controls", "rotation_max", "missing_center")
+GRID_SETTINGS = ("rotation_max",)
 
 CONFIG_KEYS = ("schema_version", "reference", "kernel", "registration", "grid", "variants",
                "instances", "master_seed")
@@ -156,7 +156,7 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
         **{name: grid[name] for name in GRID_SETTINGS if name in grid})
 
 
-def _instances(config: dict, reference: PointSet) -> list:
+def _instances(config: dict) -> list:
     """(tag, index, seed, spec) for each of `instances` draws at each point of
     the grid; every spec, and so every value it checks, is built before any is used."""
     for key, minimum in (("instances", 1), ("master_seed", 0)):  # SeedSequence needs >= 0
@@ -173,9 +173,6 @@ def _instances(config: dict, reference: PointSet) -> list:
     shared = [tag for tag in tags if tags.count(tag) > 1]
     if shared:  # their instances would share one directory and one level
         raise ConfigError(f"two grid points share the level tag {shared[0]}")
-    center = grid.get("missing_center", "random")  # of a kind every spec has checked
-    if center != "random" and center >= reference.n:
-        raise ConfigError(f"missing_center must be an index below {reference.n}, got {center!r}")
     return instances
 
 
@@ -191,7 +188,7 @@ def cmd_generate(args) -> int:
     reference = load_reference(config["reference"])
     out = Path(args.out)
     entries = []
-    for tag, k, seed, spec in _instances(config, reference):
+    for tag, k, seed, spec in _instances(config):
         rel = Path("instances") / tag / str(k)
         write_instance(out / rel, generate(reference, spec))
         entries.append({"level": tag, "index": k, "seed": seed, "path": str(rel)})
@@ -225,6 +222,26 @@ def _write_register_outputs(out_dir: Path, meta: dict, result=None):
                        [asdict(r) for r in result.trace])
 
 
+def _read_dataset(dataset_dir: Path) -> list:
+    """(entry, rel) for each instance dataset_dir/dataset.json lists, `rel`
+    the entry's run directory `level/index` within a results directory.
+    Unless `instances` is a list of objects, each with a string `level` and
+    `path`, an integer `index` >= 0 and an integer `seed`, raises ValueError
+    naming the file."""
+    path = dataset_dir / "dataset.json"
+    entries = sio.read_json(path).get("instances")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: instances must be a list of objects, got {entries!r}")
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("level"), str)
+                and isinstance(entry.get("path"), str)
+                and is_number(entry.get("index"), integer=True) and entry["index"] >= 0
+                and is_number(entry.get("seed"), integer=True)):
+            raise ValueError(f"{path}: an instance must hold a string level and path, an "
+                             f"integer index >= 0 and an integer seed, got {entry!r}")
+    return [(entry, Path(entry["level"], str(entry["index"]))) for entry in entries]
+
+
 def cmd_register(args) -> int:
     config = _read_config(args.config)
     reference, kernel, base = _setup(config)
@@ -233,12 +250,9 @@ def cmd_register(args) -> int:
     if args.target:
         runs = [(out, sio.read_pointset_csv(args.target))]
     else:
-        dataset = sio.read_json(Path(args.dataset) / "dataset.json")
-        runs = [
-            (out / entry["level"] / str(entry["index"]),
-             read_instance(Path(args.dataset) / entry["path"]).target)
-            for entry in dataset["instances"]
-        ]
+        dataset_dir = Path(args.dataset)
+        runs = [(out / rel, read_instance(dataset_dir / entry["path"]).target)
+                for entry, rel in _read_dataset(dataset_dir)]
     for out_dir, target in runs:
         result, run = _register(f"{args.variant} {out_dir}", reference, lambda: target,
                                 kernel, cfg)
@@ -334,7 +348,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"variants lists {name!r} more than once")
     tasks = [
         (variant, tag, reference, kernel, cfg, spec)
-        for tag, _, _, spec in _instances(config, reference)
+        for tag, _, _, spec in _instances(config)
         for variant, cfg in cfgs
     ]
     # a spawned worker imports numpy and sfgp afresh, and scipy.linalg at its
@@ -380,12 +394,14 @@ def _read_scores(inst, run_dir: Path) -> tuple:
 def cmd_eval(args) -> int:
     dataset_dir = Path(args.dataset)
     results_dir = Path(args.results)
-    dataset = sio.read_json(dataset_dir / "dataset.json")
     rows = []
-    for entry in dataset["instances"]:
+    for entry, rel in _read_dataset(dataset_dir):
         inst = read_instance(dataset_dir / entry["path"])
-        run_dir = results_dir / entry["level"] / str(entry["index"])
+        run_dir = results_dir / rel
         meta = sio.read_json(run_dir / "result.json")
+        missing = [key for key in ("variant", *RUN_FIELDS) if key not in meta]
+        if missing:
+            raise ValueError(f"{run_dir / 'result.json'}: missing key {missing[0]!r}")
         rows.append(_metrics_row(meta["variant"], entry["level"], entry["seed"], meta,
                                  lambda: _read_scores(inst, run_dir)))
     out = Path(args.out)

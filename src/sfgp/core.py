@@ -107,10 +107,8 @@ class RegistrationConfig:
     `kernels.gp_prior` the other from the kernel diagonal.  p_min is the
     correspondence threshold: only pairs with p_ij > p_min annotate, so
     p_min = 0 keeps every pair of positive probability (no threshold).
-    rel_tol is the stop rule: from the second iteration on, the run has
-    converged once no reference point moved by more than
-    rel_tol * sqrt(mean sigma2) in an iteration, so rel_tol = 0 runs to
-    max_iters unless the points stop moving exactly.  variant names the
+    The stop tolerance is no setting either: it is `registration.REL_TOL`,
+    and max_iters caps a run that has not stopped by then.  variant names the
     VARIANTS row the run follows; no variant rewrites a setting, but
     GPReg_noTresh ignores p_min, and GPClosestPnt p_min and omega.
     """
@@ -118,7 +116,6 @@ class RegistrationConfig:
     omega: float = 0.0
     p_min: float = 0.01
     max_iters: int = 200
-    rel_tol: float = 1e-3
     variant: str = "SFGP_Full"
 
     def __post_init__(self):
@@ -130,8 +127,6 @@ class RegistrationConfig:
             raise ConfigError(f"p_min must be in [0, 1), got {self.p_min!r}")
         if not (is_number(self.max_iters, integer=True) and self.max_iters >= 1):
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (is_number(self.rel_tol) and 0.0 <= self.rel_tol < np.inf):
-            raise ConfigError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
         # a list is unhashable, so the str check comes first
         if not (isinstance(self.variant, str) and self.variant in VARIANTS):
             raise ConfigError(f"unknown variant {self.variant!r}; "

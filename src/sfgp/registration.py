@@ -33,7 +33,7 @@ Every call of F but a collapse at theta' is one iteration: `iters` counts
 them, max_iters caps them, and each completed one appends an IterationRecord,
 marked `extrapolated` when it started from theta'.  From the second
 iteration on, the loop stops at a fixed point: when no reference point moved
-by more than rel_tol * sqrt(mean sigma2) from the step's input to its
+by more than REL_TOL * sqrt(mean sigma2) from the step's input to its
 output, with sigma2 taken after its update.  It does not stop on the mixture
 log-likelihood, which per-point variances keep raising.
 
@@ -97,6 +97,7 @@ from .kernels import KernelSpec, gp_prior
 logger = logging.getLogger(__name__)
 
 SIGMA2_FLOOR = 1e-12
+REL_TOL = 1e-3  # the stop rule's tolerance, relative to sqrt(mean sigma2)
 
 
 def update_sigma2(
@@ -161,11 +162,12 @@ def register(
     kernel: KernelSpec,
     cfg: RegistrationConfig,
 ) -> RegistrationResult:
-    """Fit the reference to the target; see RegistrationConfig for knobs and
-    RegistrationResult.stop_reason for how a run ends.  A collapse has state
-    None because each E-step overwrites the previous P.  An exact fit, whose
-    labels and posterior mean are all zero, is no failure but a fixed point,
-    which the stop rule ends as "converged" in the second iteration.
+    """Fit the reference to the target; see RegistrationConfig for settings,
+    REL_TOL for the stop rule and RegistrationResult.stop_reason for how a
+    run ends.  A collapse has state None because each E-step overwrites the
+    previous P.  An exact fit, whose labels and posterior mean are all zero,
+    is no failure but a fixed point, which the stop rule ends as "converged"
+    in the second iteration.
 
     Each iteration hands one ResponsibilityInputs of the current fit to the
     E-step rule of the VARIANTS row cfg.variant names: `get_correspondences`,
@@ -245,7 +247,7 @@ def register(
         )
         trace.append(record)
         logger.info("%s", record)
-        return out, posterior.var_diag, it > 1 and max_move <= cfg.rel_tol * np.sqrt(mean_sigma2)
+        return out, posterior.var_diag, it > 1 and max_move <= REL_TOL * np.sqrt(mean_sigma2)
 
     theta = np.concatenate([ref_pts.ravel(), np.full(n_r, default_sigma2_init(reference))])
     post_var = np.zeros(n_r)
@@ -288,4 +290,4 @@ def register(
     )
 
 
-__all__ = ["VARIANTS", "variant_config", "update_sigma2", "register", "SIGMA2_FLOOR"]
+__all__ = ["VARIANTS", "variant_config", "update_sigma2", "register", "SIGMA2_FLOOR", "REL_TOL"]

@@ -74,8 +74,8 @@ class SyntheticInstance:
             raise ValueError("masks inconsistent with target size")
 
 
-def fish_reference(n_points: int = 98) -> PointSet:
-    """A fish-shaped 2D polyline resampled to n_points by arc length,
+def fish_reference() -> PointSet:
+    """A fish-shaped 2D polyline resampled to 98 points by arc length,
     centered and scaled to unit extent."""
     t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     x = np.cos(t) - np.sin(t) ** 2 / np.sqrt(2.0)
@@ -85,7 +85,7 @@ def fish_reference(n_points: int = 98) -> PointSet:
     seg = np.linalg.norm(np.diff(curve, axis=0, append=curve[:1]), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])[:-1]
     total = arc[-1] + seg[-1]
-    stations = np.linspace(0.0, total, n_points, endpoint=False)
+    stations = np.linspace(0.0, total, 98, endpoint=False)
     idx = np.searchsorted(arc, stations, side="right") - 1
     nxt = (idx + 1) % curve.shape[0]
     frac = (stations - arc[idx]) / seg[idx]
@@ -223,19 +223,25 @@ def write_instance(directory, instance: SyntheticInstance) -> None:
 
 def read_instance(directory) -> SyntheticInstance:
     """The instance `write_instance` wrote to directory; a spec that is no
-    JSON object of PerturbationSpec fields raises ValueError naming the file."""
+    JSON object of PerturbationSpec fields raises ValueError, and one that
+    PerturbationSpec rejects ConfigError, each naming the file."""
     directory = Path(directory)
-    manifest = sio.read_json(directory / "manifest.json")
+    path = directory / "manifest.json"
+    manifest = sio.read_json(path)
     spec = manifest["spec"]
     if not (isinstance(spec, dict) and set(spec) <= {f.name for f in fields(PerturbationSpec)}):
-        raise ValueError(f"{directory / 'manifest.json'}: spec must be a JSON object "
-                         f"of PerturbationSpec fields, got {spec!r}")
+        raise ValueError(f"{path}: spec must be a JSON object of PerturbationSpec fields, "
+                         f"got {spec!r}")
+    try:
+        spec = PerturbationSpec(**spec)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return SyntheticInstance(
         target=sio.read_pointset_csv(directory / "target.csv"),
         ground_truth=sio.read_pointset_csv(directory / "ground_truth.csv"),
         missing_mask=np.asarray(manifest["missing_mask"], dtype=bool),
         outlier_mask=np.asarray(manifest["outlier_mask"], dtype=bool),
-        spec=PerturbationSpec(**spec),
+        spec=spec,
     )
 
 

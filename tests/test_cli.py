@@ -104,8 +104,7 @@ def test_register_self_target_near_zero_error(tmp_path):
     trace = sio.read_csv_rows(out / "trace.csv")
     assert len(trace) == meta["iters"]
     # the run stopped on the first row whose largest move is within the tolerance
-    rel_tol = RegistrationConfig().rel_tol
-    within = [r["max_move"] <= rel_tol * np.sqrt(r["mean_sigma2"]) for r in trace]
+    within = [r["max_move"] <= registration.REL_TOL * np.sqrt(r["mean_sigma2"]) for r in trace]
     assert meta["stop_reason"] == "converged" and meta["iters"] < 40
     assert within[-1] and not any(within[1:-1])
 
@@ -510,8 +509,8 @@ def test_empty_list_fails_cleanly(tmp_path, capsys, command, overrides, key):
 
 
 def test_registration_numbers_are_accepted():
-    cfg = cli.registration_config_from({"omega": 0, "p_min": 0.05, "rel_tol": 1, "max_iters": 5})
-    assert cfg == RegistrationConfig(omega=0, p_min=0.05, rel_tol=1, max_iters=5)
+    cfg = cli.registration_config_from({"omega": 0, "p_min": 0.05, "max_iters": 5})
+    assert cfg == RegistrationConfig(omega=0, p_min=0.05, max_iters=5)
 
 
 @pytest.mark.parametrize("payload", [
@@ -525,18 +524,10 @@ def test_registration_has_no_key_for_the_initial_sigma2_or_the_jitter(payload):
         cli.registration_config_from({"p_min": 0.05, **payload})
 
 
-@pytest.mark.parametrize("command", ["generate", "sweep"])
-@pytest.mark.parametrize("center", [98, 500, -1, "middle"])
-def test_missing_center_outside_the_reference_fails_cleanly(tmp_path, capsys, command, center):
-    # fish98 has indices 0..97: the center is checked before anything is
-    # generated, written or registered
-    grid = {"missing_width": [0.3], "noise_std": [0.02], "missing_center": center}
-    cfg = write_config(tmp_path / "cfg.json", grid=grid)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "missing_center" in err
-    assert not out.exists()
+def test_the_stop_tolerance_is_no_registration_key():
+    # it is the constant registration.REL_TOL
+    with pytest.raises(ConfigError, match="unknown registration keys: rel_tol$"):
+        cli.registration_config_from({"p_min": 0.05, "rel_tol": 1e-3})
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
@@ -556,13 +547,20 @@ def test_missing_center_outside_the_reference_fails_cleanly(tmp_path, capsys, co
     ("deformation_level", {"deformation_level": ["1"]}),
     ("mw0.2_ns0.02_or0_dl0", {"missing_width": [0.2, 0.2]}),
     ("mw0.1_ns0.02_or0_dl0", {"missing_width": [0.1, 0.1000001]}),
+    ("warp_bandwidth", {"warp_bandwidth": 0.3}),
+    ("warp_controls", {"warp_controls": 5}),
+    ("missing_center", {"missing_center": 3}),
+    ("missing_center", {"missing_center": "random"}),
 ], ids=["float_count", "negative_count", "true", "string", "negative", "nan", "list_setting",
         "null_setting", "unknown_key", "nan_level", "negative_level", "true_level",
-        "string_level", "equal_points", "points_equal_to_6_digits"])
+        "string_level", "equal_points", "points_equal_to_6_digits", "warp_bandwidth",
+        "warp_controls", "missing_center", "random_missing_center"])
 def test_malformed_grid_fails_cleanly(tmp_path, capsys, command, key, entries):
     # int() would run 2.5 as 2 and float() [true] as 1.0, a misspelt axis
-    # would run at its default, and two points with one level tag would
-    # write one instance directory and score one level twice: a ConfigError
+    # would run at its default, two points with one level tag would write
+    # one instance directory and score one level twice, and the warp shape
+    # and the missing center are no grid settings (every spec warps at
+    # PerturbationSpec's defaults around a random center): a ConfigError
     # names the key, or the tag, before anything is generated, written or
     # registered
     grid = {"missing_width": [0.3], "noise_std": [0.02], **entries}
@@ -575,11 +573,11 @@ def test_malformed_grid_fails_cleanly(tmp_path, capsys, command, key, entries):
 
 
 def test_grid_settings_are_accepted(tmp_path):
-    grid = {"missing_width": 0.3, "noise_std": [0, 0.02], "warp_bandwidth": 0.2,
-            "warp_controls": 4, "rotation_max": 0, "missing_center": 3}
+    grid = {"missing_width": 0.3, "noise_std": [0, 0.02], "rotation_max": 0.1}
     cfg = write_config(tmp_path / "cfg.json", grid=grid, instances=1)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert len(list((tmp_path / "out").rglob("manifest.json"))) == 2
+    manifests = list((tmp_path / "out").rglob("manifest.json"))
+    assert [sio.read_json(m)["spec"]["rotation_max"] for m in manifests] == [0.1, 0.1]
 
 
 def test_eval_matches_sweep_cell_for_cell(tmp_path):
@@ -892,12 +890,19 @@ def test_register_and_eval_score_a_failed_stop_as_the_sweep_does(
     assert strip_runtime(sio.read_csv_rows(report / "aggregate.csv")) == swept
 
 
+def generated_dataset(tmp_path):
+    """The dataset of one fish98 instance with a missing box, from tmp_path/cfg.json."""
+    cfg = write_config(tmp_path / "cfg.json", instances=1, grid={"missing_width": 0.3})
+    data = tmp_path / "data"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    return data
+
+
 def registered_run(tmp_path):
     """The dataset and the runs of one fish98 instance with a missing box."""
-    cfg = write_config(tmp_path / "cfg.json", instances=1, grid={"missing_width": 0.3})
-    data, runs = tmp_path / "data", tmp_path / "runs"
-    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
-    assert main(["register", "--config", str(cfg), "--dataset", str(data), "--out", str(runs)]) == 0
+    data, runs = generated_dataset(tmp_path), tmp_path / "runs"
+    assert main(["register", "--config", str(tmp_path / "cfg.json"), "--dataset", str(data),
+                 "--out", str(runs)]) == 0
     [summary] = runs.rglob("correspondence_summary.csv")
     return data, runs, summary
 
@@ -952,24 +957,68 @@ def test_eval_rejects_an_empty_summary(tmp_path, capsys, text):
     assert err.startswith("error: ") and str(summary) in err and "no header row" in err
 
 
-@pytest.mark.parametrize("spec", [{"warp_amp": 0.03}, [0.03]], ids=["unknown_key", "list"])
+@pytest.mark.parametrize("spec, message", [
+    ({"warp_amp": 0.03}, "spec must be"), ([0.03], "spec must be"),
+    ({"noise_std": -1}, "noise_std must be a finite number >= 0, got -1\n"),
+], ids=["unknown_key", "list", "out_of_range"])
 @pytest.mark.parametrize("command", ["eval", "register"])
-def test_a_bad_manifest_spec_names_the_manifest(tmp_path, capsys, command, spec):
-    data, runs, _ = registered_run(tmp_path)
+def test_a_bad_manifest_spec_names_the_manifest(tmp_path, capsys, command, spec, message):
+    data = generated_dataset(tmp_path)
     [manifest] = data.rglob("manifest.json")
-    payload = json.loads(manifest.read_text())
-    payload["spec"] = dict(payload["spec"], **spec) if isinstance(spec, dict) else spec
-    manifest.write_text(json.dumps(payload))
-    out = tmp_path / "second"
+    edit_json(manifest, lambda m: m.update(spec=dict(m["spec"], **spec)
+                                           if isinstance(spec, dict) else spec))
+    err = fails_on_dataset(tmp_path, command, capsys)
+    assert err.startswith(f"error: {manifest}: {message}")
+
+
+def edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def fails_on_dataset(tmp_path, command, capsys) -> str:
+    """The error output of `eval` of tmp_path/runs or `register --dataset`,
+    over tmp_path/data, once it has exited 1 without writing its output."""
+    data, out = tmp_path / "data", tmp_path / "second"
     if command == "eval":
-        argv = ["eval", "--results", str(runs), "--dataset", str(data), "--out", str(out)]
+        argv = ["eval", "--results", str(tmp_path / "runs"), "--dataset", str(data),
+                "--out", str(out)]
     else:
         argv = ["register", "--config", str(tmp_path / "cfg.json"), "--dataset", str(data),
                 "--out", str(out)]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(manifest) in err and "spec must be" in err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(instances=5),
+    lambda d: d.update(instances=["a"]),
+    lambda d: d["instances"][0].update(path=5),
+    lambda d: d.update(instances=[{"level": "x"}]),
+    lambda d: d["instances"][0].update(index=-1),
+    lambda d: d["instances"][0].update(seed=True),
+    lambda d: d.pop("instances"),
+], ids=["number", "string_entry", "number_path", "missing_keys", "negative_index", "true_seed",
+        "no_instances"])
+@pytest.mark.parametrize("command", ["eval", "register"])
+def test_a_bad_dataset_json_names_the_file(tmp_path, capsys, command, edit):
+    # each entry is checked before any instance is read, and an error line,
+    # not a TypeError or a bare missing key, names dataset.json
+    data = generated_dataset(tmp_path)
+    edit_json(data / "dataset.json", edit)
+    err = fails_on_dataset(tmp_path, command, capsys)
+    assert err.startswith(f"error: {data / 'dataset.json'}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["variant", *cli.RUN_FIELDS])
+def test_eval_names_a_result_json_that_lacks_a_key(tmp_path, capsys, key):
+    _, _, summary = registered_run(tmp_path)
+    result = summary.parent / "result.json"
+    edit_json(result, lambda meta: meta.pop(key))
+    err = fails_on_dataset(tmp_path, "eval", capsys)
+    assert err == f"error: {result}: missing key {key!r}\n"
 
 
 @pytest.mark.parametrize("path", [("kernel",), ("kernel", "lengthscale")])

@@ -32,17 +32,17 @@ from helpers import fibonacci_sphere, kdtree_sigma2_init
 
 
 def test_config_accepts_reference_settings():
-    cfg = RegistrationConfig(omega=0.1, p_min=0.01, max_iters=100, rel_tol=1e-4,
-                             variant="GPClosestPnt")
-    assert (cfg.omega, cfg.p_min, cfg.max_iters, cfg.rel_tol, cfg.variant) == (
-        0.1, 0.01, 100, 1e-4, "GPClosestPnt")
+    cfg = RegistrationConfig(omega=0.1, p_min=0.01, max_iters=100, variant="GPClosestPnt")
+    assert (cfg.omega, cfg.p_min, cfg.max_iters, cfg.variant) == (
+        0.1, 0.01, 100, "GPClosestPnt")
 
 
 def test_config_has_no_setting_for_the_initial_sigma2_or_the_jitter():
     # both are derived: sigma2 from the reference, the jitter from the kernel;
-    # and the variant's row, not a mode field, says what the run does
+    # the variant's row, not a mode field, says what the run does; and the
+    # stop tolerance is the constant registration.REL_TOL
     assert [f.name for f in fields(RegistrationConfig)] == [
-        "omega", "p_min", "max_iters", "rel_tol", "variant"]
+        "omega", "p_min", "max_iters", "variant"]
 
 
 @pytest.mark.parametrize(
@@ -53,22 +53,22 @@ def test_config_has_no_setting_for_the_initial_sigma2_or_the_jitter():
         (dict(p_min=-0.1), "p_min"),
         (dict(p_min=1.0), "p_min"),
         (dict(variant="bogus"), "variant"),
-        (dict(rel_tol=-1e-3), "rel_tol"),
+        (dict(omega=float("inf")), "omega"),
         (dict(max_iters=0), "max_iters"),
         (dict(omega=float("nan")), "omega"),
         (dict(variant=["SFGP_Full"]), "variant"),
         (dict(p_min=float("nan")), "p_min"),
-        (dict(rel_tol=float("inf")), "rel_tol"),
+        (dict(p_min=[0.01]), "p_min"),
         (dict(variant=None), "variant"),
         (dict(max_iters=2.5), "max_iters"),
         (dict(max_iters=float("inf")), "max_iters"),
         (dict(max_iters=float("nan")), "max_iters"),
         (dict(max_iters=True), "max_iters"),
         (dict(p_min=False), "p_min"),
-        (dict(rel_tol=True), "rel_tol"),
+        (dict(max_iters="5"), "max_iters"),
         (dict(omega=None), "omega"),
         (dict(omega="0.1"), "omega"),
-        (dict(rel_tol=[1e-3]), "rel_tol"),
+        (dict(omega=True), "omega"),
     ],
 )
 def test_config_rejections_name_the_field(kwargs, needle):

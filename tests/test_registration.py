@@ -290,12 +290,13 @@ class TestRegister:
         assert res.failed and not res.converged
         assert res.iters == 1
 
-    def test_exact_fit_converges_at_the_second_iteration(self):
+    def test_exact_fit_converges_at_the_second_iteration(self, monkeypatch):
         # closest points on the reference itself give all-zero labels and a
-        # zero posterior mean: a fixed point, which the stop rule ends
+        # zero posterior mean: a fixed point, which the stop rule ends even
+        # at a zero tolerance
+        monkeypatch.setattr(registration, "REL_TOL", 0.0)
         fish = fish_reference()
-        cfg = variant_config("GPClosestPnt", RegistrationConfig(rel_tol=0.0))
-        res = register(fish, fish, self.kernel, cfg)
+        res = register(fish, fish, self.kernel, variant_config("GPClosestPnt"))
         assert res.stop_reason == "converged" and res.iters == 2
         assert res.converged and not res.failed
         assert np.array_equal(res.deformed_reference.points, fish.points)
@@ -333,7 +334,7 @@ class TestRegister:
         assert not res.failed
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_converged_run_is_a_fixed_point(self, variant):
+    def test_converged_run_is_a_fixed_point(self, monkeypatch, variant):
         # with labels relative to the deformed reference, the loop cycled
         # with period 2 on this instance, and no variant stopped
         fish = fish_reference()
@@ -345,32 +346,34 @@ class TestRegister:
         cfg = variant_config(variant, RegistrationConfig(omega=0.1, p_min=0.05))
         res = register(fish, inst.target, self.kernel, cfg)
         assert res.stop_reason == "converged" and res.iters < cfg.max_iters
-        tol = cfg.rel_tol * np.sqrt(np.mean(res.sigma2))
+        tol = registration.REL_TOL * np.sqrt(np.mean(res.sigma2))
         assert res.trace[-1].max_move <= tol < res.trace[-2].max_move
 
-        more = register(fish, inst.target, self.kernel,
-                        replace(cfg, rel_tol=0.0, max_iters=res.iters + 1))
+        monkeypatch.setattr(registration, "REL_TOL", 0.0)
+        more = register(fish, inst.target, self.kernel, replace(cfg, max_iters=res.iters + 1))
         assert more.iters == res.iters + 1 and more.stop_reason == "max_iters"
         step = np.linalg.norm(more.deformed_reference.points - res.deformed_reference.points,
                               axis=1)
         assert np.max(step) <= tol
 
-    def test_zero_rel_tol_runs_to_max_iters(self):
+    def test_zero_rel_tol_runs_to_max_iters(self, monkeypatch):
+        monkeypatch.setattr(registration, "REL_TOL", 0.0)
         fish = fish_reference()
         inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
-        cfg = RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=25)
+        cfg = RegistrationConfig(p_min=0.05, max_iters=25)
         res = register(fish, inst.target, self.kernel, cfg)
         assert res.iters == 25 and res.stop_reason == "max_iters"
         assert not res.converged and not res.failed
         assert all(rec.max_move > 0.0 for rec in res.trace)
 
     @pytest.mark.parametrize("max_iters", range(1, 8))
-    def test_every_em_step_is_one_counted_iteration(self, max_iters):
+    def test_every_em_step_is_one_counted_iteration(self, monkeypatch, max_iters):
         # extrapolation cycles of three steps do not round the count: a run
         # capped at any max_iters takes exactly that many steps
+        monkeypatch.setattr(registration, "REL_TOL", 0.0)
         fish = fish_reference()
         inst = generate(fish, PerturbationSpec(warp_amplitude=0.03, noise_std=0.02, seed=1))
-        cfg = RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=max_iters)
+        cfg = RegistrationConfig(p_min=0.05, max_iters=max_iters)
         res = register(fish, inst.target, self.kernel, cfg)
         assert res.iters == max_iters == len(res.trace)
         assert [rec.iteration for rec in res.trace] == list(range(1, max_iters + 1))
@@ -424,7 +427,8 @@ class TestRegister:
         fish = fish_reference()
         fixed = PosteriorDeformation(mu=np.full((fish.n, 2), 0.01), var_diag=np.zeros(fish.n))
         monkeypatch.setattr(registration, "gpr_posterior", lambda *args, **kwargs: fixed)
-        res = register(fish, fish, self.kernel, RegistrationConfig(rel_tol=0.0))
+        monkeypatch.setattr(registration, "REL_TOL", 0.0)
+        res = register(fish, fish, self.kernel, RegistrationConfig())
         assert res.stop_reason == "converged" and res.iters == 2
         assert [rec.max_move for rec in res.trace] == [pytest.approx(0.01 * np.sqrt(2)), 0.0]
 
@@ -577,7 +581,8 @@ def test_posterior_labels_are_barycentres_minus_the_reference(monkeypatch, varia
 
     monkeypatch.setattr(registration, name, e_step)
     monkeypatch.setattr(registration, "gpr_posterior", posterior)
-    cfg = variant_config(variant, RegistrationConfig(p_min=0.05, rel_tol=0.0, max_iters=10))
+    monkeypatch.setattr(registration, "REL_TOL", 0.0)
+    cfg = variant_config(variant, RegistrationConfig(p_min=0.05, max_iters=10))
     target = inst.target.points
     res = register(fish, inst.target, SquaredExponential(0.01, 0.2), cfg)
     assert res.iters == 10 and len(posteriors) == 10 and len(e_steps) == 11
