@@ -157,8 +157,8 @@ def spec_for(point: dict, grid: dict, seed: int) -> PerturbationSpec:
 
 
 def _instances(config: dict) -> list:
-    """(tag, index, seed, spec) for each of `instances` draws at each point of
-    the grid; every spec, and so every value it checks, is built before any is used."""
+    """(tag, index, spec) for each of `instances` draws at each point of the
+    grid; every spec, and so every value it checks, is built before any is used."""
     for key, minimum in (("instances", 1), ("master_seed", 0)):  # SeedSequence needs >= 0
         if not (is_number(config[key], integer=True) and config[key] >= minimum):
             raise ConfigError(f"{key} must be >= {minimum} and an integer, got {config[key]!r}")
@@ -168,8 +168,8 @@ def _instances(config: dict) -> list:
         for k in range(config["instances"]):
             seed = derive_seed(config["master_seed"], level_idx, k)
             spec = spec_for(point, grid, seed)  # first: it checks what level_tag formats
-            instances.append((level_tag(point), k, seed, spec))
-    tags = [tag for tag, k, _, _ in instances if k == 0]  # one per grid point
+            instances.append((level_tag(point), k, spec))
+    tags = [tag for tag, k, _ in instances if k == 0]  # one per grid point
     shared = [tag for tag in tags if tags.count(tag) > 1]
     if shared:  # their instances would share one directory and one level
         raise ConfigError(f"two grid points share the level tag {shared[0]}")
@@ -188,10 +188,9 @@ def cmd_generate(args) -> int:
     reference = load_reference(config["reference"])
     out = Path(args.out)
     entries = []
-    for tag, k, seed, spec in _instances(config):
-        rel = Path("instances") / tag / str(k)
-        write_instance(out / rel, generate(reference, spec))
-        entries.append({"level": tag, "index": k, "seed": seed, "path": str(rel)})
+    for tag, k, spec in _instances(config):
+        write_instance(out / _entry_dirs(tag, k)[0], generate(reference, spec))
+        entries.append({"level": tag, "index": k})
     sio.write_json(
         out / "dataset.json",
         {"reference": config["reference"], "grid": config.get("grid", {}),
@@ -222,24 +221,32 @@ def _write_register_outputs(out_dir: Path, meta: dict, result=None):
                        [asdict(r) for r in result.trace])
 
 
+def _entry_dirs(level: str, index: int) -> tuple:
+    """(`instances/<level>/<index>`, `<level>/<index>`): the directory of an
+    instance within its dataset, and of its run within a results directory."""
+    run = Path(level, str(index))
+    return Path("instances") / run, run
+
+
 def _read_dataset(dataset_dir: Path) -> list:
-    """(entry, rel) for each instance dataset_dir/dataset.json lists, `rel`
-    the entry's run directory `level/index` within a results directory.
-    Unless `instances` is a list of objects, each with a string `level` and
-    `path`, an integer `index` >= 0 and an integer `seed`, raises ValueError
-    naming the file."""
+    """(instance, run directory within a results directory) for each
+    instance dataset_dir/dataset.json lists.  Unless `instances` is a list of
+    objects of exactly a `level`, one directory name, and an integer `index`
+    >= 0, raises ValueError naming the file before any instance is read."""
     path = dataset_dir / "dataset.json"
     entries = sio.read_json(path).get("instances")
     if not isinstance(entries, list):
         raise ValueError(f"{path}: instances must be a list of objects, got {entries!r}")
     for entry in entries:
-        if not (isinstance(entry, dict) and isinstance(entry.get("level"), str)
-                and isinstance(entry.get("path"), str)
-                and is_number(entry.get("index"), integer=True) and entry["index"] >= 0
-                and is_number(entry.get("seed"), integer=True)):
-            raise ValueError(f"{path}: an instance must hold a string level and path, an "
-                             f"integer index >= 0 and an integer seed, got {entry!r}")
-    return [(entry, Path(entry["level"], str(entry["index"]))) for entry in entries]
+        # one directory name, so no run leaves --out; the name of "." is ""
+        if not (isinstance(entry, dict) and set(entry) == {"level", "index"}
+                and isinstance(entry["level"], str) and entry["level"] not in ("", "..")
+                and Path(entry["level"]).name == entry["level"]
+                and is_number(entry["index"], integer=True) and entry["index"] >= 0):
+            raise ValueError(f"{path}: an instance must hold exactly a level, one directory "
+                             f"name, and an integer index >= 0, got {entry!r}")
+    dirs = [_entry_dirs(entry["level"], entry["index"]) for entry in entries]
+    return [(read_instance(dataset_dir / instance_dir), run) for instance_dir, run in dirs]
 
 
 def cmd_register(args) -> int:
@@ -250,9 +257,7 @@ def cmd_register(args) -> int:
     if args.target:
         runs = [(out, sio.read_pointset_csv(args.target))]
     else:
-        dataset_dir = Path(args.dataset)
-        runs = [(out / rel, read_instance(dataset_dir / entry["path"]).target)
-                for entry, rel in _read_dataset(dataset_dir)]
+        runs = [(out / run, inst.target) for inst, run in _read_dataset(Path(args.dataset))]
     for out_dir, target in runs:
         result, run = _register(f"{args.variant} {out_dir}", reference, lambda: target,
                                 kernel, cfg)
@@ -348,7 +353,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"variants lists {name!r} more than once")
     tasks = [
         (variant, tag, reference, kernel, cfg, spec)
-        for tag, _, _, spec in _instances(config)
+        for tag, _, spec in _instances(config)
         for variant, cfg in cfgs
     ]
     # a spawned worker imports numpy and sfgp afresh, and scipy.linalg at its
@@ -392,17 +397,14 @@ def _read_scores(inst, run_dir: Path) -> tuple:
 
 
 def cmd_eval(args) -> int:
-    dataset_dir = Path(args.dataset)
-    results_dir = Path(args.results)
     rows = []
-    for entry, rel in _read_dataset(dataset_dir):
-        inst = read_instance(dataset_dir / entry["path"])
-        run_dir = results_dir / rel
+    for inst, run in _read_dataset(Path(args.dataset)):
+        run_dir = Path(args.results) / run
         meta = sio.read_json(run_dir / "result.json")
         missing = [key for key in ("variant", *RUN_FIELDS) if key not in meta]
         if missing:
             raise ValueError(f"{run_dir / 'result.json'}: missing key {missing[0]!r}")
-        rows.append(_metrics_row(meta["variant"], entry["level"], entry["seed"], meta,
+        rows.append(_metrics_row(meta["variant"], run.parent.name, inst.spec.seed, meta,
                                  lambda: _read_scores(inst, run_dir)))
     out = Path(args.out)
     _write_metrics(out / "aggregate.csv", rows)

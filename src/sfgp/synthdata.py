@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class PerturbationSpec:
     warp_bandwidth: float = WARP_BANDWIDTH_DEFAULT
     warp_controls: int = WARP_CONTROLS_DEFAULT
     missing_width: float = 0.0
-    missing_center: Union[int, str] = "random"
     outlier_ratio: float = 0.0
     noise_std: float = 0.0
     rotation_max: float = 0.0
@@ -54,9 +53,6 @@ class PerturbationSpec:
             value = getattr(self, name)
             if not (is_number(value, integer=True) and value >= 0):
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-        center = self.missing_center
-        if center != "random" and not (is_number(center, integer=True) and center >= 0):
-            raise ConfigError(f'missing_center must be "random" or an integer >= 0, got {center!r}')
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,12 @@ class SyntheticInstance:
     spec: PerturbationSpec = field(default=PerturbationSpec())
 
     def __post_init__(self):
-        n_real = int(np.sum(~self.missing_mask))
-        n_out = int(np.sum(self.outlier_mask))
-        if n_real + n_out != self.target.n:
-            raise ValueError("masks inconsistent with target size")
+        # one flag per ground-truth point and per target point, and every
+        # target point is a kept ground-truth point or an outlier
+        if (self.missing_mask.shape != (self.ground_truth.n,)
+                or self.outlier_mask.shape != (self.target.n,)
+                or np.sum(~self.missing_mask) + np.sum(self.outlier_mask) != self.target.n):
+            raise ValueError("masks inconsistent with the target and ground-truth sizes")
 
 
 def fish_reference() -> PointSet:
@@ -182,16 +180,15 @@ def _rotate(points: PointSet, rotation_max: float, seed: int) -> PointSet:
 
 def generate(reference: PointSet, spec: PerturbationSpec) -> SyntheticInstance:
     """Build one instance: warp and rotate into the ground truth, then carve
-    the missing box, append outliers, and add noise to form the target."""
+    the missing box around a reference point the seed draws, append
+    outliers, and add noise to form the target."""
     rng = np.random.default_rng(spec.seed)
     sub = rng.integers(0, 2**63 - 1, size=5)
 
     gt = warp_rbf(reference, spec.warp_amplitude, spec.warp_bandwidth, spec.warp_controls, int(sub[0]))
     gt = _rotate(gt, spec.rotation_max, int(sub[1]))
 
-    center = spec.missing_center
-    if center == "random":
-        center = int(rng.integers(0, reference.n))
+    center = int(rng.integers(0, reference.n))
     kept, missing_mask = apply_structured_missing(gt, center, spec.missing_width)
     with_outliers, outlier_mask = add_outliers(
         kept, spec.outlier_ratio, int(sub[2]), n_reference=reference.n
@@ -222,27 +219,35 @@ def write_instance(directory, instance: SyntheticInstance) -> None:
 
 
 def read_instance(directory) -> SyntheticInstance:
-    """The instance `write_instance` wrote to directory; a spec that is no
-    JSON object of PerturbationSpec fields raises ValueError, and one that
-    PerturbationSpec rejects ConfigError, each naming the file."""
+    """The instance `write_instance` wrote to directory.  A manifest without
+    `spec`, `missing_mask` or `outlier_mask`, a spec that is no JSON object
+    of PerturbationSpec fields, and masks that do not fit the target raise
+    ValueError, and a spec that PerturbationSpec rejects ConfigError, each
+    naming the manifest."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = sio.read_json(path)
+    for key in ("spec", "missing_mask", "outlier_mask"):
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
     spec = manifest["spec"]
-    if not (isinstance(spec, dict) and set(spec) <= {f.name for f in fields(PerturbationSpec)}):
+    if not isinstance(spec, dict):
         raise ValueError(f"{path}: spec must be a JSON object of PerturbationSpec fields, "
                          f"got {spec!r}")
+    unknown = sorted(set(spec) - {f.name for f in fields(PerturbationSpec)})
+    if unknown:
+        raise ValueError(f"{path}: unknown spec keys: {', '.join(unknown)}")
     try:
         spec = PerturbationSpec(**spec)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return SyntheticInstance(
-        target=sio.read_pointset_csv(directory / "target.csv"),
-        ground_truth=sio.read_pointset_csv(directory / "ground_truth.csv"),
-        missing_mask=np.asarray(manifest["missing_mask"], dtype=bool),
-        outlier_mask=np.asarray(manifest["outlier_mask"], dtype=bool),
-        spec=spec,
-    )
+    target = sio.read_pointset_csv(directory / "target.csv")
+    ground_truth = sio.read_pointset_csv(directory / "ground_truth.csv")
+    try:
+        masks = [np.asarray(manifest[key], dtype=bool) for key in ("missing_mask", "outlier_mask")]
+        return SyntheticInstance(target, ground_truth, *masks, spec=spec)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 __all__ = [

@@ -16,10 +16,16 @@ from sfgp.cli import SWEEP_FIELDS, derive_seed
 from sfgp.core import RegistrationConfig
 from sfgp.correspondence import ResponsibilityInputs, get_correspondences, responsibilities
 from sfgp.gpr import gpr_posterior
-from sfgp.kernels import SquaredExponential, gp_prior
+from sfgp.kernels import (
+    ScaledKernel,
+    SquaredExponential,
+    SumKernel,
+    build_pca_kernel,
+    gp_prior,
+)
 from sfgp.metrics import mean_sq_distance, missing_detection, score_run
 from sfgp.registration import SIGMA2_FLOOR, register, variant_config
-from sfgp.synthdata import PerturbationSpec, fish_reference, generate
+from sfgp.synthdata import PerturbationSpec, fish_reference, generate, warp_rbf
 from sfgp import io as sio
 
 from helpers import (
@@ -454,4 +460,61 @@ def test_criterion_11_sphere_missing_region():
         f"{mean_recall:.2f} (need >= 0.8), smallest recall margin {min(margins):.2f} "
         f"(need >= 0.5), {converged}/{SPHERE_SEEDS} converged (need all), "
         f"{np.mean([f['iters'] for f in full]):.1f} iterations, {elapsed:.1f}s",
+    )
+
+
+# criterion 12: the paper's comparison with fitting a pre-existing shape
+# model (GPMM-style, Lüthi et al. 2018) on fish.  The shape model is a rank-20
+# PCA of 60 warps of fish98, summed with a small SE term; its training seeds
+# do not overlap the test instances'.  Measured when the criterion was set
+# (8 seeds, width 0.5): SFGP_Full with the shape model beat GPClosestPnt with
+# it on err_missing in 8/8 seeds (worst ratio 0.167) and SE-only SFGP_Full in
+# 8/8 (worst ratio 0.756); mean err_all 9.38e-4 against 1.81e-2 and 1.70e-3;
+# all 24 runs converged.  At width 0.3 it beat SE-only in only 6 of 8.
+SHAPE_TRAINING_SEEDS = range(10000, 10060)
+SHAPE_RANK = 20
+SHAPE_SE_FACTOR = 0.01
+SHAPE_SEEDS = 8
+SHAPE_MISSING_WIDTH = 0.5
+
+
+def test_criterion_12_fish_shape_model():
+    fish = fish_reference()
+    t0 = time.perf_counter()
+    training = [(warp_rbf(fish, WARP_AMPLITUDE_L1, 0.3, 5, s).points - fish.points).ravel()
+                for s in SHAPE_TRAINING_SEEDS]
+    shape_model = SumKernel(build_pca_kernel(training, SHAPE_RANK, fish),
+                            ScaledKernel(SHAPE_SE_FACTOR, BENCH_KERNEL))
+    runs = {"shape": [], "closest_shape": [], "se": []}
+    for k in range(SHAPE_SEEDS):
+        inst = generate(fish, PerturbationSpec(
+            warp_amplitude=WARP_AMPLITUDE_L1, noise_std=NOISE_STD_L2,
+            missing_width=SHAPE_MISSING_WIDTH, seed=derive_seed(5, 0, k)))
+        for name, variant, kernel in (("shape", "SFGP_Full", shape_model),
+                                      ("closest_shape", "GPClosestPnt", shape_model),
+                                      ("se", "SFGP_Full", BENCH_KERNEL)):
+            cfg = variant_config(variant, RegistrationConfig(omega=0.0, p_min=BENCH_P_MIN))
+            res = register(fish, inst.target, kernel, cfg)
+            runs[name].append({"stop_reason": res.stop_reason, **scores_of(res, inst)})
+    elapsed = time.perf_counter() - t0
+
+    unconverged = [r["stop_reason"] for rows in runs.values() for r in rows
+                   if r["stop_reason"] != "converged"]
+    if unconverged:
+        report(12, False, f"{len(unconverged)} runs did not converge: {unconverged}")
+    # the largest per-seed err_missing ratio of SFGP_Full with the shape
+    # model to each other fit, and its bound: below 1 is a win in every seed
+    bounds = {"closest_shape": 0.5, "se": 0.9}
+    worst = {other: max(s["error_missing"] / o["error_missing"]
+                        for s, o in zip(runs["shape"], runs[other])) for other in bounds}
+    mean_all = {name: float(np.mean([r["error_all"] for r in rows])) for name, rows in runs.items()}
+    report(
+        12,
+        all(worst[other] < bound for other, bound in bounds.items())
+        and mean_all["shape"] < min(mean_all["closest_shape"], mean_all["se"]),
+        f"fish with a shape model over {SHAPE_SEEDS} seeds: SFGP_Full's worst err_missing "
+        f"ratio is {worst['closest_shape']:.3f} to GPClosestPnt's (need < 0.5) and "
+        f"{worst['se']:.3f} to SE-only SFGP_Full's (need < 0.9); mean err_all "
+        f"{mean_all['shape']:.2e} against {mean_all['closest_shape']:.2e} and "
+        f"{mean_all['se']:.2e} (need lowest), {elapsed:.1f}s",
     )

@@ -56,7 +56,11 @@ def test_generate_writes_expected_instances(tmp_path):
     manifests = list(out.rglob("manifest.json"))
     assert len(manifests) == 4  # 2 levels x 2 instances
     dataset = sio.read_json(out / "dataset.json")
-    assert len(dataset["instances"]) == 4
+    # an entry names its instance by level and index alone, and the
+    # instance's seed is stored once, in its own manifest
+    assert [set(e) for e in dataset["instances"]] == [{"level", "index"}] * 4
+    assert sorted(m.parent for m in manifests) == sorted(
+        out / "instances" / e["level"] / str(e["index"]) for e in dataset["instances"])
 
 
 def test_generate_hundred_instances_single_level(tmp_path):
@@ -958,17 +962,42 @@ def test_eval_rejects_an_empty_summary(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("spec, message", [
-    ({"warp_amp": 0.03}, "spec must be"), ([0.03], "spec must be"),
+    ({"warp_amp": 0.03}, "unknown spec keys: warp_amp\n"), ([0.03], "spec must be"),
     ({"noise_std": -1}, "noise_std must be a finite number >= 0, got -1\n"),
-], ids=["unknown_key", "list", "out_of_range"])
+    ({"missing_center": "random"}, "unknown spec keys: missing_center\n"),
+    ({"missing_center": 3, "warp_amp": 0.03}, "unknown spec keys: missing_center, warp_amp\n"),
+], ids=["unknown_key", "list", "out_of_range", "missing_center", "two_unknown_keys"])
 @pytest.mark.parametrize("command", ["eval", "register"])
 def test_a_bad_manifest_spec_names_the_manifest(tmp_path, capsys, command, spec, message):
+    # a manifest written before the missing box's center was always drawn
+    # holds "missing_center": "random"; generate rewrites it without the key
     data = generated_dataset(tmp_path)
     [manifest] = data.rglob("manifest.json")
     edit_json(manifest, lambda m: m.update(spec=dict(m["spec"], **spec)
                                            if isinstance(spec, dict) else spec))
     err = fails_on_dataset(tmp_path, command, capsys)
     assert err.startswith(f"error: {manifest}: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("spec"), "missing key 'spec'"),
+    (lambda m: m.pop("missing_mask"), "missing key 'missing_mask'"),
+    (lambda m: m.pop("outlier_mask"), "missing key 'outlier_mask'"),
+    (lambda m: m.update(missing_mask="abc"), "masks inconsistent"),
+    (lambda m: m.update(outlier_mask=m["outlier_mask"][1:]), "masks inconsistent"),
+    # the count of kept points still matches: eval would index the 98
+    # ground-truth points with 97 flags
+    (lambda m: m["missing_mask"].remove(True), "masks inconsistent"),
+    (lambda m: m.update(missing_mask=[[True], []]), "setting an array element with a sequence"),
+], ids=["no_spec", "no_missing_mask", "no_outlier_mask", "string_mask", "short_outlier_mask",
+        "short_missing_mask", "ragged_mask"])
+@pytest.mark.parametrize("command", ["eval", "register"])
+def test_a_bad_manifest_names_the_manifest(tmp_path, capsys, command, edit, message):
+    data = generated_dataset(tmp_path)
+    [manifest] = data.rglob("manifest.json")
+    edit_json(manifest, edit)
+    err = fails_on_dataset(tmp_path, command, capsys)
+    assert err.startswith(f"error: {manifest}: {message}") and err.count("\n") == 1
 
 
 def edit_json(path, edit):
@@ -992,24 +1021,43 @@ def fails_on_dataset(tmp_path, command, capsys) -> str:
     return capsys.readouterr().err
 
 
+def _first_entry(**values):
+    return lambda d, root: d["instances"][0].update(values)
+
+
 @pytest.mark.parametrize("edit", [
-    lambda d: d.update(instances=5),
-    lambda d: d.update(instances=["a"]),
-    lambda d: d["instances"][0].update(path=5),
-    lambda d: d.update(instances=[{"level": "x"}]),
-    lambda d: d["instances"][0].update(index=-1),
-    lambda d: d["instances"][0].update(seed=True),
-    lambda d: d.pop("instances"),
+    lambda d, root: d.update(instances=5),
+    lambda d, root: d.update(instances=["a"]),
+    _first_entry(path=5),
+    lambda d, root: d.update(instances=[{"level": "x"}]),
+    _first_entry(index=-1),
+    _first_entry(seed=True),
+    lambda d, root: d.pop("instances"),
+    _first_entry(path="instances/mw0.3_ns0_or0_dl0/0"),
+    _first_entry(seed=3),
+    _first_entry(level="../x"),
+    lambda d, root: d["instances"][0].update(level=str(root / "abs")),
+    _first_entry(level="a/b"),
+    _first_entry(level=".."),
+    _first_entry(level="."),
+    _first_entry(level=""),
+    _first_entry(level=5),
 ], ids=["number", "string_entry", "number_path", "missing_keys", "negative_index", "true_seed",
-        "no_instances"])
+        "no_instances", "old_path", "old_seed", "parent_level", "absolute_level",
+        "nested_level", "dotdot_level", "dot_level", "empty_level", "number_level"])
 @pytest.mark.parametrize("command", ["eval", "register"])
 def test_a_bad_dataset_json_names_the_file(tmp_path, capsys, command, edit):
     # each entry is checked before any instance is read, and an error line,
-    # not a TypeError or a bare missing key, names dataset.json
+    # not a TypeError or a bare missing key, names dataset.json. An entry
+    # holds exactly a level and an index: a path or a seed, which the older
+    # format also stored, is an unknown key. A level is one directory name,
+    # so no run directory leaves --out and nothing else is written
     data = generated_dataset(tmp_path)
-    edit_json(data / "dataset.json", edit)
+    edit_json(data / "dataset.json", lambda d: edit(d, tmp_path))
+    before = sorted(tmp_path.rglob("*"))
     err = fails_on_dataset(tmp_path, command, capsys)
     assert err.startswith(f"error: {data / 'dataset.json'}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("key", ["variant", *cli.RUN_FIELDS])

@@ -131,7 +131,6 @@ def _npy(tmp_path):
     lambda tmp: PerturbationSpec(noise_std=-0.1),
     lambda tmp: PerturbationSpec(warp_amplitude=0.03, warp_bandwidth=0.0),
     lambda tmp: PerturbationSpec(warp_controls=2.5),
-    lambda tmp: PerturbationSpec(missing_center="middle"),
     lambda tmp: PerturbationSpec(seed=-1),
     lambda tmp: variant_config("SFGP_full"),
     lambda tmp: variant_config(["SFGP_Full"]),
@@ -142,8 +141,8 @@ def _npy(tmp_path):
     lambda tmp: load_pca_kernel(_npy(tmp), ANCHOR),
     lambda tmp: load_pca_kernel(_archive(tmp, eigenvalues=np.ones(1)), ANCHOR),
 ], ids=["registration", "amplitude2", "lengthscale", "factor", "sum_parts", "eigenvalues",
-        "eigenvectors", "noise_std", "warp_bandwidth", "warp_controls", "missing_center",
-        "seed", "variant", "variant_of_wrong_kind", "rank", "spectrum_rank", "prior_anchor",
+        "eigenvectors", "noise_std", "warp_bandwidth", "warp_controls", "seed",
+        "variant", "variant_of_wrong_kind", "rank", "spectrum_rank", "prior_anchor",
         "archive_anchor", "npy_file", "archive_without_arrays"])
 def test_every_setting_out_of_range_is_a_config_error(tmp_path, make):
     # one class for every setting, whichever type holds it; it is still a

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,17 @@ class TestGenerate:
         for name in ("target.csv", "ground_truth.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_missing_box_is_centred_at_the_draw_after_the_subseeds(self):
+        # the center comes next in the seed's stream after the five sub-seeds,
+        # so an instance keeps its bytes now that a spec cannot set it
+        fish = fish_reference()
+        rng = np.random.default_rng(42)
+        rng.integers(0, 2**63 - 1, size=5)
+        center = int(rng.integers(0, fish.n))
+        inst = generate(fish, self.spec())
+        _, expected = apply_structured_missing(inst.ground_truth, center, 0.3)
+        assert inst.missing_mask.any() and np.array_equal(inst.missing_mask, expected)
+
     def test_instance_roundtrip(self, tmp_path):
         fish = fish_reference()
         inst = generate(fish, self.spec())
@@ -236,16 +249,23 @@ def test_spec_out_of_range_names_its_field(field, bad):
 
 @pytest.mark.parametrize("field, bad", [
     ("warp_controls", 2.5), ("warp_controls", -1), ("warp_controls", True),
-    ("missing_center", 3.7), ("missing_center", -1), ("missing_center", "middle"),
-    ("missing_width", True), ("noise_std", "0.1"), ("rotation_max", [0.1]),
-    ("warp_bandwidth", None), ("warp_bandwidth", 0),
-    ("seed", 1.5), ("seed", -1), ("seed", True),
+    ("missing_width", True), ("noise_std", "0.1"),
+    ("warp_bandwidth", None), ("warp_bandwidth", 0), ("seed", 1.5),
+    ("rotation_max", [0.1]), ("seed", -1), ("seed", True),
 ])
 def test_spec_value_of_wrong_kind_names_its_field(field, bad):
-    # generate would truncate a center of 3.7 to 3 and fail inside NumPy on
-    # 2.5 controls or a seed of 1.5 or -1; True would run as 1
+    # generate would fail inside NumPy on 2.5 controls or a seed of 1.5 or
+    # -1; True would run as 1
     with pytest.raises(ValueError, match=field):
         PerturbationSpec(warp_amplitude=0.03, **{field: bad})
+
+
+def test_the_missing_box_center_is_no_spec_field():
+    # generate always draws it from the seed, and a manifest recorded only
+    # "random" for it
+    assert [f.name for f in fields(PerturbationSpec)] == [
+        "warp_amplitude", "warp_bandwidth", "warp_controls", "missing_width", "outlier_ratio",
+        "noise_std", "rotation_max", "seed"]
 
 
 def test_spec_stores_numbers_as_floats():
